@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PrecisionLossError
 from .params import PhysParams
 from .propagator import volkov_phi
-from .specfun import cerfc, erfcx, hyp1f1_one_family
+from .specfun import cerfc, erfcx, gl_panels, hyp1f1_one_family
 
 __all__ = [
     "DecayAnsatz",
@@ -260,15 +260,8 @@ def _y_series(xi1: complex, xi2: complex) -> complex:
     return complex(total)
 
 
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
-
-
 def _y_gl_pass(xi1: complex, xi2: complex, n_panels: int) -> complex:
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    z = (mid[:, None] + half * _GL12_X[None, :]).ravel()
-    w = half * np.tile(_GL12_W, n_panels)
+    z, w = gl_panels(0.0, 1.0, n_panels)
     return complex(np.sum(w * np.exp(-xi1 * z**6 - xi2 * z**2)))
 
 

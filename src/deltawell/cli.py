@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import NumericsError
@@ -64,17 +65,20 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), help="dataset format (default csv)")
 
 
-def _load_config(args, methods) -> ScenarioConfig:
-    base: dict = {}
+def _load_config(args, defaults: dict) -> ScenarioConfig:
+    # precedence: flags over the --config file over ``defaults``
+    base = dict(defaults)
     if args.config:
         try:
-            base = json.loads(Path(args.config).read_text())
+            doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
-        unknown = set(base) - set(ScenarioConfig.__dataclass_fields__) - {"methods", "out", "format"}
+        if not isinstance(doc, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+        unknown = set(doc) - set(ScenarioConfig.__dataclass_fields__) - {"methods", "out", "format"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    base.setdefault("methods", methods)
+        base.update(doc)
     for key in ("f", "t_max", "n_steps", "rule", "c", "ansatz_source", "gamma", "delta"):
         v = getattr(args, key, None)
         if v is not None:
@@ -112,13 +116,13 @@ def _emit_result(result, args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _load_config(args, methods=("exact",))
+    config = _load_config(args, {"methods": ("exact",)})
     return _emit_result(run_scenario(config), args)
 
 
 def _cmd_approx(args) -> int:
     methods = tuple(args.method) if args.method else ("decay_combined",)
-    config = _load_config(args, methods=methods)
+    config = _load_config(args, {"methods": methods})
     return _emit_result(run_scenario(config), args)
 
 
@@ -128,7 +132,7 @@ def _cmd_fit_c(args) -> int:
         methods = ("exact",) + tuple(args.method)
     else:
         methods = ("exact", "decay_combined")
-    config = _load_config(args, methods=methods)
+    config = _load_config(args, {"methods": methods})
     result = run_scenario(config)
     print(f"fitted c = {result.summary['fitted_c']:.4f}")
     if args.out:
@@ -140,6 +144,11 @@ _IDENTITY_GRIDS = {
     "z6": ("0.1", "1", "2", "5j", "1+3j"),
     "airy_fourier": ("0", "1", "-1", "2"),
     "airy_erf": ("0", "0.3", "0.2"),
+}
+_IDENTITY_CHECKS = {
+    "z6": check_z6_identity,
+    "airy_fourier": check_airy_fourier,
+    "airy_erf": check_airy_erf_identity,
 }
 _IDENTITY_TOL = {"z6": ("rel", 1e-9), "airy_fourier": ("abs", 1e-6), "airy_erf": ("rel", 1e-3)}
 
@@ -154,12 +163,10 @@ def _cmd_identity_check(args) -> int:
             value = complex(token) if selector != "airy_fourier" else float(token)
         except ValueError:
             raise UsageError(f"bad grid point {token!r}")
-        if selector == "z6":
-            rows.append(check_z6_identity(value))
-        elif selector == "airy_fourier":
-            rows.append(check_airy_fourier(value))
-        else:
-            rows.append(check_airy_erf_identity(value))
+        try:
+            rows.append(_IDENTITY_CHECKS[selector](value))
+        except ValueError as exc:  # point outside the validated range
+            raise UsageError(f"grid point {token!r}: {exc}")
     print("point,abs_err,rel_err,flags")
     failures = 0
     for token, r in zip(points, rows):
@@ -175,20 +182,10 @@ def _cmd_identity_check(args) -> int:
 
 def _cmd_figures(args) -> int:
     try:
-        config = preset_config(args.preset)
+        preset = preset_config(args.preset)
     except ValueError as exc:
         raise UsageError(str(exc))
-    for key in ("f", "t_max", "n_steps", "rule", "c", "ansatz_source", "gamma", "delta"):
-        v = getattr(args, key, None)
-        if v is None:
-            continue
-        if key == "c" and v != "fit":
-            try:
-                v = float(v)
-            except ValueError:
-                raise UsageError(f"--c must be a number or 'fit', got {v!r}")
-        setattr(config, key, v)
-    config.validate()
+    config = _load_config(args, asdict(preset))
     return _emit_result(run_scenario(config), args)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
-from .specfun import airy_ai, airy_ai_prime, cerfc, hyp1f1_one
+from .specfun import airy_ai, airy_ai_prime, cerfc, gl_panels, hyp1f1_one
 
 __all__ = [
     "IdentityReport",
@@ -34,19 +34,6 @@ __all__ = [
     "check_airy_erf_identity",
     "z6_closed_form",
 ]
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-
-
-def _panels(lo: float, hi: float, width: float):
-    n = max(2, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
-    return x, w
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -106,7 +93,7 @@ def _airy_fourier_tail(c: float, eta: float, levels: int = 4) -> complex:
         sign = -sign
 
     lo = min(-240.0, 6.0 * c)
-    sig, w = _panels(lo, c, 0.15)
+    sig, w = gl_panels(lo, c, math.ceil((c - lo) / 0.15))
     denv = (sig + eta2) ** m
     vals = (
         np.exp(1j * eta * sig)
@@ -119,12 +106,13 @@ def _airy_fourier_tail(c: float, eta: float, levels: int = 4) -> complex:
 
 def check_airy_fourier(eta: float) -> IdentityReport:
     """∫ dσ Ai(σ) e^{iησ} = e^{−iη³/3}, for |η| ≤ 5."""
-    if abs(eta) > 5.0:
+    if not abs(eta) <= 5.0:
         raise ValueError("validated only for |eta| <= 5")
     c = -(2.0 * eta * eta + 30.0)  # stationary-phase-safe cutoff
     hi = 16.0  # Ai(16) ~ 3e-18: decaying tail below target
     freq = math.sqrt(abs(c)) + abs(eta) + 1.0
-    sig, w = _panels(c, hi, min(0.3, math.pi / (4.0 * freq)))
+    width = min(0.3, math.pi / (4.0 * freq))
+    sig, w = gl_panels(c, hi, math.ceil((hi - c) / width))
     direct = np.sum(w * airy_ai(sig) * np.exp(1j * eta * sig))
     lhs = direct + _airy_fourier_tail(c, eta)
     rhs = np.exp(-1j * eta**3 / 3.0)
@@ -146,7 +134,7 @@ def z6_closed_form(xi1: complex) -> complex:
 def check_z6_identity(xi1: complex) -> IdentityReport:
     """∫₀¹ e^{−ξ₁z⁶} dz against its ₁F₁ closed form, |ξ₁| ≤ 50."""
     xi1 = complex(xi1)
-    if abs(xi1) > 50.0:
+    if not abs(xi1) <= 50.0:
         raise ValueError("validated only for |xi1| <= 50")
 
     lim = max(200, int(20 + abs(xi1)))
@@ -176,7 +164,8 @@ def _erf_airy_regularized(chi: complex, eps: float) -> complex:
     growth = max(abs(chi) ** 2, 1e-6)
     lo = -max(40.0, 1.2 * growth / eps + math.sqrt(35.0 / eps))
     freq = math.sqrt(abs(lo)) + 1.0
-    sig, w = _panels(lo, hi, min(0.25, math.pi / (4.0 * freq)))
+    width = min(0.25, math.pi / (4.0 * freq))
+    sig, w = gl_panels(lo, hi, math.ceil((hi - lo) / width))
     return complex(np.sum(w * _erf_airy_integrand(sig, chi, eps)))
 
 
@@ -186,6 +175,10 @@ def check_airy_erf_identity(chi: complex, eps: float = 0.05) -> IdentityReport:
     chi = complex(chi)
     if eps <= 0:
         raise ValueError("eps must be > 0")
+    xi1 = chi**6 / 3.0
+    # the closed form's ₁F₁ is validated for |ξ₁| ≤ 50, as in check_z6_identity
+    if not abs(xi1) <= 50.0:
+        raise ValueError("validated only for |chi^6/3| <= 50")
     if chi == 0:
         return IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0")
 
@@ -198,7 +191,6 @@ def check_airy_erf_identity(chi: complex, eps: float = 0.05) -> IdentityReport:
     if abs(i3 - i2) > 1.5 * abs(i2 - i1) and abs(i3 - i2) > 1e-3 * scale:
         flags.append("ladder_divergent")
 
-    xi1 = chi**6 / 3.0
     rhs = (2.0 * chi / math.sqrt(math.pi)) * z6_closed_form(xi1)
     reg = f"eps ladder {eps:g}/{eps / 2:g}/{eps / 4:g}: " + ", ".join(
         f"{v:.6g}" for v in ladder

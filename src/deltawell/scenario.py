@@ -60,8 +60,10 @@ class ScenarioConfig:
     rule: str = "linear"
 
     def validate(self):
-        if self.f < 0:
-            raise ValueError("f must be >= 0")
+        if not (self.f >= 0 and math.isfinite(self.f)):
+            raise ValueError(f"f must be finite and >= 0, got {self.f}")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_steps < 10:
             raise ValueError("n_steps must be >= 10")
         if not self.methods:
@@ -71,10 +73,16 @@ class ScenarioConfig:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
         if self.ansatz_source not in ("wkb", "fit", "explicit", "auto"):
             raise ValueError(f"unknown ansatz_source {self.ansatz_source!r}")
-        if self.ansatz_source == "explicit" and (self.gamma is None or self.delta is None):
-            raise ValueError("explicit ansatz requires gamma and delta")
-        if isinstance(self.c, str) and self.c != "fit":
-            raise ValueError(f"c must be a number, 'fit' or omitted, got {self.c!r}")
+        if self.ansatz_source == "explicit":
+            if self.gamma is None or self.delta is None:
+                raise ValueError("explicit ansatz requires gamma and delta")
+            if not (self.gamma >= 0 and math.isfinite(self.gamma) and math.isfinite(self.delta)):
+                raise ValueError("explicit ansatz requires finite gamma >= 0 and finite delta")
+        if isinstance(self.c, str):
+            if self.c != "fit":
+                raise ValueError(f"c must be a number, 'fit' or omitted, got {self.c!r}")
+        elif self.c is not None and not 0.0 <= self.c <= 1.0:
+            raise ValueError(f"c must lie in [0, 1], got {self.c}")
 
     def params(self) -> PhysParams:
         B = self.mass * self.v0 / self.hbar**2

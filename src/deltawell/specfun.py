@@ -1,22 +1,31 @@
 """Special functions used by the propagators, solvers and identity checks.
 
-Everything here is self-contained (numpy only) and vectorized over numpy
-arrays:
+All functions are vectorized over numpy arrays.  scipy is used where it is
+both faster and more accurate than an own implementation; the rest is
+written here:
 
 * ``cerfc`` / ``erfcx`` — complementary error function of complex argument
   and its scaled variant e^{z²}·erfc(z).  Computed through the Faddeeva
   function w(ζ) = e^{−ζ²}erfc(−iζ) with region switching: a Maclaurin
   series near the origin, a rational (Fourier/tangent) approximation in
-  the mid range and the Laplace continued fraction far out.
-* ``airy_ai`` — Airy Ai on the real line, Maclaurin series inside
-  |s| ≤ 7.6 (extended precision accumulation in the cancellation-prone
-  band) and asymptotic expansions beyond.
-* ``hyp1f1_one`` — confluent hypergeometric ₁F₁(1; b; z) for complex z,
-  forward series with a cancellation monitor, switching to an exact
-  finite-interval integral representation for large |z|.
+  the mid range and the Laplace continued fraction far out.  scipy's
+  Faddeeva routines are as accurate, but the reconstruction of ψ(x,t)
+  amplifies erfc rounding to ~1e−9, so a swap would move the pinned
+  benchmark reference; it waits until that reference is re-recorded.
+* ``airy_ai`` / ``airy_ai_prime`` — Airy Ai and Ai′ on the real line:
+  ``scipy.special.airy`` inside |s| ≤ 10 (0.08–0.6 µs a point, ~6e−16
+  absolute error), own asymptotic expansions beyond, where scipy falls
+  back to AMOS Bessel routines at 4–6 µs a point against ~0.5 µs here.
+* ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
+  ₁F₁(1; b; z) for complex z: forward series with a cancellation
+  monitor, a Kummer-transformed series for Re z < −1, and an exact
+  finite-interval integral representation for large |z|.  Kept in-house:
+  scipy's complex ``hyp1f1`` is off by 2.7e−10 at b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
   evaluated through erfcx so the product of a huge exponential and a tiny
   erfc never overflows.
+* ``gl_panels`` — the composite 12-point Gauss–Legendre rule shared by
+  the ₁F₁ integral, the Y(t) quadrature and the identity checks.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .errors import PrecisionLossError
 
@@ -35,6 +45,7 @@ __all__ = [
     "hyp1f1_one",
     "moshinsky",
     "moshinsky_t0",
+    "gl_panels",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -171,42 +182,7 @@ def cerfc(z):
 # Airy Ai on the real line
 # ---------------------------------------------------------------------------
 
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)     # Ai(0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
-
-# Maclaurin cancellation at |s| ≈ 7.6 eats ~e^{(2/3)·7.6^{3/2}} ≈ 1.2e6 of
-# the working precision, hence the 80-bit accumulation band below.
-_AIRY_SERIES_CUT = 7.6
-_AIRY_FAST_CUT = 4.0
-
-
-def _airy_series(s, dtype):
-    # Ai = Ai(0)·F + Ai'(0)·G with F = Σ aₖ s^{3k}, G = Σ bₖ s^{3k+1};
-    # the four sums (F, G, F', G') run on parallel term recurrences.
-    s = s.astype(dtype)
-    s3 = s**3
-    ft = np.ones_like(s)             # aₖ s^{3k}
-    gt = s.copy()                    # bₖ s^{3k+1}
-    fpt = 0.5 * s * s                # 3k aₖ s^{3k−1}, k ≥ 1 (k = 1 seed)
-    gpt = np.ones_like(s)            # (3k+1) bₖ s^{3k}
-    sum_f = ft.copy()
-    sum_g = gt.copy()
-    sum_fp = fpt.copy()
-    sum_gp = gpt.copy()
-    for k in range(250):
-        ft = ft * s3 / ((3 * k + 2) * (3 * k + 3))
-        gt = gt * s3 / ((3 * k + 3) * (3 * k + 4))
-        fpt = fpt * s3 * (k + 2) / ((k + 1) * (3 * k + 5) * (3 * k + 6))
-        gpt = gpt * s3 / ((3 * k + 1) * (3 * k + 3))
-        sum_f += ft
-        sum_g += gt
-        sum_fp += fpt
-        sum_gp += gpt
-        if np.all(np.abs(ft) + np.abs(gt) + np.abs(fpt) + np.abs(gpt) < 1e-25):
-            break
-    ai = _AI0 * sum_f + _AIP0 * sum_g
-    aip = _AI0 * sum_fp + _AIP0 * sum_gp
-    return ai.astype(np.float64), aip.astype(np.float64)
+_AIRY_ASYM_CUT = 10.0  # scipy inside, own asymptotic series outside (module docstring)
 
 
 def _airy_u_coeffs(count: int):
@@ -278,15 +254,11 @@ def _airy_both(s):
     ai = np.empty_like(s)
     aip = np.empty_like(s)
 
-    a = np.abs(s)
-    fast = a <= _AIRY_FAST_CUT
-    slow = (~fast) & (a <= _AIRY_SERIES_CUT)
-    pos = (~fast) & (~slow) & (s > 0)
-    neg = (~fast) & (~slow) & (s < 0)
-    if fast.any():
-        ai[fast], aip[fast] = _airy_series(s[fast], np.float64)
-    if slow.any():
-        ai[slow], aip[slow] = _airy_series(s[slow], np.longdouble)
+    inner = np.abs(s) <= _AIRY_ASYM_CUT
+    pos = s > _AIRY_ASYM_CUT
+    neg = s < -_AIRY_ASYM_CUT
+    if inner.any():
+        ai[inner], aip[inner], _, _ = special.airy(s[inner])
     if pos.any():
         ai[pos], aip[pos] = _airy_asym_pos(s[pos])
     if neg.any():
@@ -313,40 +285,18 @@ def airy_ai_prime(s):
 _HYP_SERIES_CUT = 15.0
 _HYP_CANCEL_BOUND = 1e10
 
-# Gauss-Legendre base rule for the integral representation
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 
-def _gl_panels(n_panels: int):
-    # nodes/weights of a composite 12-point rule on [0, 1]
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
+def gl_panels(lo: float, hi: float, n_panels: int):
+    """Nodes and weights of the composite 12-point Gauss–Legendre rule with
+    ``n_panels`` equal panels on [lo, hi]."""
+    edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     w = (half[:, None] * _GL_W[None, :]).ravel()
     return x, w
-
-
-def _hyp1f1_series(b: float, z: complex):
-    # forward series in 80-bit accumulation; term ratio z/(b+k)
-    zr = np.clongdouble(z)
-    term = np.clongdouble(1.0)
-    total = np.clongdouble(1.0)
-    peak = 1.0
-    for k in range(2000):
-        term = term * zr / np.longdouble(b + k)
-        total = total + term
-        mag = abs(complex(term))
-        if mag > peak:
-            peak = mag
-        if mag <= 1e-20 * max(abs(complex(total)), 1e-300):
-            break
-    value = complex(total)
-    if peak > _HYP_CANCEL_BOUND * max(abs(value), 1e-300):
-        raise PrecisionLossError(
-            f"hyp1f1_one series cancellation beyond condition bound at b={b}, z={z}"
-        )
-    return value
 
 
 def _hyp1f1_kummer(b: float, z: complex):
@@ -365,91 +315,82 @@ def _hyp1f1_kummer(b: float, z: complex):
     return complex(np.exp(np.clongdouble(z)) * total)
 
 
-def _hyp1f1_integral(b: float, z: complex):
-    # ₁F₁(1;b;z) = 6(b−1) ∫₀¹ v^{6(b−1)−1} e^{z(1−v⁶)} dv  (b > 1); the
-    # exponent 6(b−1)−1 is a nonnegative integer for every b the solvers
-    # request, so the integrand is entire and composite Gauss-Legendre
-    # converges fast.
-    if b <= 1.0:
-        # one step of F(1;b;z) = 1 + (z/b) F(1;b+1;z)
-        return 1.0 + (z / b) * _hyp1f1_integral(b + 1.0, z)
-    n_panels = max(8, int(3.0 * abs(z) / math.pi) + 8)
-    v, w = _gl_panels(n_panels)
-    power = 6.0 * (b - 1.0) - 1.0
-    integrand = v**power * np.exp(z * (1.0 - v**6))
-    return 6.0 * (b - 1.0) * complex(np.sum(w * integrand))
-
-
-def hyp1f1_one(b: float, z: complex) -> complex:
-    """₁F₁(1; b; z) for b > 0 and complex z; relative error ≲ 1e−12 for |z| ≤ 50.
-
-    Forward series while it is well conditioned, Kummer-transformed series
-    for arguments with a strongly negative real part, and the exact
-    integral representation once |z| is large enough for either series to
-    lose digits to cancellation.
-    """
-    if not (b > 0.0) or not math.isfinite(b):
-        raise ValueError(f"hyp1f1_one requires b > 0, got {b}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("hyp1f1_one: non-finite z")
-    if abs(z) <= _HYP_SERIES_CUT or b >= abs(z) + 2.0:
-        if z.real < -1.0:
-            return _hyp1f1_kummer(b, z)
-        return _hyp1f1_series(b, z)
-    return _hyp1f1_integral(b, z)
-
-
-def _hyp1f1_series_vec(bs: np.ndarray, z: complex) -> np.ndarray:
-    # shared-k forward series for a batch of b values (no cancellation
-    # monitoring: callers restrict to the well-conditioned regime)
+def _hyp1f1_series_vec(bs: np.ndarray, z: complex, monitored) -> np.ndarray:
+    # shared-k forward series in 80-bit accumulation for a batch of b
+    # values (term ratio z/(b+k)); raises when a lane selected by the bool
+    # mask ``monitored`` lost more than _HYP_CANCEL_BOUND to cancellation
     bs = bs.astype(np.longdouble)
     zl = np.clongdouble(z)
     term = np.ones(bs.shape, dtype=np.clongdouble)
     total = np.ones(bs.shape, dtype=np.clongdouble)
+    peak = np.ones(bs.shape, dtype=np.longdouble)
     for k in range(2000):
         term = term * (zl / (bs + k))
         total = total + term
-        if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(total), 1e-300)):
+        mag = np.abs(term)
+        np.maximum(peak, mag, out=peak)
+        if np.all(mag <= 1e-20 * np.maximum(np.abs(total), 1e-300)):
             break
+    lost = monitored & (peak > _HYP_CANCEL_BOUND * np.maximum(np.abs(total), 1e-300))
+    if lost.any():
+        raise PrecisionLossError(
+            f"hyp1f1 series cancellation beyond condition bound at b={bs[lost][0]}, z={z}"
+        )
     return total.astype(np.complex128)
 
 
 def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     """[₁F₁(1; b0 + m; z) for m in 0..count−1], sharing work across the family.
 
-    The whole family shares one vectorized series in the well-conditioned
-    regime; at large |z|, members with b < |z| + 2 share one set of
-    quadrature nodes instead.
+    The whole family shares one vectorized forward series while it is well
+    conditioned; members with b < |z| + 2 switch to the Kummer-transformed
+    series for Re z < −1, and for large |z| to the exact integral
+    representation, all sharing one set of quadrature nodes.
     """
     if not (b0 > 0.0):
         raise ValueError(f"hyp1f1_one_family requires b0 > 0, got {b0}")
     z = complex(z)
     bs = b0 + np.arange(count, dtype=np.float64)
     if abs(z) <= _HYP_SERIES_CUT:
-        out = _hyp1f1_series_vec(bs, z)
-        if z.real < -1.0:
-            # Kummer-transformed route for the cancellation-prone members
-            for m in range(count):
-                if bs[m] < abs(z) + 2.0:
-                    out[m] = _hyp1f1_kummer(bs[m], z)
+        kummer = (bs < abs(z) + 2.0) & (z.real < -1.0)
+        out = _hyp1f1_series_vec(bs, z, ~kummer)
+        for m in np.nonzero(kummer)[0]:
+            out[m] = _hyp1f1_kummer(bs[m], z)
         return out
     out = np.empty(count, dtype=np.complex128)
     series = bs >= abs(z) + 2.0
     if series.any():
-        out[series] = _hyp1f1_series_vec(bs[series], z)
+        out[series] = _hyp1f1_series_vec(bs[series], z, True)
     hard = np.nonzero(~series)[0]
     if hard.size:
+        # ₁F₁(1;b;z) = 6(b−1) ∫₀¹ v^{6(b−1)−1} e^{z(1−v⁶)} dv  (b > 1); the
+        # exponent 6(b−1)−1 is a nonnegative integer for every b the solvers
+        # request, so the integrand is entire and composite Gauss-Legendre
+        # converges fast.
         n_panels = max(8, int(3.0 * abs(z) / math.pi) + 8)
-        v, w = _gl_panels(n_panels)
+        v, w = gl_panels(0.0, 1.0, n_panels)
         ew = w * np.exp(z * (1.0 - v**6))
         for m in hard:
             b = bs[m]
             if b <= 1.0:
+                # one step of F(1;b;z) = 1 + (z/b) F(1;b+1;z)
                 out[m] = 1.0 + (z / b) * hyp1f1_one(b + 1.0, z)
             else:
                 out[m] = 6.0 * (b - 1.0) * np.sum(ew * v ** (6.0 * (b - 1.0) - 1.0))
     return out
+
+
+def hyp1f1_one(b: float, z: complex) -> complex:
+    """₁F₁(1; b; z) for b > 0 and complex z; relative error ≲ 1e−11 for |z| ≤ 50.
+
+    The m = 0 member of :func:`hyp1f1_one_family`.
+    """
+    if not (b > 0.0) or not math.isfinite(b):
+        raise ValueError(f"hyp1f1_one requires b > 0, got {b}")
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("hyp1f1_one: non-finite z")
+    return complex(hyp1f1_one_family(b, 1, z)[0])
 
 
 # ---------------------------------------------------------------------------

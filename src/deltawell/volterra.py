@@ -174,7 +174,7 @@ def _cubic_phase_step(params: PhysParams, grid: TimeGrid) -> float:
     return F * F * (t**3 - (t - h) ** 3) / (24.0 * m * hbar)
 
 
-def _march(params: PhysParams, grid: TimeGrid, rule: str, kernel_form: str, forcing):
+def _march(params: PhysParams, grid: TimeGrid, rule: str, forcing):
     N = grid.n_steps
     h = grid.h
     lam = _coupling(params)
@@ -204,16 +204,11 @@ def _march(params: PhysParams, grid: TimeGrid, rule: str, kernel_form: str, forc
         crev = c[::-1].copy()
         corr = wL[: N + 1] * g  # invalid left-role of panel i at node n = i
         denom = 1.0 - lam * c[0]
-        if kernel_form == "scalar":
-            for i in range(1, N + 1):
-                known = np.dot(crev[N - i : N], psi[:i]) - corr[i] * psi[0]
-                psi[i] = (phi[i] + lam * known) / denom
-                if not (math.isfinite(psi[i].real) and math.isfinite(psi[i].imag)):
-                    raise ConvergenceError(
-                        f"non-finite solution at node {i} (t={i * h:g})"
-                    )
-        else:
-            _march_vector_gauge(params, grid, psi, phi, lam, wL, wR)
+        for i in range(1, N + 1):
+            known = np.dot(crev[N - i : N], psi[:i]) - corr[i] * psi[0]
+            psi[i] = (phi[i] + lam * known) / denom
+            if not (math.isfinite(psi[i].real) and math.isfinite(psi[i].imag)):
+                raise ConvergenceError(f"non-finite solution at node {i} (t={i * h:g})")
     elif rule == "quadratic":
         wl = 0.5 * (nu2 - nu1) * sqh
         wm = (nu0 - nu2) * sqh
@@ -246,40 +241,11 @@ def _march(params: PhysParams, grid: TimeGrid, rule: str, kernel_form: str, forc
     return psi
 
 
-def _march_vector_gauge(params, grid, psi, phi, lam, wL, wR):
-    # Same equation with the kernel phase assembled from the vector-gauge
-    # pieces −(S_c(t)−S_c(τ))/ℏ + m(x_c(t)−x_c(τ))²/(2ℏ(t−τ)); algebraically
-    # identical to the cubic phase, evaluated through the other route.
-    # O(N²) exponentials: intended for cross-checks on small grids.
-    N = grid.n_steps
-    F, m, hbar = params.field, params.mass, params.hbar
-    t_nodes = grid.nodes
-    S_c = F * F * t_nodes**3 / (6.0 * m)
-    x_c = F * t_nodes**2 / (2.0 * m)
-    for i in range(1, N + 1):
-        s = t_nodes[i] - t_nodes[: i + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quad_phase = np.where(
-                s > 0, m * (x_c[i] - x_c[: i + 1]) ** 2 / (2.0 * hbar * s), 0.0
-            )
-        gv = np.exp(1j * (-(S_c[i] - S_c[: i + 1]) / hbar + quad_phase))
-        # in s-offset n = i − j: node n gets wL(n) [panel n] + wR(n−1)
-        wtot = np.zeros(i + 1)
-        wtot[:i] += wL[:i]
-        wtot[1:] += wR[:i]
-        G = (gv * psi[: i + 1])[::-1]
-        known = np.dot(wtot[1:], G[1:])
-        psi[i] = (phi[i] + lam * known) / (1.0 - lam * wtot[0])
-        if not (math.isfinite(psi[i].real) and math.isfinite(psi[i].imag)):
-            raise ConvergenceError(f"non-finite solution at node {i}")
-
-
 def solve_psi0(
     params: PhysParams,
     grid: TimeGrid,
     rule: str = "linear",
     *,
-    kernel_form: str = "scalar",
     err_threshold: float = 1e-3,
     estimate_error: bool = True,
     forcing=None,
@@ -292,9 +258,7 @@ def solve_psi0(
     kernel phase advancing more than 0.5 rad per panel at t_max).
     ``forcing`` overrides the φ_F(0,t_i) samples (testing hook).
     """
-    if kernel_form not in ("scalar", "vector"):
-        raise ValueError(f"unknown kernel_form {kernel_form!r}")
-    psi = _march(params, grid, rule, kernel_form, forcing)
+    psi = _march(params, grid, rule, forcing)
 
     flags = []
     if _cubic_phase_step(params, grid) > 0.5:
@@ -305,7 +269,7 @@ def solve_psi0(
         n2 = grid.n_steps // 2
         coarse_grid = TimeGrid(t_max=n2 * 2 * grid.h, n_steps=n2)
         coarse_forcing = None if forcing is None else np.asarray(forcing)[::2][: n2 + 1]
-        psi_c = _march(params, coarse_grid, rule, "scalar", coarse_forcing)
+        psi_c = _march(params, coarse_grid, rule, coarse_forcing)
         fine_at_coarse = psi[:: 2][: n2 + 1]
         order = 2.0 if rule == "linear" else 2.5
         err_est = float(

@@ -63,13 +63,30 @@ def test_json_format(tmp_path):
     assert doc["flags"] == []
 
 
-def test_usage_errors_exit_1(capsys):
-    assert main(["solve", "--f", "-1", "--t-max", "2", "--steps", "100"]) == 1
-    assert main(["figures", "fig9z"]) == 1
-    assert main(["approx", "--method", "bogus"]) == 1
-    assert main(["identity-check", "nonesuch"]) == 1
-    assert main(["solve", "--c", "high"]) == 1
-    capsys.readouterr()
+def test_usage_errors_exit_1(tmp_path, capsys):
+    not_an_object = tmp_path / "five.json"
+    not_an_object.write_text("5")
+    for argv in (
+        ["solve", "--f", "-1", "--t-max", "2", "--steps", "100"],
+        ["figures", "fig9z"],
+        ["approx", "--method", "bogus"],
+        ["identity-check", "nonesuch"],
+        ["solve", "--c", "high"],
+        ["figures", "fig1a", "--steps", "5"],
+        ["figures", "fig1a", "--f", "-1"],
+        ["solve", "--t-max", "-1", "--steps", "20"],
+        ["solve", "--t-max", "inf", "--steps", "20"],
+        ["solve", "--f", "nan", "--t-max", "1", "--steps", "20"],
+        ["approx", "--steps", "20", "--t-max", "1", "--c", "2"],
+        ["approx", "--steps", "20", "--t-max", "1", "--ansatz", "explicit",
+         "--gamma", "-1", "--delta", "0"],
+        ["solve", "--config", str(not_an_object)],
+        ["identity-check", "airy_fourier", "--points", "6"],
+        ["identity-check", "z6", "--points", "nan"],
+        ["identity-check", "airy_erf", "--points", "1e9"],
+    ):
+        assert main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_flagged_run_exits_2_with_partial_output(tmp_path, capsys):
