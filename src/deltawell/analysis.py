@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import DecayAnsatz, decay_closed_pair
+from .approx import DecayAnsatz, _decay_pair
 from .params import PhysParams
 from .volterra import ComplexSeries, TimeGrid
 
@@ -137,10 +137,7 @@ def fit_c(exact: ComplexSeries, params: PhysParams, ansatz_base: DecayAnsatz) ->
     objective is cheap; minimized by golden-section to |Δc| ≤ 1e−3 after a
     coarse unimodality scan (a non-unimodal scan returns the best scanned
     c with the multimodal flag set)."""
-    t = exact.grid.nodes
-    pairs = [decay_closed_pair(params, ti, ansatz_base) for ti in t]
-    add = np.array([p[0] for p in pairs])
-    mul = np.array([p[1] for p in pairs])
+    add, mul = _decay_pair(params, exact.grid.nodes, ansatz_base)
     target = np.abs(exact.values) ** 2
 
     def objective(c: float) -> float:

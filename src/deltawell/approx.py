@@ -14,10 +14,9 @@ Two approximation schemes:
       Y(t) = ∫₀¹ dz e^{−ξ₁z⁶ − ξ₂z²},
       ξ₁ = f²E_b³t³/(3iℏ³),  ξ₂ = Et/(iℏ).
 
-Y is evaluated either by its ₁F₁ series (three families of terms, one per
-residue of the ξ₂ power mod 3) or by direct adaptive quadrature; a
-cancellation monitor routes degenerate cases from the series to the
-quadrature.
+Y is evaluated by composite Gauss–Legendre quadrature over all time nodes
+at once; its ₁F₁ series (three families of terms, one per residue of the
+ξ₂ power mod 3) is kept as the independent check.
 """
 
 from __future__ import annotations
@@ -200,7 +199,8 @@ class DecayAnsatz:
 
 @dataclass(frozen=True)
 class YArgs:
-    """Arguments (ξ₁, ξ₂) of Y(t) and the sixth-root variable χ, ξ₁ = χ⁶/3."""
+    """Arguments (ξ₁, ξ₂) of Y(t) and the sixth-root variable χ, ξ₁ = χ⁶/3;
+    scalars for one node or arrays for a time grid."""
 
     xi1: complex
     xi2: complex
@@ -210,16 +210,17 @@ class YArgs:
         return (3.0 * self.xi1) ** (1.0 / 6.0)
 
     @classmethod
-    def from_time(cls, params: PhysParams, t: float, E: complex):
+    def from_time(cls, params: PhysParams, t, E: complex):
         hbar, f, E_b = params.hbar, params.f, params.E_b
         xi1 = f * f * E_b**3 * t**3 / (3j * hbar**3)
         xi2 = E * t / (1j * hbar)
-        return cls(xi1=complex(xi1), xi2=complex(xi2))
+        return cls(xi1=xi1, xi2=xi2)
 
 
 _Y_TERM_TOL = 1e-14
 _Y_CANCEL_BOUND = 1e10
 _Y_STAGNATION = 10
+_Y_MAX_PANELS = 10_000  # cap on the start count: phase slopes up to ~4.7e4 rad
 
 
 def _y_family(k: int, b0: float, xi1: complex, xi2: complex) -> tuple:
@@ -260,79 +261,85 @@ def _y_series(xi1: complex, xi2: complex) -> complex:
     return complex(total)
 
 
-def _y_gl_pass(xi1: complex, xi2: complex, n_panels: int) -> complex:
-    z, w = gl_panels(0.0, 1.0, n_panels)
-    return complex(np.sum(w * np.exp(-xi1 * z**6 - xi2 * z**2)))
-
-
-def _y_quadrature(xi1: complex, xi2: complex) -> complex:
-    # adaptive panel doubling; the start resolves the max local phase
-    # slope 6|ξ₁| + 2|ξ₂| to ≲ 1.5 rad/panel (integrand is entire).
+def _y_quadrature(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
+    # adaptive panel doubling per node; the start resolves the max local
+    # phase slope 6|ξ₁| + 2|ξ₂| to ≲ 1.5 rad/panel (integrand is entire).
     # The attainable absolute accuracy is bounded below by roundoff on
-    # the integrand peak e^{max(0,−Re ξ₁) + max(0,−Re ξ₂)}.
-    n = max(4, int((6.0 * abs(xi1) + 2.0 * abs(xi2)) / (1.5 * math.pi)) + 4)
-    floor = 1e-14 * math.exp(max(0.0, -xi1.real) + max(0.0, -xi2.real))
-    prev = _y_gl_pass(xi1, xi2, n)
-    for _ in range(5):
-        n *= 2
-        cur = _y_gl_pass(xi1, xi2, n)
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)) + floor:
-            return cur
-        prev = cur
-    raise PrecisionLossError(
-        f"Y quadrature did not reach 1e-12 at xi1={xi1}, xi2={xi2}"
-    )
+    # the integrand peak e^{max(0,−Re ξ₁) + max(0,−Re ξ₂)}.  Nodes with the
+    # same start count share each pass, in chunks of nodes × panels ≲ 4096.
+    start = ((6.0 * np.abs(xi1) + 2.0 * np.abs(xi2)) / (1.5 * math.pi)).astype(np.int64) + 4
+    log_peak = np.maximum(0.0, -xi1.real) + np.maximum(0.0, -xi2.real)
+    if np.any(log_peak > 700.0) or np.any(start > _Y_MAX_PANELS):
+        raise PrecisionLossError("Y integrand overflows or oscillates beyond the quadrature")
+    floor = 1e-14 * np.exp(log_peak)
+    out = np.empty(xi1.shape, dtype=np.complex128)
+    for n0 in np.unique(start):
+        group = np.nonzero(start == n0)[0]
+        for idx in np.array_split(group, 1 + group.size * n0 // 4096):
+            prev = np.full(idx.size, np.nan)  # the start pass is never accepted
+            for n in n0 * 2 ** np.arange(6):
+                z, w = gl_panels(0.0, 1.0, n)
+                cur = np.exp(-xi1[idx, None] * z**6 - xi2[idx, None] * z**2) @ w
+                done = np.abs(cur - prev) <= 1e-12 * np.maximum(1.0, np.abs(cur)) + floor[idx]
+                out[idx[done]] = cur[done]
+                idx, prev = idx[~done], cur[~done]
+                if not idx.size:
+                    break
+            else:
+                raise PrecisionLossError(
+                    f"Y quadrature did not reach 1e-12 at xi1={xi1[idx[0]]}, xi2={xi2[idx[0]]}"
+                )
+    return out
 
 
-def y_integral(args: YArgs, method: str = "auto") -> complex:
-    """Y = ∫₀¹ e^{−ξ₁z⁶ − ξ₂z²} dz by the ₁F₁ series or by quadrature."""
-    xi1, xi2 = complex(args.xi1), complex(args.xi2)
-    if not (np.isfinite(xi1) and np.isfinite(xi2)):
+def y_integral(args: YArgs, method: str = "quadrature"):
+    """Y = ∫₀¹ e^{−ξ₁z⁶ − ξ₂z²} dz.
+
+    ``quadrature`` (the default, used by the closed forms) takes scalar or
+    array arguments and returns a complex or a complex array.  ``series``
+    evaluates the paper's ₁F₁ series at one node, the independent check
+    of the quadrature."""
+    xi1, xi2 = np.broadcast_arrays(np.asarray(args.xi1, complex), np.asarray(args.xi2, complex))
+    if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
         raise ValueError("y_integral: non-finite arguments")
     if method == "series":
-        return _y_series(xi1, xi2)
+        return _y_series(complex(xi1), complex(xi2))
     if method == "quadrature":
-        return _y_quadrature(xi1, xi2)
-    if method == "auto":
-        if abs(xi1) <= 60.0 and abs(xi2) <= 25.0:
-            try:
-                return _y_series(xi1, xi2)
-            except PrecisionLossError:
-                return _y_quadrature(xi1, xi2)
-        return _y_quadrature(xi1, xi2)
+        Y = _y_quadrature(xi1.ravel(), xi2.ravel()).reshape(xi1.shape)
+        return complex(Y) if Y.ndim == 0 else Y
     raise ValueError(f"unknown method {method!r}")
 
 
 _DECAY_FORMS = ("ansatz_only", "additive", "multiplicative", "combined")
 
 
-def decay_closed_pair(params: PhysParams, t: float, ansatz: DecayAnsatz) -> tuple:
-    """(additive, multiplicative) closed forms sharing one Y evaluation."""
-    if t < 0.0:
-        raise ValueError("decay_closed_pair requires t >= 0")
-    sqB = math.sqrt(params.B)
-    if t == 0.0:
-        return complex(sqB), complex(sqB)
+def _decay_pair(params: PhysParams, t: np.ndarray, ansatz: DecayAnsatz) -> tuple:
+    """(additive, multiplicative) arrays over the times t ≥ 0, sharing one Y
+    pass; at t = 0 the prefactor vanishes and both equal √B."""
     hbar, m, B = params.hbar, params.mass, params.B
     E = ansatz.E
-    phi = complex(volkov_phi(0.0, t, params))
-    pref = math.sqrt(2.0 * hbar * B**3 * t / (math.pi * m)) * _EXP_IPI4
+    phi = volkov_phi(0.0, t, params)
+    pref = np.sqrt(2.0 * hbar * B**3 * t / (math.pi * m)) * _EXP_IPI4
     Y = y_integral(YArgs.from_time(params, t, E))
     additive = phi + pref * np.exp(-1j * E * t / hbar) * Y
     # replacing √B e^{−iEτ} → ψ(0,τ) inside the integral term divides the
     # closed prefactor by √B (invisible in B = 1 units)
-    den = 1.0 - pref * Y / sqB
-    if abs(den) < 1e-12:
-        raise PrecisionLossError(
-            f"multiplicative form singular at t={t} (denominator {den})"
-        )
-    return complex(additive), complex(phi / den)
+    den = 1.0 - pref * Y / math.sqrt(B)
+    i = int(np.argmin(np.abs(den)))
+    if abs(den[i]) < 1e-12:
+        raise PrecisionLossError(f"multiplicative form singular at t={t[i]} (denominator {den[i]})")
+    return additive, phi / den
 
 
-def decay_closed_psi0(
-    params: PhysParams, t: float, ansatz: DecayAnsatz, form: str = "combined"
-) -> complex:
-    """Closed forms for ψ(0,t) built on the decay ansatz:
+def decay_closed_pair(params: PhysParams, t: float, ansatz: DecayAnsatz) -> tuple:
+    """(additive, multiplicative) closed forms at one time t ≥ 0."""
+    additive, multiplicative = _decay_pair(params, np.array([t], dtype=np.float64), ansatz)
+    return complex(additive[0]), complex(multiplicative[0])
+
+
+def decay_closed_psi0(params: PhysParams, t, ansatz: DecayAnsatz, form: str = "combined"):
+    """Closed forms for ψ(0,t) built on the decay ansatz, for a scalar t
+    (complex result) or a time array (complex array):
 
     * ``ansatz_only``:    √B e^{−iEt/ℏ}
     * ``additive``:       φ_f(0,t) + √(2iℏB³t/(πm)) e^{−iEt/ℏ} Y(t)
@@ -341,13 +348,15 @@ def decay_closed_psi0(
     """
     if form not in _DECAY_FORMS:
         raise ValueError(f"unknown form {form!r}")
-    if t < 0.0:
+    t = np.asarray(t, dtype=np.float64)
+    tt = np.atleast_1d(t)
+    if np.any(tt < 0.0):
         raise ValueError("decay_closed_psi0 requires t >= 0")
     if form == "ansatz_only":
-        return complex(math.sqrt(params.B) * np.exp(-1j * ansatz.E * t / params.hbar))
-    additive, multiplicative = decay_closed_pair(params, t, ansatz)
-    if form == "additive":
-        return additive
-    if form == "multiplicative":
-        return multiplicative
-    return complex(ansatz.c * additive + (1.0 - ansatz.c) * multiplicative)
+        vals = math.sqrt(params.B) * np.exp(-1j * ansatz.E * tt / params.hbar)
+    else:
+        additive, multiplicative = _decay_pair(params, tt, ansatz)
+        # additive and multiplicative are the c = 1 and c = 0 ends of combined
+        c = {"additive": 1.0, "multiplicative": 0.0}.get(form, ansatz.c)
+        vals = c * additive + (1.0 - c) * multiplicative
+    return complex(vals[0]) if t.ndim == 0 else vals

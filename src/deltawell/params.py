@@ -31,10 +31,6 @@ class PhysParams:
     E_b: float
     f: float
 
-    def with_field(self, field: float) -> "PhysParams":
-        """Same well, different applied field."""
-        return derive_params(self.hbar, self.mass, self.v0, field)
-
 
 @dataclass(frozen=True)
 class FieldScales:

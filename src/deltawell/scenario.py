@@ -99,10 +99,6 @@ class ScenarioResult:
     summary: dict
     flags: tuple = field(default_factory=tuple)
 
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
 
 def _needs_exact(config: ScenarioConfig) -> bool:
     if "exact" in config.methods:
@@ -119,14 +115,15 @@ def _build_ansatz(config, params, exact_sol: VolterraSolution | None, summary) -
     src = config.ansatz_source
     if src == "auto":
         src = "wkb" if config.f <= 0.2 else "fit"
+    summary["ansatz_source"] = src
     if src == "explicit":
         return DecayAnsatz.explicit(params, float(config.gamma), float(config.delta))
     if src == "wkb":
-        summary["ansatz_source"] = "wkb"
         return DecayAnsatz.from_wkb(params)
-    rss = extract_rate_shift(exact_sol.series, params)
-    gam, del_ = plateau(rss)
-    summary["ansatz_source"] = "fit"
+    try:
+        gam, del_ = plateau(extract_rate_shift(exact_sol.series, params))
+    except ValueError as exc:
+        raise NumericsError(f"cannot fit the decay ansatz to the exact series: {exc}") from exc
     return DecayAnsatz.explicit(params, max(gam, 0.0), del_)
 
 
@@ -145,10 +142,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         summary["err_est"] = exact_sol.err_est
 
     ansatz = None
-    needs_ansatz = any(m.startswith("decay") or m == "exp_ansatz" for m in config.methods)
-    if needs_ansatz:
-        if config.ansatz_source == "explicit":
-            summary["ansatz_source"] = "explicit"
+    if any(m.startswith("decay") or m == "exp_ansatz" for m in config.methods):
         ansatz = _build_ansatz(config, params, exact_sol, summary)
         summary["ansatz_gamma"] = ansatz.gamma
         summary["ansatz_delta"] = ansatz.delta
@@ -173,8 +167,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             series[m] = ComplexSeries(grid, first_scheme_psi0(params, t))
         else:
             form = {"exp_ansatz": "ansatz_only"}.get(m, m.removeprefix("decay_"))
-            vals = np.array([decay_closed_psi0(params, ti, ansatz, form) for ti in t])
-            series[m] = ComplexSeries(grid, vals)
+            series[m] = ComplexSeries(grid, decay_closed_psi0(params, t, ansatz, form))
 
     tables: dict = {}
     for m, s in series.items():
@@ -228,26 +221,24 @@ def result_to_csv(result: ScenarioResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_to_json(result: ScenarioResult) -> str:
+def _json(result: ScenarioResult, **extra) -> str:
     doc = {
         "config": {**asdict(result.config), "methods": list(result.config.methods)},
         "summary": result.summary,
         "flags": list(result.flags),
+        **extra,
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+def summary_to_json(result: ScenarioResult) -> str:
+    return _json(result)
 
 
 def result_to_json(result: ScenarioResult) -> str:
-    doc = {
-        "config": {**asdict(result.config), "methods": list(result.config.methods)},
-        "summary": result.summary,
-        "flags": list(result.flags),
-        "rows": {
-            m: {c: [float(v) for v in tb[c]] for c in COLUMNS[:-1]}
-            for m, tb in result.tables.items()
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return _json(result, rows={
+        m: {c: [float(v) for v in tb[c]] for c in COLUMNS[:-1]} for m, tb in result.tables.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,8 @@ def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     The whole family shares one vectorized forward series while it is well
     conditioned; members with b < |z| + 2 switch to the Kummer-transformed
     series for Re z < −1, and for large |z| to the exact integral
-    representation, all sharing one set of quadrature nodes.
+    representation, all sharing one set of quadrature nodes (b ≤ 1: one
+    recurrence step, or the Kummer series when Re z < −1).
     """
     if not (b0 > 0.0):
         raise ValueError(f"hyp1f1_one_family requires b0 > 0, got {b0}")
@@ -372,7 +373,10 @@ def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
         ew = w * np.exp(z * (1.0 - v**6))
         for m in hard:
             b = bs[m]
-            if b <= 1.0:
+            if b <= 1.0 and z.real < -1.0:
+                # the step below cancels to e^z here; Kummer has no hump
+                out[m] = _hyp1f1_kummer(b, z)
+            elif b <= 1.0:
                 # one step of F(1;b;z) = 1 + (z/b) F(1;b+1;z)
                 out[m] = 1.0 + (z / b) * hyp1f1_one(b + 1.0, z)
             else:

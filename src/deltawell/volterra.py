@@ -43,6 +43,9 @@ __all__ = [
     "overlap_domain_halfwidth",
 ]
 
+_ERR_THRESHOLD = 1e-3  # err_est above this flags the grid as too coarse
+_OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the overlap quad
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -246,7 +249,6 @@ def solve_psi0(
     grid: TimeGrid,
     rule: str = "linear",
     *,
-    err_threshold: float = 1e-3,
     estimate_error: bool = True,
     forcing=None,
 ) -> VolterraSolution:
@@ -254,7 +256,7 @@ def solve_psi0(
 
     Returns a flagged (never silently wrong) solution: ``err_est`` is a
     step-halving Richardson estimate of the max-norm error, and flags
-    record a too-coarse grid (error estimate above ``err_threshold``, or a
+    record a too-coarse grid (error estimate above 1e-3, or a
     kernel phase advancing more than 0.5 rad per panel at t_max).
     ``forcing`` overrides the φ_F(0,t_i) samples (testing hook).
     """
@@ -275,7 +277,7 @@ def solve_psi0(
         err_est = float(
             np.max(np.abs(fine_at_coarse - psi_c)) / (2.0**order - 1.0)
         )
-        if err_est > err_threshold:
+        if err_est > _ERR_THRESHOLD:
             flags.append("err_est_above_threshold")
 
     return VolterraSolution(
@@ -371,7 +373,7 @@ def overlap_domain_halfwidth(params: PhysParams, t: float) -> float:
     return x_c + 40.0 / params.B + 10.0 * math.sqrt(params.hbar * t / params.mass)
 
 
-def bound_overlap(sol: VolterraSolution, t: float, quad_tol: float = 1e-6):
+def bound_overlap(sol: VolterraSolution, t: float):
     """⟨ψ_b|ψ_F(t)⟩ by adaptive quadrature on the truncated domain, and the
     ionization probability P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|²."""
     params = sol.params
@@ -388,7 +390,7 @@ def bound_overlap(sol: VolterraSolution, t: float, quad_tol: float = 1e-6):
     for lo, hi in ((-xm, 0.0), (0.0, xm)):
         for part in (0, 1):
             val, abserr = quad(
-                integrand, lo, hi, args=(part,), epsabs=quad_tol, epsrel=quad_tol,
+                integrand, lo, hi, args=(part,), epsabs=_OVERLAP_TOL, epsrel=_OVERLAP_TOL,
                 limit=300,
             )
             if not math.isfinite(val):

@@ -154,6 +154,17 @@ def test_y_series_vs_quadrature():
     assert abs(got_s - got_q) <= 1e-8 * abs(got_q)
 
 
+def test_y_quadrature_array_matches_scalar_calls():
+    p = default_units(1.0)
+    a = DecayAnsatz.explicit(p, 0.52916, -0.10722, c=0.45)
+    t = np.linspace(0.0, 10.0, 301)
+    Y = y_integral(YArgs.from_time(p, t, a.E))
+    assert isinstance(Y, np.ndarray) and Y.shape == t.shape
+    for ti, yi in zip(t, Y):
+        want = y_integral(YArgs.from_time(p, ti, a.E), "quadrature")
+        assert abs(yi - want) <= 1e-13 * abs(want), ti
+
+
 def test_y_args_from_time():
     p = default_units(0.5)
     args = YArgs.from_time(p, 2.0, complex(p.E_b))
@@ -237,3 +248,31 @@ def test_multiplicative_pair_shares_y():
     add, mul = decay_closed_pair(p, 4.0, a)
     assert add == decay_closed_psi0(p, 4.0, a, "additive")
     assert mul == decay_closed_psi0(p, 4.0, a, "multiplicative")
+
+
+def test_additive_at_series_domain_edge_vs_mpmath():
+    # fig1a constants at t = 47.11 (|xi1| ~ 44, |xi2| ~ 24): the 1F1 series
+    # is off by 1.6e-8 here; the closed form must carry Y to quadrature accuracy
+    p = default_units(0.1)
+    a = DecayAnsatz.explicit(p, 0.0010, -0.0072)
+    t = 47.11
+    args = YArgs.from_time(p, t, a.E)
+    x1, x2 = mpmath.mpc(args.xi1), mpmath.mpc(args.xi2)
+    Y = complex(mpmath.quad(lambda z: mpmath.exp(-x1 * z**6 - x2 * z**2), mpmath.linspace(0, 1, 41)))
+    pref = math.sqrt(2.0 * t / math.pi) * np.exp(0.25j * math.pi)
+    want = complex(volkov_phi(0.0, t, p)) + pref * np.exp(-1j * a.E * t) * Y
+    add, _ = decay_closed_pair(p, t, a)
+    assert abs(add - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("form", ["ansatz_only", "additive", "multiplicative", "combined"])
+def test_closed_forms_array_matches_scalar_calls(form):
+    p = default_units(1.0)
+    a = DecayAnsatz.explicit(p, 0.52916, -0.10722, c=0.45)
+    t = np.linspace(0.0, 10.0, 301)  # includes t = 0, spans many panel-count groups
+    vals = decay_closed_psi0(p, t, a, form)
+    assert isinstance(vals, np.ndarray) and vals.shape == t.shape
+    for ti, v in zip(t, vals):
+        want = decay_closed_psi0(p, ti, a, form)
+        assert isinstance(want, complex)
+        assert abs(v - want) <= 1e-13 * abs(want), (form, ti)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
+from hypothesis import example, given, settings, strategies as st
+
 from deltawell.cli import main
-from deltawell.scenario import PRESETS, preset_config
+from deltawell.scenario import METHODS, PRESETS, preset_config
 
 
 def _read_rows(path):
@@ -152,3 +156,43 @@ def test_fit_c_subcommand(tmp_path, capsys):
     assert "fitted c" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert 0.4 <= doc["summary"]["fitted_c"] <= 0.8
+
+
+_ANSATZ_ARGV = st.one_of(
+    st.sampled_from(["wkb", "auto", "fit"]).map(lambda src: ["--ansatz", src]),
+    st.tuples(st.floats(0.0, 1.5), st.floats(-0.2, 0.05)).map(
+        lambda gd: ["--ansatz", "explicit", "--gamma", repr(gd[0]), "--delta", repr(gd[1])]
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+# a grid too coarse to extract the fitted ansatz from the exact series
+@example(f=1.6669712404161685, t_max=12.01953125, steps=48, c=0.0,
+         ansatz=["--ansatz", "auto"], methods=["exp_ansatz"])
+@given(
+    f=st.floats(0.0, 2.0),
+    t_max=st.floats(0.05, 20.0),
+    steps=st.integers(10, 200),
+    c=st.floats(0.0, 1.0),
+    ansatz=_ANSATZ_ARGV,
+    methods=st.lists(st.sampled_from([m for m in METHODS if m != "exact"]), min_size=1, max_size=3),
+)
+def test_approx_argv_ends_in_an_exit_code(f, t_max, steps, c, ansatz, methods):
+    argv = ["approx", "--f", repr(f), "--t-max", repr(t_max), "--steps", str(steps),
+            "--c", repr(c), *ansatz]
+    for m in methods:
+        argv += ["--method", m]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+
+
+def test_unresolvable_closed_form_exits_2(capsys):
+    # a level shift of 1e9 makes Y oscillate beyond the quadrature's panel
+    # cap, and a decay rate of 1e3 overflows its integrand
+    for gamma, delta in (("0", "1e9"), ("1e3", "0")):
+        rc = main(["approx", "--f", "0.5", "--t-max", "5", "--steps", "50",
+                   "--ansatz", "explicit", "--gamma", gamma, "--delta", delta])
+        assert rc == 2, (gamma, delta)
+        assert "numerical failure" in capsys.readouterr().err

@@ -192,6 +192,14 @@ def test_hyp_accuracy_grid_vs_oracle(rng):
             assert abs(got - ref) / max(abs(ref), 1e-300) < 1e-10, (b, z)
 
 
+@pytest.mark.parametrize("b, z", [(1.0, -20.0), (1.0, -30.0), (1.0, -40.0), (0.5, -30.0 + 5.0j)])
+def test_hyp_small_b_large_negative_z_vs_oracle(b, z):
+    # b <= 1 with Re z << 0: one contiguous step would cancel to e^z
+    ref = complex(mpmath.hyp1f1(1, b, z))
+    got = hyp1f1_one(b, z)
+    assert abs(got - ref) / abs(ref) < 1e-11, (b, z, got, ref)
+
+
 def test_hyp_family_matches_scalar():
     z = 23.0j - 4.0
     fam = hyp1f1_one_family(7.0 / 6.0, 25, z)
