@@ -267,10 +267,12 @@ def _y_quadrature(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
     # The attainable absolute accuracy is bounded below by roundoff on
     # the integrand peak e^{max(0,−Re ξ₁) + max(0,−Re ξ₂)}.  Nodes with the
     # same start count share each pass, in chunks of nodes × panels ≲ 4096.
-    start = ((6.0 * np.abs(xi1) + 2.0 * np.abs(xi2)) / (1.5 * math.pi)).astype(np.int64) + 4
+    slope = (6.0 * np.abs(xi1) + 2.0 * np.abs(xi2)) / (1.5 * math.pi)
     log_peak = np.maximum(0.0, -xi1.real) + np.maximum(0.0, -xi2.real)
-    if np.any(log_peak > 700.0) or np.any(start > _Y_MAX_PANELS):
+    # compared as floats: a huge or non-finite slope must not wrap in the cast
+    if not (np.all(log_peak <= 700.0) and np.all(slope < _Y_MAX_PANELS - 3)):
         raise PrecisionLossError("Y integrand overflows or oscillates beyond the quadrature")
+    start = slope.astype(np.int64) + 4
     floor = 1e-14 * np.exp(log_peak)
     out = np.empty(xi1.shape, dtype=np.complex128)
     for n0 in np.unique(start):

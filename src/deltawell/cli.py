@@ -21,7 +21,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import NumericsError
 from .identities import check_airy_fourier, check_airy_erf_identity, check_z6_identity
 from .scenario import (
     METHODS,
@@ -33,6 +32,7 @@ from .scenario import (
     run_scenario,
     summary_to_json,
 )
+from .volterra import RULE_ORDER
 
 USAGE_EXIT = 1
 FLAGGED_EXIT = 2
@@ -55,7 +55,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--f", type=float, help="relative field strength f = mF/(hbar^2 B^3)")
     p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--steps", type=int, dest="n_steps")
-    p.add_argument("--rule", choices=("linear", "quadratic"))
+    p.add_argument("--rule", choices=tuple(RULE_ORDER))
     p.add_argument("--c", help="mixing weight in [0,1], or 'fit'")
     p.add_argument("--ansatz", choices=("wkb", "fit", "explicit", "auto"), dest="ansatz_source")
     p.add_argument("--gamma", type=float, help="explicit ansatz decay rate")
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         return exc.code
-    except NumericsError as exc:
+    except ArithmeticError as exc:  # NumericsError, or a float overflow on the way
         print(f"numerical failure: {exc}", file=sys.stderr)
         return FLAGGED_EXIT
 

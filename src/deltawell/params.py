@@ -46,8 +46,9 @@ class FieldScales:
 def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysParams:
     """Validate inputs and compute B, E_b and f.
 
-    Raises ValueError for non-finite inputs, non-positive ℏ/m/V₀ or a
-    negative field (the field direction is fixed by convention).
+    Raises ValueError for non-finite inputs, non-positive ℏ/m/V₀, a
+    negative field (the field direction is fixed by convention), or inputs
+    whose B, E_b or f overflow or underflow.
     """
     vals = dict(hbar=hbar, mass=mass, v0=v0, field=field)
     for name, v in vals.items():
@@ -57,9 +58,14 @@ def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysPara
         raise ValueError(f"hbar, mass, v0 must be positive, got {hbar}, {mass}, {v0}")
     if field < 0:
         raise ValueError(f"field must be >= 0, got {field}")
-    B = mass * v0 / hbar**2
-    E_b = -(hbar**2) * B**2 / (2.0 * mass)
-    f = mass * field / (hbar**2 * B**3)
+    try:
+        B = mass * v0 / hbar**2
+        E_b = -(hbar**2) * B**2 / (2.0 * mass)
+        f = mass * field / (hbar**2 * B**3)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"B, E_b or f leaves the floating-point range: {exc}") from exc
+    if not (0.0 < B and -math.inf < E_b < 0.0 and math.isfinite(f)):
+        raise ValueError(f"B, E_b or f leaves the floating-point range: {B}, {E_b}, {f}")
     return PhysParams(hbar=hbar, mass=mass, v0=v0, field=field, B=B, E_b=E_b, f=f)
 
 

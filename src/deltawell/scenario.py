@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -28,7 +29,7 @@ from .analysis import density_proxy, extract_rate_shift, fit_c, plateau
 from .approx import DecayAnsatz, decay_closed_psi0, first_scheme_psi0
 from .errors import NumericsError
 from .params import PhysParams, derive_params
-from .volterra import ComplexSeries, TimeGrid, VolterraSolution, solve_psi0
+from .volterra import RULE_ORDER, ComplexSeries, TimeGrid, VolterraSolution, solve_psi0
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario", "PRESETS", "preset_config"]
 
@@ -62,10 +63,16 @@ class ScenarioConfig:
     def validate(self):
         if not (self.f >= 0 and math.isfinite(self.f)):
             raise ValueError(f"f must be finite and >= 0, got {self.f}")
-        if not (self.t_max > 0 and math.isfinite(self.t_max)):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        for name in ("hbar", "mass", "v0", "t_max"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 10:
             raise ValueError("n_steps must be >= 10")
+        if self.rule not in RULE_ORDER:
+            raise ValueError(f"unknown rule {self.rule!r} (choose from {tuple(RULE_ORDER)})")
         if not self.methods:
             raise ValueError("at least one method must be selected")
         for m in self.methods:
@@ -83,6 +90,10 @@ class ScenarioConfig:
                 raise ValueError(f"c must be a number, 'fit' or omitted, got {self.c!r}")
         elif self.c is not None and not 0.0 <= self.c <= 1.0:
             raise ValueError(f"c must lie in [0, 1], got {self.c}")
+        try:
+            self.params()  # ValueError when B, E_b or the field leave the float range
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"hbar, mass, v0 and f leave the floating-point range: {exc}") from exc
 
     def params(self) -> PhysParams:
         B = self.mass * self.v0 / self.hbar**2
@@ -163,11 +174,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     for m in config.methods:
         if m == "exact":
             series[m] = exact_sol.series
-        elif m == "first_scheme":
-            series[m] = ComplexSeries(grid, first_scheme_psi0(params, t))
+            continue
+        if m == "first_scheme":
+            values = first_scheme_psi0(params, t)
         else:
             form = {"exp_ansatz": "ansatz_only"}.get(m, m.removeprefix("decay_"))
-            series[m] = ComplexSeries(grid, decay_closed_psi0(params, t, ansatz, form))
+            values = decay_closed_psi0(params, t, ansatz, form)
+        if not np.all(np.isfinite(values)):
+            raise NumericsError(f"{m} is not finite on this grid")
+        series[m] = ComplexSeries(grid, values)
 
     tables: dict = {}
     for m, s in series.items():

@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
 from deltawell.cli import main
 from deltawell.scenario import METHODS, PRESETS, preset_config
+from deltawell.volterra import RULE_ORDER
 
 
 def _read_rows(path):
@@ -70,6 +74,9 @@ def test_json_format(tmp_path):
 def test_usage_errors_exit_1(tmp_path, capsys):
     not_an_object = tmp_path / "five.json"
     not_an_object.write_text("5")
+    bad_docs = [tmp_path / f"bad{i}.json" for i in range(4)]
+    for path, doc in zip(bad_docs, ({"n_steps": 100.5}, {"rule": "cubic"}, {"hbar": -1}, {"mass": 0})):
+        path.write_text(json.dumps(doc))
     for argv in (
         ["solve", "--f", "-1", "--t-max", "2", "--steps", "100"],
         ["figures", "fig9z"],
@@ -88,6 +95,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["identity-check", "airy_fourier", "--points", "6"],
         ["identity-check", "z6", "--points", "nan"],
         ["identity-check", "airy_erf", "--points", "1e9"],
+        *(["solve", "--config", str(path)] for path in bad_docs),
     ):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err, argv
@@ -196,3 +204,57 @@ def test_unresolvable_closed_form_exits_2(capsys):
                    "--ansatz", "explicit", "--gamma", gamma, "--delta", delta])
         assert rc == 2, (gamma, delta)
         assert "numerical failure" in capsys.readouterr().err
+
+
+
+
+
+_NAMES = st.sampled_from([*METHODS, *RULE_ORDER, "wkb", "fit", "explicit", "auto"])
+_NON_NUMBERS = st.one_of(_NAMES, st.text(max_size=5), st.booleans(), st.none())
+_ANY = st.one_of(st.floats(), st.integers(-5, 50), _NON_NUMBERS)
+_PLAUSIBLE = {
+    "f": st.floats(0.0, 3.0),
+    "hbar": st.floats(0.3, 3.0),
+    "mass": st.floats(0.3, 3.0),
+    "v0": st.floats(0.3, 3.0),
+    "t_max": st.floats(0.05, 20.0),
+    "methods": st.lists(st.sampled_from(METHODS), min_size=1, max_size=3),
+    "c": st.one_of(st.floats(0.0, 1.0), st.just("fit"), st.none()),
+    "ansatz_source": st.sampled_from(["wkb", "fit", "explicit", "auto"]),
+    "gamma": st.floats(0.0, 1.5),
+    "delta": st.floats(-0.2, 0.05),
+    "rule": st.sampled_from(list(RULE_ORDER)),
+}
+_ANY_TYPE = {name: _ANY for name in _PLAUSIBLE}
+_ANY_TYPE["t_max"] = st.one_of(
+    st.floats(max_value=20.0), st.sampled_from([math.nan, math.inf]),
+    st.integers(max_value=20), _NON_NUMBERS,
+)
+_ANY_TYPE["methods"] = st.one_of(st.lists(st.one_of(_NAMES, st.text(max_size=5)), max_size=3), _ANY)
+_ANY_TYPE["n_steps"] = st.one_of(st.integers(max_value=200), st.floats(), _NON_NUMBERS)
+
+
+@st.composite
+def _config_docs(draw):
+    # a plausible document (n_steps always set, so that no example falls
+    # back to the 8000-step default) with up to two values of any JSON type
+    doc = draw(st.fixed_dictionaries({"n_steps": st.integers(10, 200)}, optional=_PLAUSIBLE))
+    for name in draw(st.sets(st.sampled_from(sorted(_ANY_TYPE)), max_size=2)):
+        doc[name] = draw(_ANY_TYPE[name])
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@example(doc={"n_steps": 100.5})
+@example(doc={"n_steps": 50, "rule": "cubic"})
+@example(doc={"n_steps": 50, "hbar": -1})
+@example(doc={"n_steps": 50, "mass": 0})
+@given(doc=_config_docs())
+def test_config_document_ends_in_an_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "approx"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main([command, "--config", str(path)])
+            assert rc in (0, 1, 2), (command, doc)

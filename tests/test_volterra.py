@@ -46,14 +46,17 @@ def test_series_rejects_non_finite():
 
 
 def test_abel_weights_polynomial_exactness():
-    # ∫₀^T s^{−1/2} s^m ds = 2 T^{m+1/2}/(2m+1)
-    T, n = 2.7, 9
-    s = np.arange(n + 1) * (T / n)
-    for rule, maxdeg in (("linear", 1), ("quadratic", 2)):
-        w = abel_weights(n, T / n, rule)
-        for m in range(maxdeg + 1):
-            want = 2.0 * T ** (m + 0.5) / (2 * m + 1)
-            assert np.dot(w, s**m) == pytest.approx(want, rel=1e-13), (rule, m)
+    # ∫₀^T s^{−1/2} s^m ds = 2 T^{m+1/2}/(2m+1); one panel is the linear
+    # row for both rules, and at n = 2, 3 the quadratic start and end
+    # fix-ups overlap
+    T = 2.7
+    for n in (1, 2, 3, 9):
+        s = np.arange(n + 1) * (T / n)
+        for rule, maxdeg in (("linear", 1), ("quadratic", 2 if n > 1 else 1)):
+            w = abel_weights(n, T / n, rule)
+            for m in range(maxdeg + 1):
+                want = 2.0 * T ** (m + 0.5) / (2 * m + 1)
+                assert np.dot(w, s**m) == pytest.approx(want, rel=1e-13), (n, rule, m)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +129,8 @@ def test_no_amplitude_gain_at_well():
         assert np.max(np.abs(sol.psi0) ** 2) / p.B <= 1.0 + 1e-6
 
 
-def _vector_gauge_march(params, grid):
-    # Reference march of the linear rule with the kernel phase assembled
+def _vector_gauge_march(params, grid, rule):
+    # Reference march of the product rule with the kernel phase assembled
     # from the vector-gauge pieces −(S_c(t)−S_c(τ))/ℏ + m(x_c(t)−x_c(τ))²/(2ℏ(t−τ));
     # algebraically identical to the solver's cubic phase, evaluated
     # through the other route.  O(N²) exponentials: small grids only.
@@ -148,7 +151,7 @@ def _vector_gauge_march(params, grid):
             )
         gv = np.exp(1j * (-(S_c[i] - S_c[: i + 1]) / hbar + quad_phase))
         # weight of s-offset n = i − j
-        wtot = abel_weights(i, grid.h)
+        wtot = abel_weights(i, grid.h, rule)
         G = (gv * psi[: i + 1])[::-1]
         psi[i] = (phi[i] + lam * np.dot(wtot[1:], G[1:])) / (1.0 - lam * wtot[0])
     return psi
@@ -157,9 +160,10 @@ def _vector_gauge_march(params, grid):
 def test_vector_gauge_kernel_consistency():
     p = default_units(0.5)
     g = TimeGrid(3.0, 600)
-    scalar = solve_psi0(p, g, estimate_error=False).psi0
-    vector = _vector_gauge_march(p, g)
-    assert np.abs(scalar - vector).max() <= 1e-10
+    for rule in ("linear", "quadratic"):
+        scalar = solve_psi0(p, g, rule, estimate_error=False).psi0
+        vector = _vector_gauge_march(p, g, rule)
+        assert np.abs(scalar - vector).max() <= 1e-10, rule
 
 
 def test_coarse_grid_is_flagged():
