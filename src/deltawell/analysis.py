@@ -113,8 +113,14 @@ def plateau(
     sel = (t >= t_hi / 3.0) & (t <= t_hi)
     sel[0] = False
     inv_t = 1.0 / t[sel]
-    gam = float(np.polyfit(inv_t, rss.gamma[sel], 1)[1])
-    del_ = float(np.polyfit(inv_t, rss.delta[sel], 1)[1])
+    # polyfit scales its design by √Σ(1/t)², which overflows on a grid of
+    # tiny times and then returns a finite but meaningless intercept
+    try:
+        with np.errstate(over="raise"):
+            gam = float(np.polyfit(inv_t, rss.gamma[sel], 1)[1])
+            del_ = float(np.polyfit(inv_t, rss.delta[sel], 1)[1])
+    except FloatingPointError as exc:
+        raise ValueError(f"the 1/t plateau fit overflows on this grid (t_hi = {t_hi:g})") from exc
     return gam, del_
 
 

@@ -43,6 +43,7 @@ METHODS = (
 )
 
 COLUMNS = ("t", "re", "im", "abs2", "gamma", "delta", "proxy", "method")
+_CSV_CHUNK = 4096  # rows converted to Python floats at a time
 
 
 @dataclass
@@ -230,9 +231,11 @@ def result_to_csv(result: ScenarioResult) -> str:
     lines.append(",".join(COLUMNS))
     for m in result.config.methods:
         tb = result.tables[m]
-        cols = [tb[c] for c in COLUMNS[:-1]]
-        for row in zip(*cols):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{m}")
+        # .tolist() gives Python floats, whose repr is the shortest round-trip
+        # form; chunks bound the memory those floats take
+        for lo in range(0, len(tb["t"]), _CSV_CHUNK):
+            cols = [tb[c][lo : lo + _CSV_CHUNK].tolist() for c in COLUMNS[:-1]]
+            lines.extend(",".join(map(repr, row)) + f",{m}" for row in zip(*cols))
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +255,7 @@ def summary_to_json(result: ScenarioResult) -> str:
 
 def result_to_json(result: ScenarioResult) -> str:
     return _json(result, rows={
-        m: {c: [float(v) for v in tb[c]] for c in COLUMNS[:-1]} for m, tb in result.tables.items()
+        m: {c: tb[c].tolist() for c in COLUMNS[:-1]} for m, tb in result.tables.items()
     })
 
 

@@ -10,7 +10,13 @@ a weakly singular Volterra equation of the second kind.  The Abel weight
 s^{−1/2} is integrated exactly against a piecewise polynomial interpolant
 of the smooth factor g·ψ (linear by default, quadratic as an upgrade); on
 a uniform grid the resulting weights depend only on the node distance, so
-each step is one causal dot product and the march is O(N²) total.  One
+the rows form a lower-triangular Toeplitz system.  The march solves it by
+divide and conquer (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6 (1985) 532): once the first half of a block is solved, its
+whole history enters the second half through one FFT convolution, and
+each leaf of 64 nodes is one direct convolution of its right-hand side
+with the precomputed inverse of the leaf's Toeplitz operator.  A node
+never reads a later node, and N steps cost O(N log² N).  One
 table of unit-step panel moments (Toeplitz weights plus start and end
 fix-ups) serves `abel_weights`, the march and the reconstruction.  The
 moments are differences of powers of k and lose accuracy by cancellation
@@ -50,6 +56,7 @@ __all__ = [
 
 _ERR_THRESHOLD = 1e-3  # err_est above this flags the grid as too coarse
 _OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the overlap quad
+_LEAF = 64  # nodes per leaf of the block march
 
 
 @dataclass(frozen=True)
@@ -210,16 +217,47 @@ def _march(params: PhysParams, grid: TimeGrid, rule: str, forcing):
     w1 = abel_weights(1, grid.h)  # one panel: the linear row for every rule
     psi[1] = (phi[1] + lam * w1[1] * g[1] * psi[0]) / (1.0 - lam * w1[0])
 
-    # row i ≥ 2: a Toeplitz dot over the history, whose first three weights
-    # carry the start fix-up; the end fix-ups act on the known ψ₀ and ψ₁
+    # row i ≥ 2 is Toeplitz in the history, whose first three weights carry
+    # the start fix-up; the end fix-ups act on the known ψ₀ and ψ₁
     sqh = math.sqrt(grid.h)
     c = T * sqh * g
     c[:3] += start[: N + 1] * sqh * g[:3]
-    crev = c[::-1].copy()
+    lc = lam * c
     rhs = phi + lam * sqh * (end[0] * g * psi[0] + end[1] * np.r_[0.0, g[:-1]] * psi[1])
-    denom = 1.0 - lam * c[0]
-    for i in range(2, N + 1):
-        psi[i] = (rhs[i] + lam * np.dot(crev[N - i : N], psi[:i])) / denom
+
+    # unknowns x = ψ[2:] solve (1 − λc₀)x_i − Σ_{k≥1} λc_k x_{i−k} = b_i, where b
+    # starts as the right-hand side plus the history of ψ₀ and ψ₁
+    x = psi[2:]
+    b = rhs[2:] + lc[2:] * psi[0] + lc[1:-1] * psi[1]
+    n = N - 1
+    L = min(_LEAF, N)
+    # the inverse of a leaf's lower-triangular Toeplitz operator: the first
+    # L coefficients of 1/a(z), a(z) = (1 − λc₀) − Σ_{k≥1} λc_k zᵏ, by
+    # Newton's iteration inv ← inv·(2 − a·inv), which doubles the length
+    a = np.r_[1.0 - lc[0], -lc[1:L]]
+    inv = 1.0 / a[:1]
+    while inv.size < L:
+        m = min(2 * inv.size, L)
+        e = -np.convolve(a[:m], inv)[:m]
+        e[0] += 2.0
+        inv = np.convolve(inv, e)[:m]
+    kernels = {}
+    for lo in range(0, n, L):
+        hi = min(lo + L, n)
+        # a direct convolution: ψ_i reads b_j for j ≤ i only
+        x[lo:hi] = np.convolve(b[lo:hi], inv[: hi - lo])[: hi - lo]
+        if hi == n:
+            break
+        # S = L × the largest power of two dividing hi/L: the S nodes before
+        # hi are the left half of a block of 2S, and their history enters
+        # the right half by one FFT convolution with c[1:2S]
+        done = hi // L
+        S = L * (done & -done)
+        if S not in kernels:
+            kernels[S] = np.fft.fft(lc[1 : 2 * S], 2 * S)
+        hist = np.fft.ifft(np.fft.fft(x[hi - S : hi], 2 * S) * kernels[S])
+        m = min(S, n - hi)
+        b[hi : hi + m] += hist[S - 1 : S - 1 + m]
 
     bad = np.flatnonzero(~np.isfinite(psi))
     if bad.size:

@@ -2,13 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
 from deltawell.cli import main
-from deltawell.scenario import METHODS, PRESETS, preset_config
+from deltawell.scenario import (
+    COLUMNS, METHODS, PRESETS, ScenarioConfig, _json, preset_config, result_to_csv,
+    result_to_json, run_scenario,
+)
 from deltawell.volterra import RULE_ORDER
 
 
@@ -204,6 +210,45 @@ def test_unresolvable_closed_form_exits_2(capsys):
                    "--ansatz", "explicit", "--gamma", gamma, "--delta", delta])
         assert rc == 2, (gamma, delta)
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_degenerate_grid_plateau_is_flagged(tmp_path):
+    # on t ≤ 1e-300 the 1/t plateau fit overflows: a flag, not a finite
+    # plateau of order 1e133
+    out = tmp_path / "tiny.json"
+    rc = main(["solve", "--t-max", "1e-300", "--steps", "50", "--format", "json", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 2
+    assert doc["flags"] == ["exact_extraction_failed"]
+    assert "exact_delta_plateau" not in doc["summary"]
+
+
+def test_dataset_rows_match_per_value_repr():
+    # NaN columns from a failed extraction, and more rows than one chunk
+    config = ScenarioConfig(t_max=1e-300, n_steps=5000, methods=("exact", "first_scheme"))
+    result = run_scenario(config)
+    assert "exact_extraction_failed" in result.flags
+    rows = {m: [[float(v) for v in tb[c]] for c in COLUMNS[:-1]] for m, tb in result.tables.items()}
+    lines = [
+        ",".join(repr(float(v)) for v in row) + f",{m}"
+        for m in config.methods
+        for row in zip(*(result.tables[m][c] for c in COLUMNS[:-1]))
+    ]
+    csv = result_to_csv(result)
+    assert csv.endswith("\n" + ",".join(COLUMNS) + "\n" + "\n".join(lines) + "\n")
+    assert result_to_json(result) == _json(result, rows={
+        m: dict(zip(COLUMNS[:-1], cols)) for m, cols in rows.items()
+    })
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs more than a second of start-up on every CLI call
+    code = "import sys, deltawell.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 

@@ -9,9 +9,11 @@ from deltawell.params import default_units
 from deltawell.propagator import bound_state, volkov_phi
 from deltawell.specfun import moshinsky
 from deltawell.volterra import (
+    _LEAF,
     ComplexSeries,
     TimeGrid,
     _coupling,
+    _rule_weights,
     abel_weights,
     bound_overlap,
     overlap_domain_halfwidth,
@@ -106,6 +108,56 @@ def test_causality_bit_identical():
     pert = solve_psi0(p, g, estimate_error=False, forcing=bumped).psi0
     assert np.array_equal(base[:201], pert[:201])
     assert not np.array_equal(base[201:], pert[201:])
+
+
+def _per_node_march(params, grid, rule):
+    # Reference march: one causal Toeplitz dot product per node, O(N²),
+    # the same rows the block march solves
+    N = grid.n_steps
+    T, start, end = _rule_weights(N, rule)
+    lam = _coupling(params)
+    F = params.field
+    g = np.exp(-1j * F * F * grid.nodes**3 / (24.0 * params.mass * params.hbar))
+    phi = volkov_phi(0.0, grid.nodes, params)
+    psi = np.empty(N + 1, dtype=np.complex128)
+    psi[0] = phi[0]
+    w1 = abel_weights(1, grid.h)
+    psi[1] = (phi[1] + lam * w1[1] * g[1] * psi[0]) / (1.0 - lam * w1[0])
+    sqh = math.sqrt(grid.h)
+    c = T * sqh * g
+    c[:3] += start[: N + 1] * sqh * g[:3]
+    crev = c[::-1].copy()
+    rhs = phi + lam * sqh * (end[0] * g * psi[0] + end[1] * np.r_[0.0, g[:-1]] * psi[1])
+    for i in range(2, N + 1):
+        psi[i] = (rhs[i] + lam * np.dot(crev[N - i : N], psi[:i])) / (1.0 - lam * c[0])
+    return psi
+
+
+def test_block_march_matches_per_node_march():
+    # the block march solves for the N − 1 nodes after ψ₁: none, one, two,
+    # up to one leaf and one node over, and 24 leaves (not a power of two)
+    p = default_units(0.5)
+    for n in (1, 2, 3, _LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 2, 24 * _LEAF + 1):
+        g = TimeGrid(0.05 * n, n)
+        for rule in ("linear", "quadratic"):
+            got = solve_psi0(p, g, rule, estimate_error=False).psi0
+            want = _per_node_march(p, g, rule)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, rule)
+
+
+def test_block_march_causal_at_every_split():
+    # a split inside a leaf, at a leaf edge, and at the edge of a half-block
+    # of two and of four leaves (node i ≥ 2 is unknown i − 2)
+    p = default_units(0.5)
+    g = TimeGrid(4.0, 400)
+    forcing = volkov_phi(0.0, g.nodes, p)
+    base = solve_psi0(p, g, estimate_error=False, forcing=forcing).psi0
+    for split in (2 + _LEAF // 2, 2 + _LEAF, 2 + 2 * _LEAF, 2 + 4 * _LEAF):
+        bumped = forcing.copy()
+        bumped[split:] += 0.3 - 0.1j
+        pert = solve_psi0(p, g, estimate_error=False, forcing=bumped).psi0
+        assert np.array_equal(base[:split], pert[:split]), split
+        assert not np.any(base[split:] == pert[split:]), split
 
 
 def test_refinement_monotone():
