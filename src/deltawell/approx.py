@@ -14,9 +14,17 @@ Two approximation schemes:
       Y(t) = ∫₀¹ dz e^{−ξ₁z⁶ − ξ₂z²},
       ξ₁ = f²E_b³t³/(3iℏ³),  ξ₂ = Et/(iℏ).
 
-Y is evaluated by composite Gauss–Legendre quadrature over all time nodes
-at once; its ₁F₁ series (three families of terms, one per residue of the
-ξ₂ power mod 3) is kept as the independent check.
+The substitution u = √t·z gives Y(t) = t^{−1/2}G(√t) with
+
+      G(s) = ∫₀^s du e^{−au⁶ − bu²},  a = f²E_b³/(3iℏ³),  b = E/(iℏ),
+
+free of t, so the closed prefactor's √t cancels.  One composite
+Gauss–Legendre pass over [0, √t_max], on panels at equal steps of the phase
+bound |a|u⁶ + |b|u² + u, gives G at the panel edges by a cumulative sum;
+each node adds one 12-point rule on its partial panel.  The panels depend
+on (a, b) alone, so a node's value does not depend on the rest of the
+grid.  Y's ₁F₁ series (three families of terms, one per residue of the ξ₂
+power mod 3) is kept as the independent check.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from .errors import PrecisionLossError
 from .params import PhysParams
 from .propagator import volkov_phi
-from .specfun import cerfc, erfcx, gl_panels, hyp1f1_one_family
+from .specfun import cerfc, erfcx, gl_rule, hyp1f1_one_family
 
 __all__ = [
     "DecayAnsatz",
@@ -220,7 +228,9 @@ class YArgs:
 _Y_TERM_TOL = 1e-14
 _Y_CANCEL_BOUND = 1e10
 _Y_STAGNATION = 10
-_Y_MAX_PANELS = 10_000  # cap on the start count: phase slopes up to ~4.7e4 rad
+_Y_PHASE_STEP = 1.5  # rad of the phase bound per panel in the first pass of G
+_Y_MAX_PANELS = 32_768  # cap on the panels of one pass of G
+_Y_NEWTON_STEPS = 16  # roundoff is reached within 6 for |a| ≤ 1e4, |b| ≤ 1e8
 
 
 def _y_family(k: int, b0: float, xi1: complex, xi2: complex) -> tuple:
@@ -261,53 +271,101 @@ def _y_series(xi1: complex, xi2: complex) -> complex:
     return complex(total)
 
 
-def _y_quadrature(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-    # adaptive panel doubling per node; the start resolves the max local
-    # phase slope 6|ξ₁| + 2|ξ₂| to ≲ 1.5 rad/panel (integrand is entire).
-    # The attainable absolute accuracy is bounded below by roundoff on
-    # the integrand peak e^{max(0,−Re ξ₁) + max(0,−Re ξ₂)}.  Nodes with the
-    # same start count share each pass, in chunks of nodes × panels ≲ 4096.
-    slope = (6.0 * np.abs(xi1) + 2.0 * np.abs(xi2)) / (1.5 * math.pi)
-    log_peak = np.maximum(0.0, -xi1.real) + np.maximum(0.0, -xi2.real)
-    # compared as floats: a huge or non-finite slope must not wrap in the cast
-    if not (np.all(log_peak <= 700.0) and np.all(slope < _Y_MAX_PANELS - 3)):
+def _g_phase(aa: float, bb: float, u):
+    # φ(u) = aa·u⁶ + bb·u² + u with aa = |a|, bb = |b|: bounds the phase and
+    # the log-magnitude change of the integrand of G over [0, u]
+    return ((aa * u**4 + bb) * u + 1.0) * u
+
+
+def _g_edges(aa: float, bb: float, n: int, step: float) -> np.ndarray:
+    # u_j solving φ(u) = j·step, j = 0..n.  The root of each single-term
+    # equation bounds u_j from above, the smallest within a factor 3, and
+    # Newton's iteration descends from there on the convex φ; a fixed step
+    # count makes each edge a function of j alone, whatever n is
+    target = step * np.arange(n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.fmin(target, np.fmin(np.sqrt(target / bb), (target / aa) ** (1.0 / 6.0)))
+    for _ in range(_Y_NEWTON_STEPS):
+        u = u - (_g_phase(aa, bb, u) - target) / ((6.0 * aa * u**4 + 2.0 * bb) * u + 1.0)
+    return u
+
+
+def _g_panels(a: complex, b: complex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # ∫ e^{−au⁶ − bu²} du over each [lo, hi] by one 12-point rule; in place,
+    # so the partial panels of N nodes hold one complex array of 12N values
+    u, w = gl_rule(lo, hi)
+    u *= u
+    x = -a * u
+    x *= u
+    x -= b
+    x *= u
+    np.exp(x, out=x)
+    x *= w
+    return x.sum(axis=1)
+
+
+def _g_pass(a: complex, b: complex, s: np.ndarray, step: float) -> np.ndarray:
+    # G at the nodes s: the panels between the edges of _g_edges summed up to
+    # each node's panel by one cumulative sum, plus its partial panel
+    aa, bb = abs(a), abs(b)
+    n = max(1, math.ceil(_g_phase(aa, bb, s.max()) / step))
+    edges = _g_edges(aa, bb, n, step)
+    G_edges = np.r_[0.0, np.cumsum(_g_panels(a, b, edges[:-1], edges[1:]))]
+    j = np.searchsorted(edges, s, side="right") - 1
+    return G_edges[j] + _g_panels(a, b, edges[j], s)
+
+
+def _g_integral(a: complex, b: complex, s: np.ndarray) -> np.ndarray:
+    """G(s) = ∫₀^s e^{−au⁶ − bu²} du at the nodes s ≥ 0.
+
+    Panel edges lie at equal steps of the phase bound |a|u⁶ + |b|u² + u,
+    1.5 rad to start, so they depend on (a, b) and the step only: a node's
+    value does not depend on the other nodes of the call.  Each pass is
+    checked against one with half the step; a node is accepted once the two
+    agree to 1e-12 relative, plus a floor for the roundoff on the integrand
+    peak e^{max(0,−Re a)s⁶ + max(0,−Re b)s²}.
+    """
+    log_peak = max(0.0, -a.real) * s**6 + max(0.0, -b.real) * s * s
+    phase = _g_phase(abs(a), abs(b), s.max())
+    # compared so that a non-finite bound fails too
+    if not (log_peak.max() <= 700.0 and phase <= 0.5 * _Y_PHASE_STEP * _Y_MAX_PANELS):
         raise PrecisionLossError("Y integrand overflows or oscillates beyond the quadrature")
-    start = slope.astype(np.int64) + 4
-    floor = 1e-14 * np.exp(log_peak)
-    out = np.empty(xi1.shape, dtype=np.complex128)
-    for n0 in np.unique(start):
-        group = np.nonzero(start == n0)[0]
-        for idx in np.array_split(group, 1 + group.size * n0 // 4096):
-            prev = np.full(idx.size, np.nan)  # the start pass is never accepted
-            for n in n0 * 2 ** np.arange(6):
-                z, w = gl_panels(0.0, 1.0, n)
-                cur = np.exp(-xi1[idx, None] * z**6 - xi2[idx, None] * z**2) @ w
-                done = np.abs(cur - prev) <= 1e-12 * np.maximum(1.0, np.abs(cur)) + floor[idx]
-                out[idx[done]] = cur[done]
-                idx, prev = idx[~done], cur[~done]
-                if not idx.size:
-                    break
-            else:
-                raise PrecisionLossError(
-                    f"Y quadrature did not reach 1e-12 at xi1={xi1[idx[0]]}, xi2={xi2[idx[0]]}"
-                )
-    return out
+    floor = 1e-14 * s * np.exp(log_peak)
+    out = np.empty(s.shape, dtype=np.complex128)
+    idx = np.arange(s.size)
+    step = _Y_PHASE_STEP
+    prev = _g_pass(a, b, s, step)
+    while phase <= 0.5 * step * _Y_MAX_PANELS:
+        step *= 0.5
+        cur = _g_pass(a, b, s[idx], step)
+        done = np.abs(cur - prev) <= 1e-12 * np.maximum(s[idx], np.abs(cur)) + floor[idx]
+        out[idx[done]] = cur[done]
+        idx, prev = idx[~done], cur[~done]
+        if not idx.size:
+            return out
+    raise PrecisionLossError(f"Y quadrature did not reach 1e-12 at a={a}, b={b}, s={s[idx[0]]}")
 
 
 def y_integral(args: YArgs, method: str = "quadrature"):
     """Y = ∫₀¹ e^{−ξ₁z⁶ − ξ₂z²} dz.
 
-    ``quadrature`` (the default, used by the closed forms) takes scalar or
-    array arguments and returns a complex or a complex array.  ``series``
-    evaluates the paper's ₁F₁ series at one node, the independent check
-    of the quadrature."""
+    ``quadrature`` (the default) takes scalar or array arguments and
+    returns a complex or a complex array: each node is G(1) with
+    (a, b) = (ξ₁, ξ₂), one node at a time.  The closed forms do not call
+    it; they take Y(t) = t^{−1/2}G(√t) for a whole grid from one pass.
+    ``series`` evaluates the paper's ₁F₁ series at one node, the
+    independent check of the quadrature."""
     xi1, xi2 = np.broadcast_arrays(np.asarray(args.xi1, complex), np.asarray(args.xi2, complex))
     if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
         raise ValueError("y_integral: non-finite arguments")
     if method == "series":
         return _y_series(complex(xi1), complex(xi2))
     if method == "quadrature":
-        Y = _y_quadrature(xi1.ravel(), xi2.ravel()).reshape(xi1.shape)
+        one = np.ones(1)
+        Y = np.fromiter(
+            (_g_integral(x1, x2, one)[0] for x1, x2 in zip(xi1.flat, xi2.flat)),
+            dtype=np.complex128, count=xi1.size,
+        ).reshape(xi1.shape)
         return complex(Y) if Y.ndim == 0 else Y
     raise ValueError(f"unknown method {method!r}")
 
@@ -321,12 +379,16 @@ def _decay_pair(params: PhysParams, t: np.ndarray, ansatz: DecayAnsatz) -> tuple
     hbar, m, B = params.hbar, params.mass, params.B
     E = ansatz.E
     phi = volkov_phi(0.0, t, params)
-    pref = np.sqrt(2.0 * hbar * B**3 * t / (math.pi * m)) * _EXP_IPI4
-    Y = y_integral(YArgs.from_time(params, t, E))
-    additive = phi + pref * np.exp(-1j * E * t / hbar) * Y
+    # u = √t·z turns √t·Y(t) into G(√t), whose a = ξ₁(1) and b = ξ₂(1) are
+    # free of t; the √t of the prefactor cancels
+    ab = YArgs.from_time(params, 1.0, E)
+    prefY = math.sqrt(2.0 * hbar * B**3 / (math.pi * m)) * _EXP_IPI4 * _g_integral(
+        complex(ab.xi1), complex(ab.xi2), np.sqrt(t)
+    )
+    additive = phi + np.exp(-1j * E * t / hbar) * prefY
     # replacing √B e^{−iEτ} → ψ(0,τ) inside the integral term divides the
     # closed prefactor by √B (invisible in B = 1 units)
-    den = 1.0 - pref * Y / math.sqrt(B)
+    den = 1.0 - prefY / math.sqrt(B)
     i = int(np.argmin(np.abs(den)))
     if abs(den[i]) < 1e-12:
         raise PrecisionLossError(f"multiplicative form singular at t={t[i]} (denominator {den[i]})")

@@ -92,9 +92,13 @@ class ScenarioConfig:
         elif self.c is not None and not 0.0 <= self.c <= 1.0:
             raise ValueError(f"c must lie in [0, 1], got {self.c}")
         try:
-            self.params()  # ValueError when B, E_b or the field leave the float range
+            F = self.params().field  # ValueError when B, E_b or the field leave the float range
         except (OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"hbar, mass, v0 and f leave the floating-point range: {exc}") from exc
+        # t_max³ and the Volkov phase F²t³/(6mℏ) enter every kernel and forcing sample
+        cube = self.t_max * self.t_max * self.t_max
+        if not math.isfinite(F * F * cube / (6.0 * self.mass) / self.hbar):
+            raise ValueError(f"t_max = {self.t_max}: t_max^3 or the field phase F^2 t_max^3 is not finite")
 
     def params(self) -> PhysParams:
         B = self.mass * self.v0 / self.hbar**2

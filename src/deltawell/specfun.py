@@ -24,8 +24,9 @@ written here:
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
   evaluated through erfcx so the product of a huge exponential and a tiny
   erfc never overflows.
-* ``gl_panels`` — the composite 12-point Gauss–Legendre rule shared by
-  the ₁F₁ integral, the Y(t) quadrature and the identity checks.
+* ``gl_panels`` / ``gl_rule`` — the composite 12-point Gauss–Legendre rule
+  on equal or on given panels, shared by the ₁F₁ integral, the Y(t)
+  quadrature and the identity checks.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "moshinsky",
     "moshinsky_t0",
     "gl_panels",
+    "gl_rule",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -288,15 +290,21 @@ _HYP_CANCEL_BOUND = 1e10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 
+def gl_rule(lo, hi):
+    """Nodes and weights, shape (k, 12), of the 12-point Gauss–Legendre rule
+    on each interval [lo[k], hi[k]]."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[:, None] + half[:, None] * _GL_X[None, :], half[:, None] * _GL_W[None, :]
+
+
 def gl_panels(lo: float, hi: float, n_panels: int):
     """Nodes and weights of the composite 12-point Gauss–Legendre rule with
     ``n_panels`` equal panels on [lo, hi]."""
     edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
-    return x, w
+    x, w = gl_rule(edges[:-1], edges[1:])
+    return x.ravel(), w.ravel()
 
 
 def _hyp1f1_kummer(b: float, z: complex):

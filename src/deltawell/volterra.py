@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .params import PhysParams
@@ -198,19 +197,12 @@ def _coupling(params: PhysParams) -> complex:
     )
 
 
-def _march(params: PhysParams, grid: TimeGrid, rule: str, forcing):
+def _march(params: PhysParams, grid: TimeGrid, rule: str, phi: np.ndarray):
     N = grid.n_steps
     T, start, end = _rule_weights(N, rule)
     lam = _coupling(params)
     F = params.field
     g = np.exp(-1j * F * F * grid.nodes**3 / (24.0 * params.mass * params.hbar))
-
-    if forcing is None:
-        phi = volkov_phi(0.0, grid.nodes, params)
-    else:
-        phi = np.asarray(forcing, dtype=np.complex128)
-        if phi.shape != (N + 1,):
-            raise ValueError("forcing must supply one sample per grid node")
 
     psi = np.empty(N + 1, dtype=np.complex128)
     psi[0] = phi[0]
@@ -281,7 +273,13 @@ def solve_psi0(
     kernel phase advancing more than 0.5 rad per panel at t_max).
     ``forcing`` overrides the φ_F(0,t_i) samples (testing hook).
     """
-    psi = _march(params, grid, rule, forcing)
+    if forcing is None:
+        phi = volkov_phi(0.0, grid.nodes, params)
+    else:
+        phi = np.asarray(forcing, dtype=np.complex128)
+        if phi.shape != (grid.n_steps + 1,):
+            raise ValueError("forcing must supply one sample per grid node")
+    psi = _march(params, grid, rule, phi)
 
     flags = []
     F, t, h = params.field, grid.t_max, grid.h
@@ -292,8 +290,7 @@ def solve_psi0(
     if estimate_error and grid.n_steps >= 8:
         n2 = grid.n_steps // 2
         coarse_grid = TimeGrid(t_max=n2 * 2 * grid.h, n_steps=n2)
-        coarse_forcing = None if forcing is None else np.asarray(forcing)[::2][: n2 + 1]
-        psi_c = _march(params, coarse_grid, rule, coarse_forcing)
+        psi_c = _march(params, coarse_grid, rule, phi[::2][: n2 + 1])
         fine_at_coarse = psi[:: 2][: n2 + 1]
         err_est = float(
             np.max(np.abs(fine_at_coarse - psi_c)) / (2.0 ** RULE_ORDER[rule] - 1.0)
@@ -386,6 +383,8 @@ def overlap_domain_halfwidth(params: PhysParams, t: float) -> float:
 def bound_overlap(sol: VolterraSolution, t: float):
     """⟨ψ_b|ψ_F(t)⟩ by adaptive quadrature on the truncated domain, and the
     ionization probability P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|²."""
+    from scipy.integrate import quad  # imported here: it costs 0.4 s of start-up
+
     params = sol.params
     i = sol.grid.index_of(t)
     if i == 0:

@@ -13,11 +13,13 @@ from deltawell.approx import (
     first_scheme_psi_x,
     wkb_constants,
     y_integral,
+    _decay_pair,
     _t_kernel,
 )
 from deltawell.errors import PrecisionLossError
 from deltawell.params import default_units
 from deltawell.propagator import volkov_phi
+from deltawell.scenario import PRESETS
 from deltawell.specfun import moshinsky
 
 mpmath.mp.dps = 30
@@ -276,3 +278,40 @@ def test_closed_forms_array_matches_scalar_calls(form):
         want = decay_closed_psi0(p, ti, a, form)
         assert isinstance(want, complex)
         assert abs(v - want) <= 1e-13 * abs(want), (form, ti)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d"])
+def test_additive_on_presets_vs_mpmath(name):
+    # Y at t_max/4, t_max/2 and t_max by mpmath, on z-panels that carry at
+    # most ~6 rad of the phase |ξ₁|z⁶ + |ξ₂|z².  The error is measured against
+    # the Y term: at fig1d and t = 20 the additive form cancels 70-fold
+    # (|ψ| = 6.3e-6 against a Y term of 4.5e-4)
+    row = PRESETS[name]
+    p = default_units(row["f"])
+    a = DecayAnsatz.explicit(p, row["gamma_d2"], row["delta_d2"])
+    t = row["t_max"] * np.array([0.25, 0.5, 1.0])
+    got = decay_closed_psi0(p, t, a, "additive")
+    for ti, add in zip(t, got):
+        args = YArgs.from_time(p, ti, a.E)
+        K = math.ceil((abs(args.xi1) + abs(args.xi2)) / 6.0)
+        pts = sorted({(k / K) ** (1.0 / 6.0) for k in range(K + 1)} | {k / 40 for k in range(41)})
+        with mpmath.workdps(20):
+            x1, x2 = mpmath.mpc(args.xi1), mpmath.mpc(args.xi2)
+            Y = complex(mpmath.quad(lambda z: mpmath.exp(-x1 * z**6 - x2 * z**2), pts,
+                                    method="gauss-legendre"))
+        term = math.sqrt(2.0 * ti / math.pi) * np.exp(0.25j * math.pi) * np.exp(-1j * a.E * ti) * Y
+        want = complex(volkov_phi(0.0, ti, p)) + term
+        assert abs(add - want) <= 1e-11 * abs(term), (name, ti)
+
+
+def test_decay_pair_node_values_do_not_depend_on_the_call():
+    # the panels of G(√t) are fixed by (a, b) alone, so a node's value is the
+    # same whichever other nodes share the call
+    p = default_units(2.0)
+    a = DecayAnsatz.explicit(p, 1.2115, -0.11235)
+    t = np.linspace(0.0, 20.0, 2001)
+    add, mul = _decay_pair(p, t, a)
+    for part in (slice(0, 1), slice(0, 2), slice(0, 17), slice(0, 1000), slice(0, 2000), slice(1500, None)):
+        add_k, mul_k = _decay_pair(p, t[part], a)
+        assert np.all(np.abs(add_k - add[part]) <= 1e-13 * np.abs(add[part])), part
+        assert np.all(np.abs(mul_k - mul[part]) <= 1e-13 * np.abs(mul[part])), part
