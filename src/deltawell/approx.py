@@ -19,8 +19,9 @@ The substitution u = √t·z gives Y(t) = t^{−1/2}G(√t) with
       G(s) = ∫₀^s du e^{−au⁶ − bu²},  a = f²E_b³/(3iℏ³),  b = E/(iℏ),
 
 free of t, so the closed prefactor's √t cancels.  One composite
-Gauss–Legendre pass over [0, √t_max], on panels at equal steps of the phase
-bound |a|u⁶ + |b|u² + u, gives G at the panel edges by a cumulative sum;
+Gauss–Legendre pass over [0, √t_max], on panels at equal steps of
+max(u, |b|u², |a|u⁶) (within a factor 3 of the phase bound), gives G at
+the panel edges by a cumulative sum;
 each node adds one 12-point rule on its partial panel.  The panels depend
 on (a, b) alone, so a node's value does not depend on the rest of the
 grid.  Y's ₁F₁ series (three families of terms, one per residue of the ξ₂
@@ -228,9 +229,9 @@ class YArgs:
 _Y_TERM_TOL = 1e-14
 _Y_CANCEL_BOUND = 1e10
 _Y_STAGNATION = 10
-_Y_PHASE_STEP = 1.5  # rad of the phase bound per panel in the first pass of G
+_Y_PHASE_STEP = 1.5  # step of _g_phase per panel in the first pass of G
 _Y_MAX_PANELS = 32_768  # cap on the panels of one pass of G
-_Y_NEWTON_STEPS = 16  # roundoff is reached within 6 for |a| ≤ 1e4, |b| ≤ 1e8
+_Y_CHUNK = 4096  # intervals per rule evaluation in _g_panels
 
 
 def _y_family(k: int, b0: float, xi1: complex, xi2: complex) -> tuple:
@@ -272,36 +273,36 @@ def _y_series(xi1: complex, xi2: complex) -> complex:
 
 
 def _g_phase(aa: float, bb: float, u):
-    # φ(u) = aa·u⁶ + bb·u² + u with aa = |a|, bb = |b|: bounds the phase and
-    # the log-magnitude change of the integrand of G over [0, u]
-    return ((aa * u**4 + bb) * u + 1.0) * u
+    # max(u, bb·u², aa·u⁶) with aa = |a|, bb = |b|: within a factor 3 of the
+    # bound aa·u⁶ + bb·u² + u on the phase and the log-magnitude change of
+    # the integrand of G over [0, u]
+    return np.fmax(u, np.fmax(bb * u * u, aa * u**6))
 
 
 def _g_edges(aa: float, bb: float, n: int, step: float) -> np.ndarray:
-    # u_j solving φ(u) = j·step, j = 0..n.  The root of each single-term
-    # equation bounds u_j from above, the smallest within a factor 3, and
-    # Newton's iteration descends from there on the convex φ; a fixed step
-    # count makes each edge a function of j alone, whatever n is
+    # u_j solving _g_phase(u) = j·step, j = 0..n: the smallest root of the
+    # three single-term equations, a function of j alone, whatever n is
     target = step * np.arange(n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.fmin(target, np.fmin(np.sqrt(target / bb), (target / aa) ** (1.0 / 6.0)))
-    for _ in range(_Y_NEWTON_STEPS):
-        u = u - (_g_phase(aa, bb, u) - target) / ((6.0 * aa * u**4 + 2.0 * bb) * u + 1.0)
-    return u
+        return np.fmin(target, np.fmin(np.sqrt(target / bb), (target / aa) ** (1.0 / 6.0)))
 
 
 def _g_panels(a: complex, b: complex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # ∫ e^{−au⁶ − bu²} du over each [lo, hi] by one 12-point rule; in place,
-    # so the partial panels of N nodes hold one complex array of 12N values
-    u, w = gl_rule(lo, hi)
-    u *= u
-    x = -a * u
-    x *= u
-    x -= b
-    x *= u
-    np.exp(x, out=x)
-    x *= w
-    return x.sum(axis=1)
+    # ∫ e^{−au⁶ − bu²} du over each [lo, hi] by one 12-point rule, in place
+    # and in chunks of _Y_CHUNK intervals, so the temporaries stay bounded
+    # whatever the number of nodes
+    out = np.empty(np.size(lo), dtype=np.complex128)
+    for k in range(0, out.size, _Y_CHUNK):
+        u, w = gl_rule(lo[k : k + _Y_CHUNK], hi[k : k + _Y_CHUNK])
+        u *= u
+        x = -a * u
+        x *= u
+        x -= b
+        x *= u
+        np.exp(x, out=x)
+        x *= w
+        x.sum(axis=1, out=out[k : k + _Y_CHUNK])
+    return out
 
 
 def _g_pass(a: complex, b: complex, s: np.ndarray, step: float) -> np.ndarray:
@@ -318,9 +319,9 @@ def _g_pass(a: complex, b: complex, s: np.ndarray, step: float) -> np.ndarray:
 def _g_integral(a: complex, b: complex, s: np.ndarray) -> np.ndarray:
     """G(s) = ∫₀^s e^{−au⁶ − bu²} du at the nodes s ≥ 0.
 
-    Panel edges lie at equal steps of the phase bound |a|u⁶ + |b|u² + u,
-    1.5 rad to start, so they depend on (a, b) and the step only: a node's
-    value does not depend on the other nodes of the call.  Each pass is
+    Panel edges lie at equal steps of max(u, |b|u², |a|u⁶), 1.5 to start,
+    so they depend on (a, b) and the step only: a node's value does not
+    depend on the other nodes of the call.  Each pass is
     checked against one with half the step; a node is accepted once the two
     agree to 1e-12 relative, plus a floor for the roundoff on the integrand
     peak e^{max(0,−Re a)s⁶ + max(0,−Re b)s²}.
