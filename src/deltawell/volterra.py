@@ -257,28 +257,15 @@ def _march(params: PhysParams, grid: TimeGrid, rule: str, phi: np.ndarray):
     return psi
 
 
-def solve_psi0(
-    params: PhysParams,
-    grid: TimeGrid,
-    rule: str = "linear",
-    *,
-    estimate_error: bool = True,
-    forcing=None,
-) -> VolterraSolution:
+def solve_psi0(params: PhysParams, grid: TimeGrid, rule: str = "linear") -> VolterraSolution:
     """March the origin equation over the grid.
 
     Returns a flagged (never silently wrong) solution: ``err_est`` is a
-    step-halving Richardson estimate of the max-norm error, and flags
-    record a too-coarse grid (error estimate above 1e-3, or a
-    kernel phase advancing more than 0.5 rad per panel at t_max).
-    ``forcing`` overrides the φ_F(0,t_i) samples (testing hook).
+    step-halving Richardson estimate of the max-norm error (NaN below 8
+    steps), and flags record a too-coarse grid (error estimate above 1e-3,
+    or a kernel phase advancing more than 0.5 rad per panel at t_max).
     """
-    if forcing is None:
-        phi = volkov_phi(0.0, grid.nodes, params)
-    else:
-        phi = np.asarray(forcing, dtype=np.complex128)
-        if phi.shape != (grid.n_steps + 1,):
-            raise ValueError("forcing must supply one sample per grid node")
+    phi = volkov_phi(0.0, grid.nodes, params)
     psi = _march(params, grid, rule, phi)
 
     flags = []
@@ -287,7 +274,7 @@ def solve_psi0(
         flags.append("phase_step_too_coarse")
 
     err_est = math.nan
-    if estimate_error and grid.n_steps >= 8:
+    if grid.n_steps >= 8:
         n2 = grid.n_steps // 2
         coarse_grid = TimeGrid(t_max=n2 * 2 * grid.h, n_steps=n2)
         psi_c = _march(params, coarse_grid, rule, phi[::2][: n2 + 1])

@@ -15,13 +15,13 @@ settings.load_profile("derandomized")
 def exact_f05():
     """Exact solve at f = 0.5 on a mid-resolution grid (shared by tests)."""
     params = default_units(0.5)
-    return solve_psi0(params, TimeGrid(20.0, 4000), estimate_error=False), params
+    return solve_psi0(params, TimeGrid(20.0, 4000)), params
 
 
 @pytest.fixture(scope="session")
 def exact_f1():
     params = default_units(1.0)
-    return solve_psi0(params, TimeGrid(20.0, 8000), estimate_error=False), params
+    return solve_psi0(params, TimeGrid(20.0, 8000)), params
 
 
 def assert_close(got, want, tol, label=""):

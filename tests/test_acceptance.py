@@ -47,7 +47,7 @@ def reference_runs():
     for f, (gam_ref, del_ref, grid) in REFERENCE.items():
         t0 = time.time()
         params = default_units(f)
-        sol = solve_psi0(params, grid, estimate_error=False)
+        sol = solve_psi0(params, grid)
         rss = extract_rate_shift(sol.series, params)
         gam, dl = plateau(rss)
         runs[f] = dict(
@@ -61,7 +61,7 @@ def test_criterion_1_field_free_exactness():
     t0 = time.time()
     params = default_units(0.0)
     grid = TimeGrid(10.0, 10000)  # h = 1e-3
-    sol = solve_psi0(params, grid, estimate_error=False)
+    sol = solve_psi0(params, grid)
     err = float(np.abs(sol.psi0 - np.exp(0.5j * grid.nodes)).max())
     elapsed = time.time() - t0
     _report(
@@ -195,7 +195,7 @@ def test_criterion_9_convergence_order():
     for f in (0.1, 1.0):
         params = default_units(f)
         sols = [
-            solve_psi0(params, TimeGrid(5.0, n), estimate_error=False).psi0
+            solve_psi0(params, TimeGrid(5.0, n)).psi0
             for n in (500, 1000, 2000, 4000)
         ]
         diffs = [
@@ -210,7 +210,7 @@ def test_criterion_9_convergence_order():
 def test_criterion_10_overlap_proxy_consistency():
     params = default_units(1.0)
     grid = TimeGrid(10.0, 2000)
-    sol = solve_psi0(params, grid, estimate_error=False)
+    sol = solve_psi0(params, grid)
     proxy = density_proxy(sol.series, params)
     worst = 0.0
     for t in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0):

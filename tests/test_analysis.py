@@ -99,7 +99,7 @@ def test_density_proxy_phase_invariance():
 
 def test_density_proxy_long_time_ionization():
     p = default_units(1.0)
-    sol = solve_psi0(p, TimeGrid(30.0, 9000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(30.0, 9000))
     proxy = density_proxy(sol.series, p)
     assert proxy[-1] >= 0.9
 
@@ -153,7 +153,7 @@ def test_exact_solution_ripple_structure(exact_f05, exact_f1):
 
 def test_strong_field_ripples():
     p = default_units(2.0)
-    sol = solve_psi0(p, TimeGrid(15.0, 9000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(15.0, 9000))
     proxy = density_proxy(sol.series, p)
     n_max, n_min = count_extrema(sol.grid.nodes, proxy, 2.0, 15.0)
     assert n_max >= 5 and n_min >= 5

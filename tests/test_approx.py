@@ -13,11 +13,12 @@ from deltawell.approx import (
     first_scheme_psi_x,
     wkb_constants,
     y_integral,
+    _SIGMA_FD_TOL,
     _decay_pair,
     _t_kernel,
 )
 from deltawell.errors import PrecisionLossError
-from deltawell.params import default_units
+from deltawell.params import default_units, derive_params
 from deltawell.propagator import volkov_phi
 from deltawell.scenario import PRESETS
 from deltawell.specfun import moshinsky
@@ -45,7 +46,7 @@ def test_first_scheme_weak_field_accuracy():
     from deltawell.volterra import TimeGrid, solve_psi0
 
     p = default_units(0.1)
-    sol = solve_psi0(p, TimeGrid(10.0, 2000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(10.0, 2000))
     got = first_scheme_psi0(p, 10.0)
     # the scheme tracks the amplitude well but accumulates a phase drift
     # (it has no level shift); the complex deviation, computed against the
@@ -79,7 +80,7 @@ def test_first_scheme_x_weak_field_accuracy():
     from deltawell.volterra import TimeGrid, solve_psi0
 
     p = default_units(0.1)
-    sol = solve_psi0(p, TimeGrid(5.0, 1000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(5.0, 1000))
     got = first_scheme_psi_x(p, 0.0, 5.0, K=1)
     assert abs(got - sol.psi0[-1]) <= 0.08
 
@@ -98,6 +99,61 @@ def test_first_scheme_x_branch_point_flagged():
     p = default_units(0.5)
     with pytest.raises(PrecisionLossError):
         first_scheme_psi_x(p, 2.0, 1.0, K=1)
+
+
+def _mp_moshinsky(x, k, t):
+    zeta = (x - k * t) / mpmath.sqrt(2j * t)
+    return 0.5 * mpmath.exp(1j * (k * x - k * k * t / 2)) * mpmath.erfc(zeta)
+
+
+def _mp_first_scheme_psi_x(p, x, t, K):
+    # φ_f(x,t) + (√B/2)e^{−iE_b t/ℏ} Σ_k ∂σ^{3k}T_f/(k!3^k), with T_f in its
+    # two-erfc form and the σ-derivatives by mpmath.diff
+    hbar, m, B, f, E_b, F = (mpmath.mpf(v) for v in (p.hbar, p.mass, p.B, p.f, p.E_b, p.field))
+    x, t = mpmath.mpf(x), mpmath.mpf(t)
+    x_c, T = F * t * t / (2 * m), hbar * t / m
+    phi = mpmath.sqrt(B) * mpmath.exp(1j * (x * F * t - F * F * t**3 / (6 * m)) / hbar) * (
+        _mp_moshinsky(x - x_c, -1j * B, T) + _mp_moshinsky(x_c - x, -1j * B, T)
+    )
+    root_e = mpmath.sqrt(1j * abs(E_b) / hbar)
+    alpha = abs(x) * mpmath.sqrt(m / (2j * hbar)) / mpmath.sqrt(t)
+
+    def kernel(sigma):
+        beta = root_e * mpmath.sqrt(1 - x * B * f - sigma * f ** (mpmath.mpf(2) / 3))
+        b = beta * mpmath.sqrt(t)
+        return root_e / beta * (
+            mpmath.exp(-2 * alpha * b) * mpmath.erfc(alpha - b)
+            - mpmath.exp(2 * alpha * b) * mpmath.erfc(alpha + b)
+        )
+
+    series = sum(mpmath.diff(kernel, 0, 3 * k) / (math.factorial(k) * 3**k) for k in range(K + 1))
+    return complex(phi + mpmath.sqrt(B) / 2 * mpmath.exp(-1j * E_b * t / hbar) * series)
+
+
+def test_first_scheme_x_derivative_noise_flagged_vs_mpmath():
+    # a returned value is within the stencil bound of mpmath's σ-derivatives,
+    # otherwise PrecisionLossError; at K = 2 the sixth σ-difference is
+    # rounding noise (1–3% off mpmath at f = 0.3, x = −4, t = 5) and must raise
+    with pytest.raises(PrecisionLossError, match="stencils disagree"):
+        first_scheme_psi_x(default_units(0.3), -4.0, 5.0, K=2)
+    units = derive_params(0.7, 1.9, 1.3, 1.0)
+    cases = [
+        (default_units(f), x, t) for f in (0.1, 1.0) for x in (-4.0, 0.0, 3.0) for t in (0.5, 5.0)
+    ]
+    cases += [(derive_params(0.7, 1.9, 1.3, 0.3 / units.f), 0.5, t) for t in (2.0, 20.0)]
+    returned = {1: 0, 2: 0}
+    for p, x, t in cases:
+        for K in (1, 2):
+            try:
+                got = first_scheme_psi_x(p, x, t, K)
+            except PrecisionLossError:
+                continue
+            want = _mp_first_scheme_psi_x(p, x, t, K)
+            assert abs(got - want) <= _SIGMA_FD_TOL * abs(want), (p.f, x, t, K)
+            returned[K] += 1
+    # K = 1 comes back at every unit-parameter point and at non-unit t = 2;
+    # at t = 20 its σ-step is too coarse for the kernel's phase (3e-4 off)
+    assert returned[1] == 13 and returned[2] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -242,15 +242,30 @@ def test_dataset_rows_match_per_value_repr():
     })
 
 
+def _fresh_python(*args, cwd=None):
+    # a fresh interpreter with the package's source on its path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
 def _in_sys_modules_after_cli_import(module):
     # stdout of a fresh interpreter that imports deltawell.cli and prints
     # whether the module is loaded
-    code = f"import sys, deltawell.cli; print({module!r} in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = _fresh_python("-c", f"import sys, deltawell.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_overflowing_grid_fails_with_one_line(tmp_path):
+    # t_max passes the t_max³ check, but x²/t and the Volkov phases overflow
+    # in the forcing; the march's non-finite check is all that is printed
+    argv = ("solve", "--t-max", "1e102", "--steps", "100")
+    proc = _fresh_python("-m", "deltawell.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "numerical failure: non-finite solution at node 1 (t=1e+100)\n"
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -15,7 +15,6 @@ from deltawell.specfun import (
     hyp1f1_one,
     hyp1f1_one_family,
     moshinsky,
-    moshinsky_t0,
 )
 
 mpmath.mp.dps = 30
@@ -90,6 +89,21 @@ def test_erfcx_matches_scaled_oracle():
     for z in (0.5, 4.0 + 1.0j, 30.0, 2.0 - 17.0j):
         ref = complex(mpmath.exp(mpmath.mpc(z) ** 2) * mpmath.erfc(mpmath.mpc(z)))
         assert abs(erfcx(z) - ref) / abs(ref) < 1e-12
+
+
+def test_erfcx_left_half_plane_vs_oracle():
+    # Re z < 0, where erfcx grows like 2e^{z²}; up to −26.5 + 0.3j it is
+    # still representable (about 1.8e305)
+    for z in (-0.5, -3.0 + 2.0j, -5.0 - 4.0j, -26.5 + 0.3j, -30.0 + 30.0j, -8.0 + 8.1j):
+        ref = complex(mpmath.exp(mpmath.mpc(z) ** 2) * mpmath.erfc(mpmath.mpc(z)))
+        assert abs(erfcx(z) - ref) / abs(ref) < 1e-12, z
+
+
+def test_erfcx_overflow_is_real_infinity():
+    # 2e^{729} is not representable: infinite, with no NaN in the zero
+    # imaginary part
+    v = erfcx(-27.0 + 0.0j)
+    assert np.isinf(v.real) and v.real > 0 and v.imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +282,6 @@ def test_moshinsky_rejects_bad_time():
         moshinsky(1.0, 1.0, -1.0)
 
 
-def test_moshinsky_t0_limit():
-    assert moshinsky_t0(-2.0, 1.0j) == pytest.approx(np.exp(-2.0j * 1.0j))
-    assert moshinsky_t0(0.0, 1.0j) == 0.5
-    assert moshinsky_t0(3.0, 1.0j) == 0.0
-    # consistency with small-t evaluation
-    assert abs(moshinsky(-2.0, 1.0j, 1e-10) - moshinsky_t0(-2.0, 1.0j)) < 1e-4
+def test_moshinsky_small_time_limit():
+    # as t → 0⁺, M(x; k; t) → e^{ikx} for x < 0 (the erfc tends to 2)
+    assert abs(moshinsky(-2.0, 1.0j, 1e-10) - np.exp(-2.0j * 1.0j)) < 1e-4

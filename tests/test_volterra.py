@@ -13,6 +13,7 @@ from deltawell.volterra import (
     ComplexSeries,
     TimeGrid,
     _coupling,
+    _march,
     _rule_weights,
     abel_weights,
     bound_overlap,
@@ -90,7 +91,7 @@ def test_step_halving_ratio_is_second_order():
     # Richardson convergence study at f = 0.5, t = 5
     p = default_units(0.5)
     sols = {
-        n: solve_psi0(p, TimeGrid(5.0, n), estimate_error=False).psi0
+        n: solve_psi0(p, TimeGrid(5.0, n)).psi0
         for n in (500, 1000, 2000)
     }
     e_h = abs(sols[500][-1] - sols[1000][-1])
@@ -102,10 +103,10 @@ def test_causality_bit_identical():
     p = default_units(0.5)
     g = TimeGrid(4.0, 400)
     forcing = volkov_phi(0.0, g.nodes, p)
-    base = solve_psi0(p, g, estimate_error=False, forcing=forcing).psi0
+    base = _march(p, g, "linear", forcing)
     bumped = forcing.copy()
     bumped[201:] += 0.3 - 0.1j  # perturb φ on (t*, t_max] only
-    pert = solve_psi0(p, g, estimate_error=False, forcing=bumped).psi0
+    pert = _march(p, g, "linear", bumped)
     assert np.array_equal(base[:201], pert[:201])
     assert not np.array_equal(base[201:], pert[201:])
 
@@ -140,7 +141,7 @@ def test_block_march_matches_per_node_march():
     for n in (1, 2, 3, _LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 2, 24 * _LEAF + 1):
         g = TimeGrid(0.05 * n, n)
         for rule in ("linear", "quadratic"):
-            got = solve_psi0(p, g, rule, estimate_error=False).psi0
+            got = solve_psi0(p, g, rule).psi0
             want = _per_node_march(p, g, rule)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, rule)
 
@@ -151,11 +152,11 @@ def test_block_march_causal_at_every_split():
     p = default_units(0.5)
     g = TimeGrid(4.0, 400)
     forcing = volkov_phi(0.0, g.nodes, p)
-    base = solve_psi0(p, g, estimate_error=False, forcing=forcing).psi0
+    base = _march(p, g, "linear", forcing)
     for split in (2 + _LEAF // 2, 2 + _LEAF, 2 + 2 * _LEAF, 2 + 4 * _LEAF):
         bumped = forcing.copy()
         bumped[split:] += 0.3 - 0.1j
-        pert = solve_psi0(p, g, estimate_error=False, forcing=bumped).psi0
+        pert = _march(p, g, "linear", bumped)
         assert np.array_equal(base[:split], pert[:split]), split
         assert not np.any(base[split:] == pert[split:]), split
 
@@ -164,7 +165,7 @@ def test_refinement_monotone():
     for f in (0.1, 1.0):
         p = default_units(f)
         sols = [
-            solve_psi0(p, TimeGrid(5.0, n), estimate_error=False).psi0
+            solve_psi0(p, TimeGrid(5.0, n)).psi0
             for n in (250, 500, 1000, 2000)
         ]
         diffs = []
@@ -177,7 +178,7 @@ def test_refinement_monotone():
 def test_no_amplitude_gain_at_well():
     for f in (0.5, 2.0):
         p = default_units(f)
-        sol = solve_psi0(p, TimeGrid(10.0, 4000), estimate_error=False)
+        sol = solve_psi0(p, TimeGrid(10.0, 4000))
         assert np.max(np.abs(sol.psi0) ** 2) / p.B <= 1.0 + 1e-6
 
 
@@ -213,7 +214,7 @@ def test_vector_gauge_kernel_consistency():
     p = default_units(0.5)
     g = TimeGrid(3.0, 600)
     for rule in ("linear", "quadratic"):
-        scalar = solve_psi0(p, g, rule, estimate_error=False).psi0
+        scalar = solve_psi0(p, g, rule).psi0
         vector = _vector_gauge_march(p, g, rule)
         assert np.abs(scalar - vector).max() <= 1e-10, rule
 
@@ -231,7 +232,7 @@ def test_nan_forcing_identifies_node():
     forcing = volkov_phi(0.0, g.nodes, p)
     forcing[7] = math.nan
     with pytest.raises(ConvergenceError, match="node 7"):
-        solve_psi0(p, g, estimate_error=False, forcing=forcing)
+        _march(p, g, "linear", forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +242,14 @@ def test_nan_forcing_identifies_node():
 def test_reconstruct_origin_is_identity():
     p = default_units(0.5)
     g = TimeGrid(2.0, 200)
-    sol = solve_psi0(p, g, estimate_error=False)
+    sol = solve_psi0(p, g)
     assert reconstruct_psi_x(sol, 0.0, 1.0) == sol.psi0[100]
 
 
 def test_reconstruct_field_free_closed_form():
     # f = 0, x = 1, t = 1: ψ0(x,t) = √B{M(|x|;iB;t) + M(−|x|;−iB;t)}
     p = default_units(0.0)
-    sol = solve_psi0(p, TimeGrid(1.0, 1000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(1.0, 1000))
     got = reconstruct_psi_x(sol, 1.0, 1.0)
     want = moshinsky(1.0, 1.0j, 1.0) + moshinsky(-1.0, -1.0j, 1.0)
     assert abs(got - want) < 1e-5
@@ -257,7 +258,7 @@ def test_reconstruct_field_free_closed_form():
 
 def test_field_free_pipeline_pointwise():
     p = default_units(0.0)
-    sol = solve_psi0(p, TimeGrid(2.0, 1000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(2.0, 1000))
     for x in (0.4, 1.7):
         for t in (1.0, 2.0):
             got = reconstruct_psi_x(sol, x, t)
@@ -268,7 +269,7 @@ def test_field_free_pipeline_pointwise():
 def test_reconstructed_norm_conserved():
     p = default_units(0.5)
     t = 5.0
-    sol = solve_psi0(p, TimeGrid(t, 2500), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(t, 2500))
     xm = overlap_domain_halfwidth(p, t)
     x = np.linspace(-xm, xm, 3201)
     dens = np.array([abs(reconstruct_psi_x(sol, float(xx), t)) ** 2 for xx in x])
@@ -277,7 +278,7 @@ def test_reconstructed_norm_conserved():
 
 def test_overlap_initial_state():
     p = default_units(1.0)
-    sol = solve_psi0(p, TimeGrid(1.0, 100), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(1.0, 100))
     ov, prob = bound_overlap(sol, 0.0)
     assert ov == 1.0
     assert prob == 0.0
@@ -285,7 +286,7 @@ def test_overlap_initial_state():
 
 def test_overlap_field_free_stationary():
     p = default_units(0.0)
-    sol = solve_psi0(p, TimeGrid(10.0, 2000), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(10.0, 2000))
     for t in (2.0, 10.0):
         ov, prob = bound_overlap(sol, t)
         assert abs(abs(ov) - 1.0) <= 1e-4
@@ -296,7 +297,7 @@ def test_overlap_proxy_cross_check():
     # density proxy 1 − |ψ(0,t)|²/B against the true ionization probability
     p = default_units(1.0)
     t = 5.0
-    sol = solve_psi0(p, TimeGrid(t, 2500), estimate_error=False)
+    sol = solve_psi0(p, TimeGrid(t, 2500))
     _, prob = bound_overlap(sol, t)
     proxy = 1.0 - abs(sol.psi0[-1]) ** 2 / p.B
     assert abs(prob - proxy) <= 0.15
