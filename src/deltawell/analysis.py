@@ -12,7 +12,8 @@ must keep the true phase advance below π per step).  The switch-on
 transient shifts the running curves by O(1/t), so the plateau estimator
 fits Γ(t) = Γ̄ + a/t over a trailing window and reports the intercept;
 the window is clipped where |ψ| falls under an amplitude floor, below
-which the extraction is noise.  The plain median over the last quarter
+which the extraction is noise, and a window where ψ/√B has not moved
+clear of 1 is refused.  The plain median over the last quarter
 is available as an alternative estimator.
 """
 
@@ -36,6 +37,8 @@ __all__ = [
     "fit_c",
     "count_extrema",
 ]
+
+_LOG_FLOOR = 1e-12  # |ln(ψ/√B)| on the plateau window below which no plateau is fitted
 
 
 @dataclass
@@ -95,8 +98,11 @@ def plateau(
 
     ``extrapolate`` fits Γ(t) = Γ̄ + a/t (and likewise Δ) over the window
     [t_hi/3, t_hi], where t_hi is the last node with |ψ/√B| ≥ amp_floor,
-    and reports the 1/t → 0 intercept.  ``median`` takes the median over
-    the last quarter of the grid (no transient correction, no floor)."""
+    and reports the 1/t → 0 intercept.  It raises ValueError when ψ/√B
+    stays within 1e-12 of 1 over the window (a grid far too short for the
+    1/t model) or when the fit overflows.  ``median`` takes the median
+    over the last quarter of the grid (no transient correction, no
+    floor)."""
     t = rss.grid.nodes
     n = rss.grid.n_steps
     if method == "median":
@@ -112,6 +118,12 @@ def plateau(
     t_hi = t[i_hi]
     sel = (t >= t_hi / 3.0) & (t <= t_hi)
     sel[0] = False
+    # Γ and Δ are ln|ψ/√B| and the phase divided by t.  While ψ/√B stays
+    # within 1e-12 of 1 over the window, t_hi is below about 1e-12 ℏ/|E_b|:
+    # the curves are rounding noise or the early t^{−1/2} transient, and an
+    # intercept of the 1/t model fitted to them is meaningless
+    if np.hypot(rss.log_amp[sel], rss.phase_unwrapped[sel]).max() <= _LOG_FLOOR:
+        raise ValueError(f"psi/sqrt(B) stays within {_LOG_FLOOR:g} of 1 up to t_hi = {t_hi:g}")
     inv_t = 1.0 / t[sel]
     # polyfit scales its design by √Σ(1/t)², which overflows on a grid of
     # tiny times and then returns a finite but meaningless intercept

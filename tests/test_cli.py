@@ -224,6 +224,18 @@ def test_degenerate_grid_plateau_is_flagged(tmp_path):
     assert "exact_delta_plateau" not in doc["summary"]
 
 
+def test_unresolved_grid_plateau_is_flagged(tmp_path):
+    # on t ≤ 1e-150 the fit does not overflow, but ψ/√B stays within 1e-12
+    # of 1: a flag, not a finite plateau of order 1e59
+    out = tmp_path / "tiny.json"
+    rc = main(["solve", "--t-max", "1e-150", "--steps", "50", "--format", "json", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 2
+    assert doc["flags"] == ["exact_extraction_failed"]
+    assert "exact_delta_plateau" not in doc["summary"]
+    assert "within 1e-12 of 1" in doc["summary"]["exact_extraction_error"]
+
+
 def test_dataset_rows_match_per_value_repr():
     # NaN columns from a failed extraction, and more rows than one chunk
     config = ScenarioConfig(t_max=1e-300, n_steps=5000, methods=("exact", "first_scheme"))

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import IntegrationWarning, quad, simpson
 
+from deltawell import volterra
 from deltawell.errors import ConvergenceError
 from deltawell.params import default_units
 from deltawell.propagator import bound_state, volkov_phi
@@ -272,8 +274,33 @@ def test_reconstructed_norm_conserved():
     sol = solve_psi0(p, TimeGrid(t, 2500))
     xm = overlap_domain_halfwidth(p, t)
     x = np.linspace(-xm, xm, 3201)
-    dens = np.array([abs(reconstruct_psi_x(sol, float(xx), t)) ** 2 for xx in x])
+    dens = np.abs(reconstruct_psi_x(sol, x, t)) ** 2
     assert simpson(dens, x=x) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_reconstruct_array_matches_scalar_calls():
+    # one call for a 2-D array of x (zeros included, more x than one chunk)
+    # against one call per x, at the t = 0 node, the first node and later
+    p = default_units(1.0)
+    sol = solve_psi0(p, TimeGrid(4.0, 400))
+    x = np.r_[np.linspace(-20.0, 40.0, 500), 0.0, 0.0].reshape(2, 251)
+    for t in (0.0, 0.01, 1.0, 4.0):
+        got = reconstruct_psi_x(sol, x, t)
+        want = np.array([reconstruct_psi_x(sol, float(v), t) for v in x.ravel()])
+        assert got.shape == x.shape and got.dtype == np.complex128
+        assert np.abs(got.ravel() - want).max() <= 1e-14 * np.abs(want).max(), t
+    assert type(reconstruct_psi_x(sol, 1.5, 4.0)) is complex
+    assert reconstruct_psi_x(sol, np.zeros(3), 0.0).tolist() == [sol.psi0[0]] * 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reconstruct_rejects_non_finite_x(bad):
+    sol = solve_psi0(default_units(1.0), TimeGrid(1.0, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (bad, np.array([0.5, bad, 0.0])):
+            with pytest.raises(ValueError, match="x must be finite"):
+                reconstruct_psi_x(sol, x, 1.0)
 
 
 def test_overlap_initial_state():
@@ -301,3 +328,33 @@ def test_overlap_proxy_cross_check():
     _, prob = bound_overlap(sol, t)
     proxy = 1.0 - abs(sol.psi0[-1]) ** 2 / p.B
     assert abs(prob - proxy) <= 0.15
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_overlap_matches_quad_oracle(f):
+    # scipy's adaptive quadrature over one-x reconstructions, two orders
+    # tighter than the overlap's tolerance; it stops early on the
+    # reconstruction's small steps in x, with a roundoff warning
+    p = default_units(f)
+    sol = solve_psi0(p, TimeGrid(4.0, 400))
+    for t in (1.0, 4.0):
+        xm = overlap_domain_halfwidth(p, t)
+
+        def integrand(x):
+            return complex(bound_state(x, p) * reconstruct_psi_x(sol, x, t))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            want = sum(
+                quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=2000, complex_func=True)[0]
+                for lo, hi in ((-xm, 0.0), (0.0, xm))
+            )
+        _, prob = bound_overlap(sol, t)
+        assert abs(prob - (1.0 - abs(want) ** 2)) <= 2e-6, t
+
+
+def test_overlap_panel_cap_raises(monkeypatch):
+    monkeypatch.setattr(volterra, "_OVERLAP_MAX_PANELS", 4)
+    sol = solve_psi0(default_units(1.0), TimeGrid(4.0, 400))
+    with pytest.raises(ConvergenceError, match="panels"):
+        bound_overlap(sol, 4.0)
