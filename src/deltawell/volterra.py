@@ -64,7 +64,9 @@ __all__ = [
 ]
 
 _ERR_THRESHOLD = 1e-3  # err_est above this flags the grid as too coarse
-_OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the overlap quad
+_OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the overlap's x-integral
+_OVERLAP_MAX_PANELS = 1024  # cap on the Gauss–Kronrod panels of one overlap
+_OVERLAP_SWITCH_EDGES = 16  # reconstruction switch points per side used as panel edges
 _LEAF = 64  # nodes per leaf of the block march
 
 
@@ -472,8 +474,6 @@ _WG[1::2] = (
 _GK_X = np.r_[-_XGK, _XGK[-2::-1]]
 _GK_WK = np.r_[_WGK, _WGK[-2::-1]]
 _GK_WG = np.r_[_WG, _WG[-2::-1]]
-_OVERLAP_MAX_PANELS = 1024  # cap on the Gauss–Kronrod panels of one integral
-_OVERLAP_SWITCH_EDGES = 16  # reconstruction switch points per side used as panel edges
 
 
 def _gk21_adaptive(f, lo: np.ndarray, hi: np.ndarray) -> complex:
