@@ -13,8 +13,7 @@ transient shifts the running curves by O(1/t), so the plateau estimator
 fits Γ(t) = Γ̄ + a/t over a trailing window and reports the intercept;
 the window is clipped where |ψ| falls under an amplitude floor, below
 which the extraction is noise, and a window where ψ/√B has not moved
-clear of 1 is refused.  The plain median over the last quarter
-is available as an alternative estimator.
+clear of 1 is refused.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ __all__ = [
 ]
 
 _LOG_FLOOR = 1e-12  # |ln(ψ/√B)| on the plateau window below which no plateau is fitted
+_AMP_FLOOR = 2.5e-3  # |ψ/√B| below which a node is past the end of the plateau window
 
 
 @dataclass
@@ -89,29 +89,16 @@ def extract_rate_shift(series: ComplexSeries, params: PhysParams) -> RateShiftSe
     )
 
 
-def plateau(
-    rss: RateShiftSeries,
-    method: str = "extrapolate",
-    amp_floor: float = 2.5e-3,
-) -> tuple:
+def plateau(rss: RateShiftSeries) -> tuple:
     """Single-number plateau (Γ̄, Δ̄) from the running curves.
 
-    ``extrapolate`` fits Γ(t) = Γ̄ + a/t (and likewise Δ) over the window
-    [t_hi/3, t_hi], where t_hi is the last node with |ψ/√B| ≥ amp_floor,
-    and reports the 1/t → 0 intercept.  It raises ValueError when ψ/√B
-    stays within 1e-12 of 1 over the window (a grid far too short for the
-    1/t model) or when the fit overflows.  ``median`` takes the median
-    over the last quarter of the grid (no transient correction, no
-    floor)."""
+    Fits Γ(t) = Γ̄ + a/t (and likewise Δ) over the window [t_hi/3, t_hi],
+    where t_hi is the last node with |ψ/√B| ≥ _AMP_FLOOR, and reports the
+    1/t → 0 intercept.  It raises ValueError when ψ/√B stays within 1e-12
+    of 1 over the window (a grid far too short for the 1/t model) or when
+    the fit overflows."""
     t = rss.grid.nodes
-    n = rss.grid.n_steps
-    if method == "median":
-        q = 1 + (3 * n) // 4
-        return float(np.median(rss.gamma[q:])), float(np.median(rss.delta[q:]))
-    if method != "extrapolate":
-        raise ValueError(f"unknown plateau method {method!r}")
-
-    alive = np.exp(rss.log_amp) >= amp_floor
+    alive = np.exp(rss.log_amp) >= _AMP_FLOOR
     i_hi = int(np.nonzero(alive)[0][-1])
     if i_hi < 8:
         raise ValueError("series dies before a plateau window can be formed")

@@ -5,7 +5,13 @@ Two approximation schemes:
 * the field-free-dressed ("first") scheme, which at the origin is
       ψ(0,t) ≈ φ_F(0,t) + √B e^{−iE_b t/ℏ} erf(√(−iE_b t/ℏ)),
   and away from it a series in σ-derivatives of the two-erfc kernel
-  T_f(x,t,σ), with the k-th term damped by 1/(k!·3^k);
+
+      T_f(x,t,σ) = (2√(i|E_b|/ℏ)/√π) ∫₀ᵗ ds s^{−1/2} e^{imx²/(2ℏs)} e^{−β²s},
+      β² = (i|E_b|/ℏ)(1 − xBf − σf^{2/3}),
+
+  with the k-th term damped by 1/(k!·3^k).  The integral depends on β²
+  alone, so T_f is entire in σ, and its Taylor coefficients at σ = 0 come
+  from the trapezoidal rule on a circle in the complex σ-plane;
 
 * the exponential-decay ansatz ψ(0,τ) = √B e^{−iEτ/ℏ} with complex
   quasi-energy E = E_b + Δ − iΓ/2, which closes under the time integral
@@ -70,13 +76,14 @@ def first_scheme_psi0(params: PhysParams, t):
 
 
 def _t_kernel(x: float, t: float, sigma, params: PhysParams):
-    """T_f(x,t,σ): the two-erfc combination
+    """T_f(x,t,σ) for real or complex σ: the two-erfc combination
     √(i|E_b|/ℏ)/β·{e^{−2αβ}erfc(α/√t − β√t) − e^{2αβ}erfc(α/√t + β√t)}
     with α = |x|√(m/(2iℏ)) and β = √(i|E_b|/ℏ)√(1 − xBf − σf^{2/3}).
 
     With k = β√(2im/ℏ), e^{∓2αβ}erfc(α/√t ∓ β√t) = 2e^{−β²t}M(|x|; ±k; ℏt/m),
-    so the e^{±2αβ} factors never overflow."""
-    sigma = np.asarray(sigma, dtype=np.float64)
+    so the e^{±2αβ} factors never overflow.  The value is even in β, so the
+    branch of the square root does not matter."""
+    sigma = np.asarray(sigma)
     hbar, m, B, f, E_b = params.hbar, params.mass, params.B, params.f, params.E_b
     root_e = math.sqrt(abs(E_b) / hbar) * _EXP_IPI4  # √(i|E_b|/ℏ)
     under = 1.0 - x * B * f - sigma * f ** (2.0 / 3.0)
@@ -87,89 +94,58 @@ def _t_kernel(x: float, t: float, sigma, params: PhysParams):
     return 2.0 * root_e / beta * np.exp(-beta * beta * t) * pair
 
 
-def _fd_weights(order: int, npts: int) -> np.ndarray:
-    """Central finite-difference weights for d^order/dσ^order on the
-    symmetric integer stencil of npts points (Fornberg recursion),
-    in units of the step (divide by h^order)."""
-    if npts % 2 == 0 or npts <= order:
-        raise ValueError("stencil must be odd-sized and wider than the order")
-    half = npts // 2
-    grid = np.arange(-half, half + 1, dtype=np.float64)
-    # Vandermonde solve: exact for polynomials up to degree npts−1
-    V = np.vander(grid, npts, increasing=True).T
-    rhs = np.zeros(npts)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(V, rhs)
-
-
-# bound on the stencils' disagreement relative to |ψ|.  Every value returned
-# under it was within it of mpmath's σ-derivatives on the tested grid (unit
-# and non-unit parameters, f = 0.1…1, |x| ≤ 4, t = 0.5…20).  K = 1 stays
-# under 3e-6 there except at non-unit t = 20, where the step is too coarse
-# for the kernel's phase and the K = 1 value is 3e-4 off.
-_SIGMA_FD_TOL = 5e-6
+_CIRCLE_NODES = 64  # σ-nodes on the Cauchy circle
+# bound on the upper half of the circle's Taylor spectrum, relative to its
+# largest coefficient: there the coefficients of an entire T_f have
+# decayed, so the aliasing they leave on the needed ones is far smaller
+_CIRCLE_TAIL_TOL = 1e-6
 
 
 def first_scheme_psi_x(params: PhysParams, x: float, t: float, K: int = 1) -> complex:
     """First-scheme wavefunction away from the origin: φ_f(x,t) plus the
     partial sum through k = K of (1/(k!3^k)) ∂σ^{3k} T_f|_{σ=0}.
 
-    σ-derivatives are central finite differences (order-4 stencils,
-    Richardson-extrapolated once).  Raises PrecisionLossError when the
-    stencil straddles the branch point of β_f, or when the stencils at h
-    and h/2 disagree by more than _SIGMA_FD_TOL of the result: the h⁻³ᵏ
-    amplification of the kernel's rounding, or a step too coarse for the
-    kernel's phase, then leaves no reliable digits at that level."""
+    T_f = (2√(i|E_b|/ℏ)/√π)∫₀ᵗ s^{−1/2}e^{imx²/(2ℏs)}e^{−β²s}ds depends on β
+    through β² alone, so it is entire in σ: the branch point of β sits only
+    in the erfc form.  Its Taylor coefficients are therefore the
+    trapezoidal rule on the circle |σ| = r (Fornberg, ACM TOMS 7 (1981)
+    512; Trefethen & Weideman, SIAM Rev. 56 (2014) 385): one FFT of T_f at
+    _CIRCLE_NODES nodes at half steps of angle, none of them on the real
+    axis, where the erfc form is 0/0 at its branch point.  The radius
+    r = max(3K, 1)·ℏ/(|E_b|f^{2/3}t) makes the σ-part of β²t equal to
+    max(3K, 1) in modulus on the circle, so the coefficient of σ^{3K} lies
+    near the peak of the spectrum whatever ℏ, m and V₀ are.  Raises
+    PrecisionLossError when the upper half of the spectrum is not below
+    _CIRCLE_TAIL_TOL of its largest coefficient (a large K): the circle
+    then does not resolve the series."""
     if t <= 0.0:
         raise ValueError("first_scheme_psi_x requires t > 0")
     if K < 0:
         raise ValueError("K must be >= 0")
     B, hbar, E_b, f = params.B, params.hbar, params.E_b, params.f
     pre = (math.sqrt(B) / 2.0) * np.exp(-1j * E_b * t / hbar)
+    phi = volkov_phi(x, t, params)
 
     if f == 0.0:
         # σ drops out entirely; all derivative terms vanish
-        return complex(volkov_phi(x, t, params) + pre * _t_kernel(x, t, 0.0, params))
+        return complex(phi + pre * _t_kernel(x, t, 0.0, params))
 
-    h_sigma = min(max(1e-2 * f ** (-2.0 / 3.0), 1e-4), 1e-1)
-    # β_f has a branch point where 1 − xBf − σf^{2/3} = 0; refuse to
-    # evaluate if σ = 0 or any stencil point sits on the wrong side
-    half_max = (3 * K + 6) // 2
-    reach = half_max * h_sigma * f ** (2.0 / 3.0)
-    u0 = 1.0 - x * B * f
-    if abs(u0) <= reach or abs(u0) < 1e-12:
+    M = _CIRCLE_NODES
+    r = max(3 * K, 1) * hbar / (abs(E_b) * f ** (2.0 / 3.0) * t)
+    n = np.arange(M)
+    # coef[n] = T^{(n)}(0)·rⁿ/n!, up to the aliased coefficients of σ^{n+M}
+    coef = np.fft.fft(_t_kernel(x, t, r * np.exp(2j * np.pi * (n + 0.5) / M), params))
+    coef *= np.exp(-1j * np.pi * n / M) / M
+    mag = np.abs(coef)
+    if not mag[M // 2 :].max() <= _CIRCLE_TAIL_TOL * mag.max():
         raise PrecisionLossError(
-            f"sigma stencil straddles the branch point of beta_f at x={x}"
+            f"sigma circle does not resolve the Taylor spectrum at x={x}, t={t}, K={K}"
         )
-    total = 0.0 + 0.0j
-    spread = 0.0  # Σ_k |d1 − d2|/(k!3^k): the disagreement of the two stencils
-    for k in range(K + 1):
-        d = 3 * k
-        c = math.factorial(k) * 3.0**k
-        if d == 0:
-            deriv = complex(_t_kernel(x, t, 0.0, params))
-        else:
-            npts = d + 5 if (d + 5) % 2 == 1 else d + 6  # accuracy order ≥ 4
-            half = npts // 2
-            w = _fd_weights(d, npts)
-            offs = np.arange(-half, half + 1, dtype=np.float64)
-
-            def stencil_deriv(hh):
-                vals = _t_kernel(x, t, offs * hh, params)
-                return complex(np.dot(w, vals)) / hh**d
-
-            d1 = stencil_deriv(h_sigma)
-            d2 = stencil_deriv(h_sigma / 2.0)
-            deriv = (16.0 * d2 - d1) / 15.0  # one Richardson step on O(h⁴)
-            spread += abs(d1 - d2) / c
-        total += deriv / c
-    psi = complex(volkov_phi(x, t, params) + pre * total)
-    if abs(pre) * spread > _SIGMA_FD_TOL * abs(psi):
-        raise PrecisionLossError(
-            f"sigma-derivative stencils disagree by {abs(pre) * spread / abs(psi):.1e} "
-            f"of psi at x={x}, t={t}, K={K}"
-        )
-    return psi
+    total = sum(
+        coef[3 * k] * math.factorial(3 * k) / (r ** (3 * k) * math.factorial(k) * 3**k)
+        for k in range(K + 1)
+    )
+    return complex(phi + pre * total)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .specfun import airy_ai, airy_ai_prime, cerfc, gl_panels, hyp1f1_one
+from .specfun import _airy_both, airy_ai, cerfc, gl_panels, hyp1f1_one
 
 __all__ = [
     "IdentityReport",
@@ -76,7 +76,7 @@ def _airy_fourier_tail(c: float, eta: float, levels: int = 4) -> complex:
     m = 0
     total = 0.0 + 0.0j
     sign = 1.0
-    ai_c, aip_c = airy_ai(c), airy_ai_prime(c)
+    ai_c, aip_c = _airy_both(c)
     eic = np.exp(1j * eta * c)
     for _ in range(levels):
         nq = npoly.polysub(NP, 1j * eta * NQ)          # / (σ+η²)^{m+1}
@@ -94,9 +94,10 @@ def _airy_fourier_tail(c: float, eta: float, levels: int = 4) -> complex:
     lo = min(-240.0, 6.0 * c)
     sig, w = gl_panels(lo, c, math.ceil((c - lo) / 0.15))
     denv = (sig + eta2) ** m
+    ai, aip = _airy_both(sig)
     vals = (
         np.exp(1j * eta * sig)
-        * (npoly.polyval(sig, NP) * airy_ai(sig) + npoly.polyval(sig, NQ) * airy_ai_prime(sig))
+        * (npoly.polyval(sig, NP) * ai + npoly.polyval(sig, NQ) * aip)
         / denv
     )
     total += sign * np.sum(w * vals)
@@ -139,9 +140,11 @@ def check_z6_identity(xi1: complex) -> IdentityReport:
         raise ValueError("validated only for |xi1| <= 50")
 
     lim = max(200, int(20 + abs(xi1)))
-    re, _ = quad(lambda z: np.exp(-xi1 * z**6).real, 0, 1, epsabs=1e-12, epsrel=1e-12, limit=lim)
-    im, _ = quad(lambda z: np.exp(-xi1 * z**6).imag, 0, 1, epsabs=1e-12, epsrel=1e-12, limit=lim)
-    return IdentityReport.build("z6", complex(re, im), z6_closed_form(xi1))
+    lhs, _ = quad(
+        lambda z: np.exp(-xi1 * z**6), 0, 1, epsabs=1e-12, epsrel=1e-12, limit=lim,
+        complex_func=True,
+    )
+    return IdentityReport.build("z6", lhs, z6_closed_form(xi1))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,7 @@ _PHASE_SWITCH = 0.05  # rad per panel: absorb-vs-exact handling of e^{iA/s}
 _SQRT_PI_C = math.sqrt(math.pi) * np.exp(0.25j * math.pi)
 _EXP_M_IPI4 = np.exp(-0.25j * math.pi)
 _CHUNK_ELEMS = 1 << 16  # (x, s-node) entries per chunk: 1 MiB of complex128
+_X_ORIGIN = 1e-20  # |x|/√(2ℏh/m) below which ψ(x,t) is taken as ψ(0,t)
 
 
 def _fresnel_T(X: np.ndarray):
@@ -334,18 +335,24 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
     the endpoint oscillation of e^{imx²/(2ℏs)} is handled by exact
     oscillatory moments on every panel whose phase advance exceeds the
     switch threshold.  A scalar x gives a complex, an array a complex array
-    of its shape; x must be finite."""
+    of its shape; x must be finite.  An |x| within _X_ORIGIN·√(2ℏh/m) of
+    the well gives ψ(0,t)."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     i = sol.grid.index_of(t)
     flat = x.ravel()
     out = np.empty(flat.shape, dtype=np.complex128)
-    origin = flat == 0.0
+    params = sol.params
+    # ψ(·,t) is continuous at the well: ψ(x,t) − ψ(0,t) is O(|x|/ℓ), where
+    # ℓ = √(2ℏh/m) is the |x| at which the kernel phase mx²/(2ℏs) reaches 1
+    # on the first panel.  Below _X_ORIGIN·ℓ that is far under rounding,
+    # while A/s would underflow in the Fresnel terms
+    origin = np.abs(flat) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * sol.grid.h / params.mass)
     out[origin] = sol.psi0[i]
     off = ~origin
     if i == 0:
-        out[off] = bound_state(flat[off], sol.params)
+        out[off] = bound_state(flat[off], params)
     elif off.any():
         out[off] = _psi_off_origin(sol, flat[off], t, i)
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from deltawell import approx
 from deltawell.approx import (
     DecayAnsatz,
     YArgs,
@@ -13,7 +14,6 @@ from deltawell.approx import (
     first_scheme_psi_x,
     wkb_constants,
     y_integral,
-    _SIGMA_FD_TOL,
     _decay_pair,
     _t_kernel,
 )
@@ -94,11 +94,16 @@ def test_first_scheme_x_consistency_with_psi0():
     assert abs(a - b) < 0.05
 
 
-def test_first_scheme_x_branch_point_flagged():
-    # stencil straddles 1 − xBf − σf^{2/3} = 0 at x = 1/(Bf)
-    p = default_units(0.5)
-    with pytest.raises(PrecisionLossError):
-        first_scheme_psi_x(p, 2.0, 1.0, K=1)
+def test_first_scheme_x_branch_point_finite_and_continuous():
+    # 1 − xBf − σf^{2/3} vanishes at σ = 0 for x = 1/(Bf); T_f is entire in
+    # σ there too, so the value is finite and continuous in x
+    for f in (0.5, 1.0):
+        p = default_units(f)
+        x = 1.0 / (p.B * f)
+        for K in (1, 2):
+            at = first_scheme_psi_x(p, x, 1.0, K)
+            near = first_scheme_psi_x(p, x + 1e-9, 1.0, K)
+            assert np.isfinite(at) and abs(at - near) <= 1e-8, (f, K)
 
 
 def _mp_moshinsky(x, k, t):
@@ -130,30 +135,36 @@ def _mp_first_scheme_psi_x(p, x, t, K):
     return complex(phi + mpmath.sqrt(B) / 2 * mpmath.exp(-1j * E_b * t / hbar) * series)
 
 
-def test_first_scheme_x_derivative_noise_flagged_vs_mpmath():
-    # a returned value is within the stencil bound of mpmath's σ-derivatives,
-    # otherwise PrecisionLossError; at K = 2 the sixth σ-difference is
-    # rounding noise (1–3% off mpmath at f = 0.3, x = −4, t = 5) and must raise
-    with pytest.raises(PrecisionLossError, match="stencils disagree"):
-        first_scheme_psi_x(default_units(0.3), -4.0, 5.0, K=2)
+def test_first_scheme_x_sigma_derivatives_vs_mpmath():
+    # the circle's σ-derivatives agree with mpmath's at unit and non-unit
+    # parameters, including non-unit t = 20, where the kernel's phase in σ
+    # is fastest; K = 3 at three points (one mpmath point costs about 1 s)
     units = derive_params(0.7, 1.9, 1.3, 1.0)
     cases = [
-        (default_units(f), x, t) for f in (0.1, 1.0) for x in (-4.0, 0.0, 3.0) for t in (0.5, 5.0)
+        (default_units(f), x, t, K)
+        for f in (0.1, 1.0) for x in (-4.0, 0.0, 3.0) for t in (0.5, 5.0) for K in (1, 2)
     ]
-    cases += [(derive_params(0.7, 1.9, 1.3, 0.3 / units.f), 0.5, t) for t in (2.0, 20.0)]
-    returned = {1: 0, 2: 0}
-    for p, x, t in cases:
-        for K in (1, 2):
-            try:
-                got = first_scheme_psi_x(p, x, t, K)
-            except PrecisionLossError:
-                continue
-            want = _mp_first_scheme_psi_x(p, x, t, K)
-            assert abs(got - want) <= _SIGMA_FD_TOL * abs(want), (p.f, x, t, K)
-            returned[K] += 1
-    # K = 1 comes back at every unit-parameter point and at non-unit t = 2;
-    # at t = 20 its σ-step is too coarse for the kernel's phase (3e-4 off)
-    assert returned[1] == 13 and returned[2] >= 1
+    non_unit = derive_params(0.7, 1.9, 1.3, 0.3 / units.f)
+    cases += [(non_unit, 0.5, t, K) for t in (2.0, 20.0) for K in (1, 2)]
+    cases += [
+        (default_units(0.3), -4.0, 5.0, 3),
+        (default_units(1.0), 3.0, 0.5, 3),
+        (non_unit, 0.5, 20.0, 3),
+    ]
+    for p, x, t, K in cases:
+        want = _mp_first_scheme_psi_x(p, x, t, K)
+        assert abs(first_scheme_psi_x(p, x, t, K) - want) <= 1e-9 * abs(want), (p.f, x, t, K)
+
+
+def test_first_scheme_x_unresolved_circle_raises(monkeypatch):
+    # a large K peaks the σ-spectrum beyond what 64 nodes resolve, and so
+    # does K = 1 on a circle of 8 nodes
+    p = default_units(0.3)
+    with pytest.raises(PrecisionLossError, match="does not resolve"):
+        first_scheme_psi_x(p, 0.5, 2.0, K=6)
+    monkeypatch.setattr(approx, "_CIRCLE_NODES", 8)
+    with pytest.raises(PrecisionLossError, match="does not resolve"):
+        first_scheme_psi_x(p, 0.5, 2.0, K=1)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,20 @@ def test_reconstruct_origin_is_identity():
     assert reconstruct_psi_x(sol, 0.0, 1.0) == sol.psi0[100]
 
 
+@pytest.mark.parametrize("n", [400, 1600])
+def test_reconstruct_tiny_x_is_the_origin_value(n):
+    # x far below the grid's length scale: A/s would underflow in the
+    # Fresnel terms (NaN and RuntimeWarnings at x = 1e-104); ψ is continuous
+    # at the well, so it is ψ(0, t) there, and within rounding of it at 1e-19
+    sol = solve_psi0(default_units(0.5), TimeGrid(4.0, n))
+    x = np.array([1e-104, -1e-104, 1e-200, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reconstruct_psi_x(sol, x, 4.0).tolist() == [sol.psi0[-1]] * 4
+        assert reconstruct_psi_x(sol, 5e-324, 4.0) == sol.psi0[-1]
+        assert abs(reconstruct_psi_x(sol, 1e-19, 4.0) - sol.psi0[-1]) <= 1e-15
+
+
 def test_reconstruct_field_free_closed_form():
     # f = 0, x = 1, t = 1: ψ0(x,t) = √B{M(|x|;iB;t) + M(−|x|;−iB;t)}
     p = default_units(0.0)
