@@ -7,14 +7,8 @@ Moshinsky function and ₁F₁, decay-rate / level-shift extraction, and
 numerical verification of the underlying Airy integral identities.
 """
 
-from .params import PhysParams, FieldScales, derive_params, field_scales, default_units
+from .params import PhysParams, derive_params, default_units
 
-__all__ = [
-    "PhysParams",
-    "FieldScales",
-    "derive_params",
-    "field_scales",
-    "default_units",
-]
+__all__ = ["PhysParams", "derive_params", "default_units"]
 
 __version__ = "0.1.0"

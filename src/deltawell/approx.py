@@ -171,6 +171,9 @@ class DecayAnsatz:
     c: float = 1.0
 
     def __post_init__(self):
+        for name in ("E_f", "gamma", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 <= self.c <= 1.0:
@@ -192,15 +195,11 @@ class DecayAnsatz:
 
 @dataclass(frozen=True)
 class YArgs:
-    """Arguments (ξ₁, ξ₂) of Y(t) and the sixth-root variable χ, ξ₁ = χ⁶/3;
-    scalars for one node or arrays for a time grid."""
+    """Arguments (ξ₁, ξ₂) of Y(t); scalars for one node or arrays for a
+    time grid."""
 
     xi1: complex
     xi2: complex
-
-    @property
-    def chi(self) -> complex:
-        return (3.0 * self.xi1) ** (1.0 / 6.0)
 
     @classmethod
     def from_time(cls, params: PhysParams, t, E: complex):

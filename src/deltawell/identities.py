@@ -52,10 +52,6 @@ class IdentityReport:
         rel_err = abs_err / scale if scale > 0 else abs_err
         return cls(name, lhs, rhs, abs_err, rel_err, regularization, tuple(flags))
 
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
 
 # ---------------------------------------------------------------------------
 # Airy-Fourier transform

@@ -1,4 +1,4 @@
-"""Physical parameters and field-induced kinematic scales.
+"""Physical parameters and the scales derived from them.
 
 Model: H = p²/2m − V₀δ(x) − xF·Θ(t) with V₀ > 0 and a constant field F ≥ 0
 switched on at t = 0.  Derived quantities:
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["PhysParams", "FieldScales", "derive_params", "field_scales", "default_units"]
+__all__ = ["PhysParams", "derive_params", "default_units"]
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,6 @@ class PhysParams:
     B: float
     E_b: float
     f: float
-
-
-@dataclass(frozen=True)
-class FieldScales:
-    """Field-induced momentum/translation/action and the dimensionless
-    time η = ½(F²/(ℏm))^{1/3}·t at elapsed time t."""
-
-    p_c: float
-    x_c: float
-    S_c: float
-    eta: float
 
 
 def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysParams:
@@ -72,23 +61,3 @@ def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysPara
 def default_units(f: float = 0.0) -> PhysParams:
     """The ℏ = m = B = 1 preset; the field equals the relative strength f."""
     return derive_params(1.0, 1.0, 1.0, f)
-
-
-def field_scales(params: PhysParams, t: float) -> FieldScales:
-    """p_c = F·t, x_c = F·t²/(2m), S_c = F²·t³/(6m) at elapsed time t ≥ 0."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    F = params.field
-    return FieldScales(
-        p_c=F * t,
-        x_c=F * t * t / (2.0 * params.mass),
-        S_c=F * F * t**3 / (6.0 * params.mass),
-        eta=eta_time(params, t, 0.0),
-    )
-
-
-def eta_time(params: PhysParams, t: float, tau: float) -> float:
-    """Dimensionless time ½ (F²/(ℏm))^{1/3} (t − τ) of the Airy spectral channel."""
-    return 0.5 * (params.field**2 / (params.hbar * params.mass)) ** (1.0 / 3.0) * (t - tau)

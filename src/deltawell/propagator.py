@@ -1,15 +1,20 @@
-"""Closed-form kernels and homogeneous (Volkov) solutions.
+"""Bound state ψ_b and homogeneous (Volkov) solution φ_F.
 
-With s = t − τ and the field-induced scales p_c, x_c, S_c:
+With s = t − τ, the free and field propagators from the well,
 
     K₀(x,t|0,τ)  = √(m/(2πiℏs)) e^{imx²/(2ℏs)}
-    K_F(x,t|0,τ) = K₀ · e^{(i/ℏ){F x s/2 − F² s³/(24m)}}
-    φ_F(x,t)     = √B e^{(i/ℏ)(x p_c − S_c)} {M(x−x_c; −iB; ℏt/m) + M(x_c−x; −iB; ℏt/m)}
-    φ₀(0,t)      = √B e^{−iE_b t/ℏ} erfc(√(−iE_b t/ℏ))
+    K_F(x,t|0,τ) = K₀ · e^{(i/ℏ){F x s/2 − F² s³/(24m)}},
 
+are the definitions the Volterra kernel is built on.  This module holds
+
+    ψ_b(x)   = √B e^{−B|x|}
+    φ_F(x,t) = √B e^{(i/ℏ)(x p_c − S_c)} {M(x−x_c; −iB; ℏt/m) + M(x_c−x; −iB; ℏt/m)},
+
+with p_c = Ft, x_c = Ft²/(2m), S_c = F²t³/(6m) and M the Moshinsky function.
 All square roots of i·(positive) are principal, √(2it) = √(2t)e^{iπ/4};
-this pins every phase convention, and the field-free closed form above is
-what the test suite checks the conventions against.
+this pins every phase convention.  At F = 0, φ_F(0,t) is
+√B e^{−iE_b t/ℏ} erfc(√(−iE_b t/ℏ)), the closed form the test suite checks
+the conventions against.
 """
 
 from __future__ import annotations
@@ -18,43 +23,16 @@ import math
 
 import numpy as np
 
-from .params import PhysParams, field_scales
-from .specfun import cerfc, moshinsky
+from .params import PhysParams
+from .specfun import moshinsky
 
-__all__ = [
-    "bound_state",
-    "free_kernel",
-    "field_kernel",
-    "volkov_phi",
-    "phi0_field_free",
-    "gauge_transform",
-]
+__all__ = ["bound_state", "volkov_phi"]
 
 
 def bound_state(x, params: PhysParams):
     """Bound state ψ_b(x) = √B e^{−B|x|} of the unperturbed well."""
     x = np.asarray(x, dtype=np.float64)
     return math.sqrt(params.B) * np.exp(-params.B * np.abs(x))
-
-
-def free_kernel(x, t, tau, params: PhysParams):
-    """Field-free propagator K₀(x,t|0,τ); requires t > τ."""
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(t, dtype=np.float64) - np.asarray(tau, dtype=np.float64)
-    if np.any(s <= 0.0):
-        raise ValueError("free_kernel requires t > tau")
-    hbar, m = params.hbar, params.mass
-    root = np.sqrt(m / (2.0 * math.pi * hbar * s)) * np.exp(-0.25j * math.pi)
-    return root * np.exp(0.5j * m * x * x / (hbar * s))
-
-
-def field_kernel(x, t, tau, params: PhysParams):
-    """K_F(x,t|0,τ) = K₀ times the unimodular field phase."""
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(t, dtype=np.float64) - np.asarray(tau, dtype=np.float64)
-    F, hbar, m = params.field, params.hbar, params.mass
-    phase = (F * x * s / 2.0 - F * F * s**3 / (24.0 * m)) / hbar
-    return free_kernel(x, t, tau, params) * np.exp(1j * phase)
 
 
 def volkov_phi(x, t, params: PhysParams):
@@ -85,28 +63,3 @@ def volkov_phi(x, t, params: PhysParams):
             * (moshinsky(xp - x_c, -1j * B, T) + moshinsky(x_c - xp, -1j * B, T))
         )
     return out[0] if scalar else out
-
-
-def phi0_field_free(t, params: PhysParams):
-    """Field-free homogeneous solution at the origin,
-    φ₀(0,t) = √B e^{−iE_b t/ℏ} erfc(√(−iE_b t/ℏ))."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0):
-        raise ValueError("phi0_field_free requires t >= 0")
-    hbar, B, E_b = params.hbar, params.B, params.E_b
-    # −iE_b t/ℏ = i|E_b|t/ℏ, principal root is on the e^{iπ/4} ray
-    arg = np.sqrt(np.abs(E_b) * t / hbar) * np.exp(0.25j * math.pi)
-    return math.sqrt(B) * np.exp(-1j * E_b * t / hbar) * cerfc(arg)
-
-
-def gauge_transform(value, x, t, params: PhysParams, direction: str = "to_vector"):
-    """Apply the unimodular gauge phase e^{(i/ℏ) x p_c(t)} relating
-    ψ_F = e^{+iθ}ψ_v: ``to_vector`` maps a scalar-gauge sample to the
-    vector gauge (divide), ``to_scalar`` maps back (multiply)."""
-    p_c = field_scales(params, float(t)).p_c
-    theta = np.asarray(x, dtype=np.float64) * p_c / params.hbar
-    if direction == "to_vector":
-        return value * np.exp(-1j * theta)
-    if direction == "to_scalar":
-        return value * np.exp(1j * theta)
-    raise ValueError(f"unknown gauge direction {direction!r}")

@@ -241,7 +241,6 @@ def test_y_args_from_time():
     assert abs(args.xi1.real) <= 1e-12 * abs(args.xi1)
     assert args.xi1.imag == pytest.approx(0.25 * 0.125 * 8.0 / 3.0, rel=1e-12)
     assert args.xi2 == pytest.approx(1j * 1.0)  # Et/(iℏ) = −iEt = +0.5·2·i
-    assert abs(args.chi**6 / 3.0 - args.xi1) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,14 @@ def test_ansatz_validation():
         DecayAnsatz.explicit(p, 0.1, 0.0, c=1.5)
     a = DecayAnsatz.explicit(p, 0.1896, -0.0738, 0.65)
     assert a.E == pytest.approx(-0.5 - 0.0738 - 0.0948j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["E_f", "gamma", "delta"])
+def test_ansatz_rejects_non_finite(field, bad):
+    values = {"E_f": -0.5, "gamma": 0.1, "delta": 0.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        DecayAnsatz(**values)
 
 
 def test_combined_endpoints():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from deltawell import cli
 from deltawell.cli import main
 from deltawell.scenario import (
     COLUMNS, METHODS, PRESETS, ScenarioConfig, _json, preset_config, result_to_csv,
@@ -121,6 +122,22 @@ def test_identity_check_exit_codes(capsys):
     assert main(["identity-check", "airy_fourier", "--points", "0,1"]) == 0
     assert main(["identity-check", "airy_erf", "--points", "0,0.3"]) == 0
     assert main(["identity-check", "z6", "--points", "oops"]) == 1
+    capsys.readouterr()
+
+
+def test_identity_check_calls_the_module_binding(monkeypatch, capsys):
+    # the check is looked up when the command runs, so a rebinding of
+    # cli.check_airy_fourier (as a tracer does) sees the call
+    calls = []
+    real = cli.check_airy_fourier
+
+    def spy(eta):
+        calls.append(eta)
+        return real(eta)
+
+    monkeypatch.setattr(cli, "check_airy_fourier", spy)
+    assert main(["identity-check", "airy_fourier", "--points", "0.5"]) == 0
+    assert calls == [0.5]
     capsys.readouterr()
 
 

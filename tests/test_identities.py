@@ -36,7 +36,7 @@ def test_airy_fourier_conjugation():
 def test_airy_fourier_grid(eta):
     r = check_airy_fourier(eta)
     assert r.abs_err <= 1e-6
-    assert r.ok
+    assert not r.flags
 
 
 def test_airy_fourier_domain():
@@ -90,7 +90,7 @@ def test_airy_erf_zero_chi():
 
 def test_airy_erf_small_real_chi():
     r = check_airy_erf_identity(0.3)
-    assert r.ok
+    assert not r.flags
     assert r.rel_err <= 1e-3
     assert "eps ladder" in r.regularization
 

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from deltawell.params import default_units, derive_params, field_scales
+from deltawell.params import derive_params
 
 
 def test_reference_units():
@@ -36,35 +36,6 @@ def test_domain_errors(args):
         derive_params(*args)
 
 
-def test_field_scales_values():
-    p = derive_params(1.0, 1.0, 1.0, 1.0)
-    fs = field_scales(p, 2.0)
-    assert fs.p_c == 2.0
-    assert fs.x_c == 2.0
-    assert fs.S_c == pytest.approx(4.0 / 3.0, rel=1e-15)
-
-
-def test_field_scales_vanish():
-    p = derive_params(1.0, 1.0, 1.0, 1.0)
-    fs0 = field_scales(p, 0.0)
-    assert fs0.p_c == fs0.x_c == fs0.S_c == fs0.eta == 0.0
-    p0 = derive_params(1.0, 1.0, 1.0, 0.0)
-    fs = field_scales(p0, 7.3)
-    assert fs.p_c == fs.x_c == fs.S_c == fs.eta == 0.0
-
-
-def test_dimensionless_time():
-    p = derive_params(1.0, 1.0, 1.0, 2.0)
-    fs = field_scales(p, 3.0)
-    assert fs.eta == pytest.approx(0.5 * 4.0 ** (1.0 / 3.0) * 3.0, rel=1e-14)
-
-
-def test_field_scales_negative_time_rejected():
-    p = default_units(0.1)
-    with pytest.raises(ValueError):
-        field_scales(p, -1e-9)
-
-
 @given(
     F=st.floats(1e-6, 10.0),
     hbar=st.floats(0.1, 10.0),
@@ -85,10 +56,3 @@ def test_f_linear_in_field(F, hbar, mass, v0):
 def test_bound_energy_depends_only_on_hbar_mass_B(hbar, mass, v0):
     p = derive_params(hbar, mass, v0, 0.0)
     assert p.E_b == pytest.approx(-(hbar**2) * p.B**2 / (2.0 * mass), rel=1e-14)
-
-
-@given(F=st.floats(1e-3, 5.0), t=st.floats(1e-3, 50.0))
-def test_action_scale_cubic(F, t):
-    p = derive_params(1.0, 1.0, 1.0, F)
-    fs = field_scales(p, t)
-    assert fs.S_c * 6.0 * p.mass / F**2 == pytest.approx(t**3, rel=1e-12)

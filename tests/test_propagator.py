@@ -5,15 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from deltawell.params import default_units, derive_params
-from deltawell.propagator import (
-    bound_state,
-    field_kernel,
-    free_kernel,
-    gauge_transform,
-    phi0_field_free,
-    volkov_phi,
-)
+from deltawell.propagator import bound_state, volkov_phi
 from deltawell.specfun import moshinsky
+from oracles import free_kernel, phi0_field_free
 
 
 def _cquad(f, a, b, **kw):
@@ -34,12 +28,6 @@ def test_free_kernel_even_in_x():
     assert free_kernel(1.3, 2.0, 0.3, p) == free_kernel(-1.3, 2.0, 0.3, p)
 
 
-def test_free_kernel_rejects_reversed_times():
-    p = default_units(0.0)
-    with pytest.raises(ValueError):
-        free_kernel(0.0, 1.0, 1.0, p)
-
-
 def test_free_kernel_propagates_bound_state():
     # ∫dx' K0(0,t|x',0) ψ_b(x') = φ0(0,t); K0 depends on x−x' only
     p = default_units(0.0)
@@ -49,24 +37,6 @@ def test_free_kernel_propagates_bound_state():
         -40.0, 40.0, limit=400, epsabs=1e-10, epsrel=1e-10,
     )
     assert abs(got - phi0_field_free(t, p)) < 1e-8
-
-
-def test_field_kernel_zero_field_reduction():
-    p = default_units(0.0)
-    assert field_kernel(1.0, 2.0, 0.5, p) == free_kernel(1.0, 2.0, 0.5, p)
-
-
-def test_field_kernel_unimodular_phase():
-    p = default_units(1.0)
-    ratio = abs(field_kernel(1.0, 2.0, 0.0, p)) / abs(free_kernel(1.0, 2.0, 0.0, p))
-    assert ratio == pytest.approx(1.0, rel=1e-14)
-
-
-def test_field_kernel_cubic_phase_value():
-    # at x = 0, F = 1, t−τ = 2 the extra phase is −(t−τ)³/24 = −1/3
-    p = default_units(1.0)
-    ratio = field_kernel(0.0, 2.0, 0.0, p) / free_kernel(0.0, 2.0, 0.0, p)
-    assert abs(ratio - np.exp(-1j / 3.0)) < 1e-14
 
 
 def test_free_kernel_semigroup_spot_check():
@@ -106,10 +76,10 @@ def test_volkov_rejects_negative_time():
 
 
 def test_volkov_field_free_closed_form():
-    # F = 0, x = 0: φ0(0,t) = √B e^{−iE_b t} erfc(√(−iE_b t)), two code paths
-    p = default_units(0.0)
-    for t in (0.5, 2.0, 11.0):
-        assert abs(volkov_phi(0.0, t, p) - phi0_field_free(t, p)) < 1e-12
+    # F = 0, x = 0: φ0(0,t) = √B e^{−iE_b t/ℏ} erfc(√(−iE_b t/ℏ)), with erfc from scipy
+    for p in (default_units(0.0), derive_params(0.7, 1.9, 1.3, 0.0)):
+        for t in (0.5, 2.0, 11.0, 50.0):
+            assert abs(volkov_phi(0.0, t, p) - phi0_field_free(t, p)) < 1e-12
 
 
 def test_volkov_even_in_x_at_zero_field():
@@ -144,11 +114,6 @@ def test_phi0_long_time_decay():
     assert abs(phi0_field_free(50.0, p)) <= 0.2
 
 
-def test_phi0_rejects_negative_time():
-    with pytest.raises(ValueError):
-        phi0_field_free(-0.1, default_units(0.0))
-
-
 def test_volkov_short_time_sqrt_slope():
     # φ_F(0,t) = √B(1 + c₁√t + O(t)) with c₁ = −(2/√π)√(i|E_b|/ℏ);
     # the residual after removing the √t term must vanish faster than √t
@@ -161,32 +126,6 @@ def test_volkov_short_time_sqrt_slope():
     r_big, r_small = resid(1e-4), resid(1e-6)
     assert r_small < 0.2 * r_big
     assert r_small < 1e-2
-
-
-def test_gauge_identity_at_origin():
-    p = default_units(2.0)
-    v = 0.3 + 0.1j
-    assert gauge_transform(v, 0.0, 5.0, p, "to_vector") == v
-
-
-def test_gauge_round_trip():
-    p = default_units(1.0)
-    v = 0.3 - 0.7j
-    w = gauge_transform(v, 2.0, 3.0, p, "to_vector")
-    back = gauge_transform(w, 2.0, 3.0, p, "to_scalar")
-    assert abs(back - v) <= 1e-15
-
-
-def test_gauge_preserves_modulus():
-    p = default_units(2.0)
-    v = 1.1 + 0.2j
-    w = gauge_transform(v, 1.0, 1.0, p, "to_vector")
-    assert abs(abs(w) - abs(v)) < 1e-15
-
-
-def test_gauge_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        gauge_transform(1.0, 1.0, 1.0, default_units(0.0), "sideways")
 
 
 def test_volkov_matches_moshinsky_composition():
