@@ -10,7 +10,9 @@ The first integral converges only conditionally on the oscillatory side;
 its tail ∫_{−∞}^c is reduced with repeated integration by parts built on
 Ai″ = σAi (every pass trades one power of (σ+η²) for a derivative), after
 which the remainder is absolutely convergent and integrated directly.
-The third integral is not absolutely convergent either; it is *defined*
+The second integral is Y(t) of the closed forms at ξ₂ = 0, so its left
+side is ``approx.y_integral``, the Y quadrature, which does not evaluate
+the ₁F₁ on the right.  The third integral is not absolutely convergent either; it is *defined*
 here as the ε → 0 limit of the Gaussian-regularized integral (regulator
 e^{−εσ²}, ladder ε₀, ε₀/2, ε₀/4, Richardson-extrapolated), and the report
 carries the ladder so a divergent case is flagged rather than trusted.
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .approx import YArgs, y_integral
 from .specfun import _airy_both, airy_ai, cerfc, gl_panels, hyp1f1_one
 
 __all__ = [
@@ -57,7 +60,10 @@ class IdentityReport:
 # Airy-Fourier transform
 # ---------------------------------------------------------------------------
 
-def _airy_fourier_tail(c: float, eta: float, levels: int = 4) -> complex:
+_IBP_LEVELS = 4  # integration-by-parts passes before the direct remainder
+
+
+def _airy_fourier_tail(c: float, eta: float) -> complex:
     """∫_{−∞}^{c} Ai(σ)e^{iησ} dσ for c < −(η² + margin), by repeated
     integration by parts: with q = (P − iηQ)/(σ+η²), p = Q − iηq,
 
@@ -74,7 +80,7 @@ def _airy_fourier_tail(c: float, eta: float, levels: int = 4) -> complex:
     sign = 1.0
     ai_c, aip_c = _airy_both(c)
     eic = np.exp(1j * eta * c)
-    for _ in range(levels):
+    for _ in range(_IBP_LEVELS):
         nq = npoly.polysub(NP, 1j * eta * NQ)          # / (σ+η²)^{m+1}
         np_ = npoly.polysub(npoly.polymul(NQ, den), 1j * eta * nq)
         denc = (c + eta2) ** (m + 1)
@@ -128,24 +134,20 @@ def z6_closed_form(xi1: complex) -> complex:
 
 
 def check_z6_identity(xi1: complex) -> IdentityReport:
-    """∫₀¹ e^{−ξ₁z⁶} dz against its ₁F₁ closed form, |ξ₁| ≤ 50."""
-    from scipy.integrate import quad  # imported here: it costs 0.4 s of start-up
-
+    """∫₀¹ e^{−ξ₁z⁶} dz, by the Y(t) quadrature at ξ₂ = 0, against its ₁F₁
+    closed form, |ξ₁| ≤ 50."""
     xi1 = complex(xi1)
     if not abs(xi1) <= 50.0:
         raise ValueError("validated only for |xi1| <= 50")
-
-    lim = max(200, int(20 + abs(xi1)))
-    lhs, _ = quad(
-        lambda z: np.exp(-xi1 * z**6), 0, 1, epsabs=1e-12, epsrel=1e-12, limit=lim,
-        complex_func=True,
-    )
-    return IdentityReport.build("z6", lhs, z6_closed_form(xi1))
+    return IdentityReport.build("z6", y_integral(YArgs(xi1, 0j)), z6_closed_form(xi1))
 
 
 # ---------------------------------------------------------------------------
 # erf-Airy identity (Gaussian-regularized)
 # ---------------------------------------------------------------------------
+
+_ERF_EPS = 0.05  # first rung ε₀ of the regulator ladder ε₀, ε₀/2, ε₀/4
+
 
 def _erf_airy_integrand(sig: np.ndarray, chi: complex, eps: float) -> np.ndarray:
     # erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the ratio
@@ -169,12 +171,10 @@ def _erf_airy_regularized(chi: complex, eps: float) -> complex:
     return complex(np.sum(w * _erf_airy_integrand(sig, chi, eps)))
 
 
-def check_airy_erf_identity(chi: complex, eps: float = 0.05) -> IdentityReport:
+def check_airy_erf_identity(chi: complex) -> IdentityReport:
     """∫ dσ/√σ Ai(σ) erf(χ√σ) = (2χ/√π)e^{−ξ₁}{(6ξ₁/7)₁F₁(1;13/6;ξ₁)+1},
     defined through the ε → 0 limit of the Gaussian-regularized integral."""
     chi = complex(chi)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     xi1 = chi**6 / 3.0
     # the closed form's ₁F₁ is validated for |ξ₁| ≤ 50, as in check_z6_identity
     if not abs(xi1) <= 50.0:
@@ -182,7 +182,7 @@ def check_airy_erf_identity(chi: complex, eps: float = 0.05) -> IdentityReport:
     if chi == 0:
         return IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0")
 
-    ladder = [_erf_airy_regularized(chi, eps / 2**j) for j in range(3)]
+    ladder = [_erf_airy_regularized(chi, _ERF_EPS / 2**j) for j in range(3)]
     i1, i2, i3 = ladder
     extrapolated = (8.0 * i3 - 6.0 * i2 + i1) / 3.0
     flags = []
@@ -192,7 +192,7 @@ def check_airy_erf_identity(chi: complex, eps: float = 0.05) -> IdentityReport:
         flags.append("ladder_divergent")
 
     rhs = (2.0 * chi / math.sqrt(math.pi)) * z6_closed_form(xi1)
-    reg = f"eps ladder {eps:g}/{eps / 2:g}/{eps / 4:g}: " + ", ".join(
+    reg = f"eps ladder {_ERF_EPS:g}/{_ERF_EPS / 2:g}/{_ERF_EPS / 4:g}: " + ", ".join(
         f"{v:.6g}" for v in ladder
     )
     return IdentityReport.build("airy_erf", extrapolated, rhs, regularization=reg, flags=flags)

@@ -13,13 +13,16 @@ written here:
   tolerance.
 * ``airy_ai`` / ``airy_ai_prime`` — Airy Ai and Ai′ on the real line:
   ``scipy.special.airy`` inside |s| ≤ 10 (0.08–0.6 µs a point, ~6e−16
-  absolute error), own asymptotic expansions beyond, where scipy falls
-  back to AMOS Bessel routines at 4–6 µs a point against ~0.5 µs here.
+  absolute error), beyond it the first 26 terms of the asymptotic
+  expansions (DLMF §9.7) by Horner's rule, 0.2–0.3 µs a point where scipy
+  falls back to AMOS Bessel routines at 3–5 µs.
 * ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
-  ₁F₁(1; b; z) for complex z: forward series with a cancellation
-  monitor, a Kummer-transformed series for Re z < −1, and an exact
-  finite-interval integral representation for large |z|.  Kept in-house:
-  scipy's complex ``hyp1f1`` is off by 2.7e−10 at b = 11/6, z = 30i.
+  ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
+  only b the Y series and the z⁶ closed form use.  Members with
+  b ≥ |z| + 1 take the forward series with a cancellation monitor, all
+  others the exact integral representation (DLMF §13.4)
+  n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).  Kept in-house: scipy's
+  complex ``hyp1f1`` is off by 2.7e−10 at b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
   evaluated through erfcx so the product of a huge exponential and a tiny
   erfc never overflows.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import special
 
 from .errors import PrecisionLossError
@@ -118,48 +122,28 @@ def _airy_u_coeffs(count: int):
     return u
 
 
-_AIRY_U = _airy_u_coeffs(40)
-_AIRY_V = _AIRY_U * (6.0 * np.arange(40) + 1.0) / (1.0 - 6.0 * np.arange(40))
+_AIRY_U = _airy_u_coeffs(26)
+_AIRY_V = _AIRY_U * (6.0 * np.arange(26) + 1.0) / (1.0 - 6.0 * np.arange(26))
 _AIRY_V[0] = 1.0
 
 
-def _alt_tail(zeta, coeffs, step, offset):
-    # Σⱼ (−1)ʲ coeffs[j] ζ^{−(step·j + offset)}, each lane truncated at its
-    # smallest term (optimal truncation of the asymptotic series).
-    total = np.zeros_like(zeta)
-    power = zeta ** (-float(offset))
-    fac = zeta ** (-float(step))
-    prev = np.full_like(zeta, np.inf)
-    alive = np.ones(zeta.shape, dtype=bool)
-    sign = 1.0
-    for c in coeffs:
-        term = c * power
-        mag = np.abs(term)
-        alive &= mag < prev
-        total += np.where(alive, sign * term, 0.0)
-        prev = mag
-        power = power * fac
-        sign = -sign
-        if not np.any(alive & (mag > 1e-18)):
-            break
-    return total
-
-
 def _airy_asym_pos(s):
+    # Σ_k (−1)^k u_k ζ^{−k} by Horner's rule: at |s| > 10 (ζ > 21.08) the
+    # terms fall monotonically through k = 39, and the 26th is 2.3e−18
     zeta = (2.0 / 3.0) * s**1.5
-    sum_u = _alt_tail(zeta, _AIRY_U, 1, 0)
-    sum_v = _alt_tail(zeta, _AIRY_V, 1, 0)
+    x = -1.0 / zeta
     pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
-    return pre * sum_u / s**0.25, -pre * sum_v * s**0.25
+    return pre * polyval(x, _AIRY_U) / s**0.25, -pre * polyval(x, _AIRY_V) * s**0.25
 
 
 def _airy_asym_neg(s):
     u = -s
     zeta = (2.0 / 3.0) * u**1.5
-    pc = _alt_tail(zeta, _AIRY_U[0::2], 2, 0)
-    ps = _alt_tail(zeta, _AIRY_U[1::2], 2, 1)
-    qc = _alt_tail(zeta, _AIRY_V[0::2], 2, 0)
-    qs = _alt_tail(zeta, _AIRY_V[1::2], 2, 1)
+    x = -1.0 / zeta**2
+    pc = polyval(x, _AIRY_U[0::2])
+    ps = polyval(x, _AIRY_U[1::2]) / zeta
+    qc = polyval(x, _AIRY_V[0::2])
+    qs = polyval(x, _AIRY_V[1::2]) / zeta
     phase = zeta - 0.25 * math.pi
     cosp = np.cos(phase)
     sinp = np.sin(phase)
@@ -205,7 +189,6 @@ def airy_ai_prime(s):
 # Confluent hypergeometric ₁F₁(1; b; z)
 # ---------------------------------------------------------------------------
 
-_HYP_SERIES_CUT = 15.0
 _HYP_CANCEL_BOUND = 1e10
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
@@ -228,26 +211,10 @@ def gl_panels(lo: float, hi: float, n_panels: int):
     return x.ravel(), w.ravel()
 
 
-def _hyp1f1_kummer(b: float, z: complex):
-    # ₁F₁(1;b;z) = e^z ₁F₁(b−1;b;−z); the transformed series has no
-    # growing hump for Re z < 0.
-    w = -np.clongdouble(z)
-    term = np.clongdouble(1.0)
-    total = np.clongdouble(1.0)
-    for k in range(2000):
-        term = term * w * np.longdouble(b - 1 + k) / (
-            np.longdouble(b + k) * np.longdouble(k + 1)
-        )
-        total = total + term
-        if abs(complex(term)) <= 1e-20 * max(abs(complex(total)), 1e-300):
-            break
-    return complex(np.exp(np.clongdouble(z)) * total)
-
-
-def _hyp1f1_series_vec(bs: np.ndarray, z: complex, monitored) -> np.ndarray:
+def _hyp1f1_series_vec(bs: np.ndarray, z: complex) -> np.ndarray:
     # shared-k forward series in 80-bit accumulation for a batch of b
-    # values (term ratio z/(b+k)); raises when a lane selected by the bool
-    # mask ``monitored`` lost more than _HYP_CANCEL_BOUND to cancellation
+    # values (term ratio z/(b+k)); raises when a lane lost more than
+    # _HYP_CANCEL_BOUND to cancellation
     bs = bs.astype(np.longdouble)
     zl = np.clongdouble(z)
     term = np.ones(bs.shape, dtype=np.clongdouble)
@@ -260,7 +227,7 @@ def _hyp1f1_series_vec(bs: np.ndarray, z: complex, monitored) -> np.ndarray:
         np.maximum(peak, mag, out=peak)
         if np.all(mag <= 1e-20 * np.maximum(np.abs(total), 1e-300)):
             break
-    lost = monitored & (peak > _HYP_CANCEL_BOUND * np.maximum(np.abs(total), 1e-300))
+    lost = peak > _HYP_CANCEL_BOUND * np.maximum(np.abs(total), 1e-300)
     if lost.any():
         raise PrecisionLossError(
             f"hyp1f1 series cancellation beyond condition bound at b={bs[lost][0]}, z={z}"
@@ -269,57 +236,38 @@ def _hyp1f1_series_vec(bs: np.ndarray, z: complex, monitored) -> np.ndarray:
 
 
 def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
-    """[₁F₁(1; b0 + m; z) for m in 0..count−1], sharing work across the family.
+    """[₁F₁(1; b0 + m; z) for m in 0..count−1], b0 − 1 a positive multiple
+    of 1/6 (ValueError otherwise).
 
-    The whole family shares one vectorized forward series while it is well
-    conditioned; members with b < |z| + 2 switch to the Kummer-transformed
-    series for Re z < −1, and for large |z| to the exact integral
-    representation, all sharing one set of quadrature nodes (b ≤ 1: one
-    recurrence step, or the Kummer series when Re z < −1).
+    Members with b ≥ |z| + 1 share one forward series, whose terms fall
+    from the first on; every other member takes the exact integral
+    representation, all of them in one matrix product.
     """
-    if not (b0 > 0.0):
-        raise ValueError(f"hyp1f1_one_family requires b0 > 0, got {b0}")
+    n0 = 6.0 * (b0 - 1.0)
+    if not (math.isfinite(n0) and n0 > 0.5 and abs(n0 - round(n0)) <= 1e-9):
+        raise ValueError(f"hyp1f1 requires b - 1 to be a positive multiple of 1/6, got b={b0}")
     z = complex(z)
     bs = b0 + np.arange(count, dtype=np.float64)
-    if abs(z) <= _HYP_SERIES_CUT:
-        kummer = (bs < abs(z) + 2.0) & (z.real < -1.0)
-        out = _hyp1f1_series_vec(bs, z, ~kummer)
-        for m in np.nonzero(kummer)[0]:
-            out[m] = _hyp1f1_kummer(bs[m], z)
-        return out
     out = np.empty(count, dtype=np.complex128)
-    series = bs >= abs(z) + 2.0
+    series = bs >= abs(z) + 1.0
     if series.any():
-        out[series] = _hyp1f1_series_vec(bs[series], z, True)
-    hard = np.nonzero(~series)[0]
-    if hard.size:
-        # ₁F₁(1;b;z) = 6(b−1) ∫₀¹ v^{6(b−1)−1} e^{z(1−v⁶)} dv  (b > 1); the
-        # exponent 6(b−1)−1 is a nonnegative integer for every b the solvers
-        # request, so the integrand is entire and composite Gauss-Legendre
-        # converges fast.
-        n_panels = max(8, int(3.0 * abs(z) / math.pi) + 8)
-        v, w = gl_panels(0.0, 1.0, n_panels)
-        ew = w * np.exp(z * (1.0 - v**6))
-        for m in hard:
-            b = bs[m]
-            if b <= 1.0 and z.real < -1.0:
-                # the step below cancels to e^z here; Kummer has no hump
-                out[m] = _hyp1f1_kummer(b, z)
-            elif b <= 1.0:
-                # one step of F(1;b;z) = 1 + (z/b) F(1;b+1;z)
-                out[m] = 1.0 + (z / b) * hyp1f1_one(b + 1.0, z)
-            else:
-                out[m] = 6.0 * (b - 1.0) * np.sum(ew * v ** (6.0 * (b - 1.0) - 1.0))
+        out[series] = _hyp1f1_series_vec(bs[series], z)
+    if not series.all():
+        # ₁F₁(1;b;z) = n ∫₀¹ v^{n−1} e^{z(1−v⁶)} dv with n = 6(b−1) a positive
+        # integer: the integrand is entire, and as n < 6|z| here the panels
+        # resolve both v^{n−1} and the phase
+        n = round(n0) + 6 * np.arange(count)[~series]
+        v, w = gl_panels(0.0, 1.0, max(8, int(3.0 * abs(z) / math.pi) + 8))
+        out[~series] = n * (v ** (n[:, None] - 1) @ (w * np.exp(z * (1.0 - v**6))))
     return out
 
 
 def hyp1f1_one(b: float, z: complex) -> complex:
-    """₁F₁(1; b; z) for b > 0 and complex z; relative error ≲ 1e−11 for |z| ≤ 50.
+    """₁F₁(1; b; z) for b − 1 a positive multiple of 1/6 and complex z;
+    relative error ≲ 1e−11 for |z| ≤ 50.
 
     The m = 0 member of :func:`hyp1f1_one_family`.
     """
-    if not (b > 0.0) or not math.isfinite(b):
-        raise ValueError(f"hyp1f1_one requires b > 0, got {b}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("hyp1f1_one: non-finite z")

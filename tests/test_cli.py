@@ -303,8 +303,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is about 0.4 s of start-up; only the overlap and the
-    # z⁶ identity check use it, and they import it when called
+    # scipy.integrate is about 0.4 s of start-up, and the library does not use it
     assert _in_sys_modules_after_cli_import("scipy.integrate") == "False"
 
 

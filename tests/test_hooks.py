@@ -1,13 +1,18 @@
 """The names that the benchmark's tracer and the package exports refer to
-exist, so that trimming the library cannot break them unnoticed."""
+exist, so that trimming the library cannot break them unnoticed, and the
+identity checks start without scipy.integrate."""
 
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import deltawell
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_names_are_callable():
@@ -35,3 +40,21 @@ def test_module_exports_exist():
         module = importlib.import_module(f"deltawell.{info.name}")
         missing += [f"{info.name}.{a}" for a in getattr(module, "__all__", ()) if not hasattr(module, a)]
     assert not missing
+
+
+def test_identity_checks_leave_scipy_integrate_unloaded():
+    # scipy.integrate costs about 0.4 s of start-up on every identity-check
+    # call; a fresh interpreter runs all three selectors on their default grids
+    code = (
+        "import sys\n"
+        "from deltawell.cli import main\n"
+        "codes = [main(['identity-check', s]) for s in ('z6', 'airy_fourier', 'airy_erf')]\n"
+        "print(codes, 'scipy.integrate' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"

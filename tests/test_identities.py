@@ -101,8 +101,3 @@ def test_airy_erf_complex_chi():
     # weaker target reflecting conditional convergence; a flagged ladder
     # would mark the check inconclusive rather than failed
     assert r.flags or r.rel_err <= 1e-2
-
-
-def test_airy_erf_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        check_airy_erf_identity(0.3, eps=0.0)

@@ -132,16 +132,25 @@ def test_airy_ode_residual():
 
 
 def test_airy_absolute_accuracy_vs_oracle():
-    # mpmath, not scipy: scipy's Airy is the implementation inside |s| <= 10
-    s = np.linspace(-20.0, 20.0, 2501)
+    # mpmath, not scipy: scipy's Airy is the implementation inside |s| <= 10;
+    # the identity checks evaluate Ai down to -240
+    s = np.linspace(-240.0, 20.0, 2601)
     ref = np.array([float(mpmath.airyai(v)) for v in s])
     assert np.max(np.abs(airy_ai(s) - ref)) < 1e-12
 
 
 def test_airy_prime_vs_oracle():
-    s = np.linspace(-20.0, 20.0, 2501)
+    s = np.linspace(-240.0, 20.0, 2601)
     ref = np.array([float(mpmath.airyai(v, derivative=1)) for v in s])
     assert np.max(np.abs(airy_ai_prime(s) - ref)) < 1e-11
+
+
+def test_airy_decaying_side_relative_vs_oracle():
+    # beyond s = 10 the asymptotic expansion holds to a relative bound
+    s = np.linspace(10.0, 100.0, 451)
+    for f, d in ((airy_ai, 0), (airy_ai_prime, 1)):
+        ref = np.array([float(mpmath.airyai(v, derivative=d)) for v in s])
+        assert np.max(np.abs(f(s) / ref - 1.0)) < 5e-13
 
 
 def test_airy_oscillation_sign_alternation():
@@ -197,21 +206,31 @@ def test_hyp_domain_error():
 def test_hyp_accuracy_grid_vs_oracle(rng):
     zs = list(rng.uniform(-50, 50, 40) + 1j * rng.uniform(-50, 50, 40))
     zs += [50.0j, -50.0j, 14.9j, 15.1j, 41.7j, -35.0 + 0.0j, 50.0 + 0.0j]
-    for b in (7.0 / 6.0, 3.0 / 2.0, 11.0 / 6.0, 13.0 / 6.0, 17.0 / 6.0, 37.0 / 6.0):
+    for b in (7.0 / 6.0, 3.0 / 2.0, 11.0 / 6.0, 13.0 / 6.0, 17.0 / 6.0, 37.0 / 6.0, 61.0):
         for z in zs:
             if abs(z) > 50:
                 continue
             ref = complex(mpmath.hyp1f1(1, b, complex(z)))
             got = hyp1f1_one(b, complex(z))
-            assert abs(got - ref) / max(abs(ref), 1e-300) < 1e-10, (b, z)
+            assert abs(got - ref) / max(abs(ref), 1e-300) < 1e-11, (b, z)
+    # large negative real parts, all on the integral representation
+    for b, z in (
+        (7.0 / 6.0, -20.0), (7.0 / 6.0, -40.0), (13.0 / 6.0, -30.0 + 5.0j),
+        (7.0 / 6.0, -13.046 - 47.48j), (13.0 / 6.0, -11.237 + 43.342j),
+    ):
+        ref = complex(mpmath.hyp1f1(1, b, z))
+        assert abs(hyp1f1_one(b, z) - ref) / abs(ref) < 1e-11, (b, z)
 
 
-@pytest.mark.parametrize("b, z", [(1.0, -20.0), (1.0, -30.0), (1.0, -40.0), (0.5, -30.0 + 5.0j)])
-def test_hyp_small_b_large_negative_z_vs_oracle(b, z):
-    # b <= 1 with Re z << 0: one contiguous step would cancel to e^z
-    ref = complex(mpmath.hyp1f1(1, b, z))
-    got = hyp1f1_one(b, z)
-    assert abs(got - ref) / abs(ref) < 1e-11, (b, z, got, ref)
+@pytest.mark.parametrize(
+    "b, z",
+    [(1.0, -20.0), (1.0, -30.0), (1.0, -40.0), (0.5, -30.0 + 5.0j), (0.9, -13.046 - 47.48j),
+     (1.25, 2.0)],
+)
+def test_hyp_rejects_b_off_the_sixth_grid(b, z):
+    # b - 1 must be a positive multiple of 1/6; other b are refused
+    with pytest.raises(ValueError):
+        hyp1f1_one(b, z)
 
 
 def test_hyp_family_matches_scalar():
