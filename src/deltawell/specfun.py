@@ -19,8 +19,9 @@ written here:
 * ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
   ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
   only b the Y series and the z⁶ closed form use.  Members with
-  b ≥ |z| + 1 take the forward series with a cancellation monitor, all
-  others the exact integral representation (DLMF §13.4)
+  b ≥ |z| + 1 take the forward series, which raises on cancellation or
+  when 2000 terms do not converge; all others the exact integral
+  representation (DLMF §13.4)
   n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).  Kept in-house: scipy's
   complex ``hyp1f1`` is off by 2.7e−10 at b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
@@ -190,6 +191,7 @@ def airy_ai_prime(s):
 # ---------------------------------------------------------------------------
 
 _HYP_CANCEL_BOUND = 1e10
+_HYP_SERIES_TERMS = 2000
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -214,19 +216,24 @@ def gl_panels(lo: float, hi: float, n_panels: int):
 def _hyp1f1_series_vec(bs: np.ndarray, z: complex) -> np.ndarray:
     # shared-k forward series in 80-bit accumulation for a batch of b
     # values (term ratio z/(b+k)); raises when a lane lost more than
-    # _HYP_CANCEL_BOUND to cancellation
+    # _HYP_CANCEL_BOUND to cancellation or the terms have not fallen below
+    # 1e-20 of the sum after _HYP_SERIES_TERMS terms
     bs = bs.astype(np.longdouble)
     zl = np.clongdouble(z)
     term = np.ones(bs.shape, dtype=np.clongdouble)
     total = np.ones(bs.shape, dtype=np.clongdouble)
     peak = np.ones(bs.shape, dtype=np.longdouble)
-    for k in range(2000):
+    for k in range(_HYP_SERIES_TERMS):
         term = term * (zl / (bs + k))
         total = total + term
         mag = np.abs(term)
         np.maximum(peak, mag, out=peak)
         if np.all(mag <= 1e-20 * np.maximum(np.abs(total), 1e-300)):
             break
+    else:
+        raise PrecisionLossError(
+            f"hyp1f1 series not converged after {_HYP_SERIES_TERMS} terms at z={z}"
+        )
     lost = peak > _HYP_CANCEL_BOUND * np.maximum(np.abs(total), 1e-300)
     if lost.any():
         raise PrecisionLossError(

@@ -33,12 +33,14 @@ exact panels are the first K(x).  Reconstruction is vectorized over x:
 the factors that do not depend on x are built once per call, the Fresnel
 terms once per s-node, and x runs in chunks sorted by |x|.
 
-The bound-state overlap integrates ψ_b·ψ(·,t) in x by a globally adaptive
-Gauss–Kronrod (10, 21) rule with QUADPACK's error estimate and a panel
-cap, reconstructing ψ at all new nodes of a round in one call.  ψ(·,t)
-is only piecewise smooth in x: it steps wherever K(x) changes.  The first
-switch points are panel edges; the later, smaller steps leave a noise
-floor near 1e-7 on the overlap.
+The bound-state overlap ⟨ψ_b|ψ(t)⟩ is the x-integral of that same
+reconstruction, taken without evaluating ψ(x,t).  Each panel's piece is
+ψ_b(x)e^{iβx+iαx²} times an x-independent factor, restricted to |x| below
+(smooth) or above (exact) the panel's switch point, so the x-integral of
+every piece is a closed form in erfcx; the exact panels keep an
+s-integral, taken by 8-point Gauss–Legendre per panel.  Only ⟨ψ_b|φ_F⟩ is
+integrated in x, by a globally adaptive Gauss–Kronrod (10, 21) rule with
+QUADPACK's error estimate and a panel cap.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .params import PhysParams
 from .propagator import bound_state, volkov_phi
-from .specfun import cerfc
+from .specfun import cerfc, erfcx
 
 __all__ = [
     "TimeGrid",
@@ -64,9 +66,8 @@ __all__ = [
 ]
 
 _ERR_THRESHOLD = 1e-3  # err_est above this flags the grid as too coarse
-_OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the overlap's x-integral
+_OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the ⟨ψ_b|φ_F⟩ x-integral
 _OVERLAP_MAX_PANELS = 1024  # cap on the Gauss–Kronrod panels of one overlap
-_OVERLAP_SWITCH_EDGES = 16  # reconstruction switch points per side used as panel edges
 _LEAF = 64  # nodes per leaf of the block march
 
 
@@ -316,6 +317,7 @@ _SQRT_PI_C = math.sqrt(math.pi) * np.exp(0.25j * math.pi)
 _EXP_M_IPI4 = np.exp(-0.25j * math.pi)
 _CHUNK_ELEMS = 1 << 16  # (x, s-node) entries per chunk: 1 MiB of complex128
 _X_ORIGIN = 1e-20  # |x|/√(2ℏh/m) below which ψ(x,t) is taken as ψ(0,t)
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)  # s-rule of the overlap's exact panels
 
 
 def _fresnel_T(X: np.ndarray):
@@ -358,16 +360,24 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
+def _history(sol: VolterraSolution, i: int):
+    # the s-nodes of node i and the x-independent factor of the kernel at
+    # each, C_j = e^{−iF²s_j³/(24mℏ)} ψ(0, t_i − s_j)
+    params = sol.params
+    F = params.field
+    s = np.arange(i + 1) * sol.grid.h
+    return s, np.exp(-1j * F * F * s**3 / (24.0 * params.mass * params.hbar)) * sol.psi0[i::-1]
+
+
 def _psi_off_origin(sol: VolterraSolution, x: np.ndarray, t: float, i: int) -> np.ndarray:
     # ψ(x, t) at node i ≥ 1 for x ≠ 0, in chunks of x sorted by |x|
     params = sol.params
     h = sol.grid.h
     hbar, m, F = params.hbar, params.mass, params.field
 
-    # x-independent: the s-nodes, the cubic kernel phase times ψ(0, t − s),
-    # the linear panel weights and each panel's phase rate h/(s_k s_{k+1})
-    s = np.arange(i + 1) * h
-    C = np.exp(-1j * F * F * s**3 / (24.0 * m * hbar)) * sol.psi0[i::-1]
+    # x-independent: the s-nodes, C_j, the linear panel weights and each
+    # panel's phase rate h/(s_k s_{k+1})
+    s, C = _history(sol, i)
     wl, wr = _linear_panels(i - 1)
     rate = h / (s[1:-1] * s[2:])
 
@@ -383,16 +393,16 @@ def _psi_off_origin(sol: VolterraSolution, x: np.ndarray, t: float, i: int) -> n
     chunk = max(1, _CHUNK_ELEMS // (i + 1))
     for lo in range(0, x.size, chunk):
         idx = order[lo : lo + chunk]
-        Ac, Kc = A[idx, None], K[idx, None]
+        Ac, Kc, ec = A[idx, None], K[idx, None], eps[idx, None]
         k_lo, k_hi = Kc[0, 0], Kc[-1, 0]
-        P = C * np.exp(1j * eps[idx, None] * s)
 
         # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
-        Q = P[:, k_lo:] * np.exp(1j * Ac / s[k_lo:])
+        Q = C[k_lo:] * np.exp(1j * (ec * s[k_lo:] + Ac / s[k_lo:]))
         smooth = Q[:, :-1] * wl[k_lo:] + Q[:, 1:] * wr[k_lo:]
 
         # exact panels 0 … K − 1 from T₁, T₂ at nodes 1 … K (zero at node 0),
         # differenced in place into T(s_{k+1}) − T(s_k)
+        P = C[: k_hi + 1] * np.exp(1j * ec * s[: k_hi + 1])
         dT1, dT2 = _fresnel_T(Ac / s[1 : k_hi + 1])
         dT1[:, 1:] -= dT1[:, :-1]
         dT2[:, 1:] -= dT2[:, :-1]
@@ -416,41 +426,88 @@ def overlap_domain_halfwidth(params: PhysParams, t: float) -> float:
     return x_c + 40.0 / params.B + 10.0 * math.sqrt(params.hbar * t / params.mass)
 
 
-def bound_overlap(sol: VolterraSolution, t: float):
-    """⟨ψ_b|ψ_F(t)⟩ on the truncated domain and the ionization probability
-    P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|².
+def _chirp_tail(p, alpha, a):
+    """T(p, α, a) = ∫_a^∞ e^{−px+iαx²}dx for Re p > 0, α > 0 and a ≥ 0,
+    elementwise over the broadcast arguments.
 
-    The x-integral over |x| ≤ x_m is the adaptive Gauss–Kronrod rule of
-    `_gk21_adaptive` to ``_OVERLAP_TOL`` (absolute and relative), with an
-    error estimate per panel; each round reconstructs ψ at the nodes of
-    every panel it refines in one batched `reconstruct_psi_x` call.  It
-    raises `ConvergenceError` past ``_OVERLAP_MAX_PANELS`` panels or on a
-    non-finite integrand.  The reconstruction's per-panel switch makes
-    ψ(·,t) piecewise smooth in x, which leaves a noise floor near 1e-7 on
-    the overlap: a tighter tolerance costs many times the evaluations
-    without a better value."""
+    Completing the square gives (√π/2)(e^{iπ/4}/√α)e^{−pa+iαa²}erfcx(u),
+    u = e^{−iπ/4}√α·a + e^{iπ/4}p/(2√α).  Where Re u < 0 (Im p > Re p and
+    a small) erfcx(u) = 2e^{u²} − erfcx(−u) is used instead, and the
+    exponent −pa + iαa² + u² reduces to ip²/(4α), of modulus ≤ 1 there.
+    """
+    p, alpha, a = np.broadcast_arrays(p, alpha, a)
+    r = np.sqrt(alpha)
+    u = _EXP_M_IPI4 * (r * a + 0.5j * p / r)
+    flip = u.real < 0.0
+    out = np.exp(-p * a + 1j * alpha * a * a) * erfcx(np.where(flip, -u, u))
+    pf = p[flip]
+    out[flip] = 2.0 * np.exp(1j * pf * pf / (4.0 * alpha[flip])) - out[flip]
+    return 0.5 * _SQRT_PI_C / r * out
+
+
+def _bound_chirp(B: float, beta, alpha, a):
+    # H(β, α; a) = ∫_{|x|>a} ψ_b(x) e^{iβx+iαx²} dx, ψ_b = √B e^{−B|x|}
+    return math.sqrt(B) * (_chirp_tail(B - 1j * beta, alpha, a) + _chirp_tail(B + 1j * beta, alpha, a))
+
+
+def bound_overlap(sol: VolterraSolution, t: float):
+    """⟨ψ_b|ψ_F(t)⟩ and the ionization probability P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|²,
+    with ψ_F(·,t) the reconstruction of `reconstruct_psi_x`.
+
+    The reconstruction is linear in per-panel pieces whose x-dependence is
+    ψ_b-weighted chirps e^{iβx+iαx²}: panel k ≥ 1 absorbs e^{iA/s} into
+    its interpolant for |x| below its switch point x_k and is integrated
+    exactly in s above it; panel 0 is exact at every x.  So the x-integral
+    is taken first, in closed form per panel (`_chirp_tail`), and the exact
+    panels' s-integral by an 8-point Gauss–Legendre rule per panel (in √s
+    on panel 0).  Only ⟨ψ_b|φ_F⟩ is integrated in x, over |x| ≤ x_m, by
+    the adaptive Gauss–Kronrod rule of `_gk21_adaptive` to
+    ``_OVERLAP_TOL``.  A non-finite overlap, or more than
+    ``_OVERLAP_MAX_PANELS`` panels, raises `ConvergenceError`."""
     params = sol.params
     i = sol.grid.index_of(t)
     if i == 0:
         return 1.0 + 0.0j, 0.0
-    xm = overlap_domain_halfwidth(params, t)
-    # ψ(·,t) steps wherever the reconstruction's count of exact panels
-    # changes: by about 1e-4 at the first switch point, 2e-6 at the 17th and
-    # 1e-7 at the 65th.  Panels across many steps misjudge their error (with
-    # [0, x_m] as the first panel, P came out 2.3e-6 off), so the first
-    # switch points are panel edges; the k-th is where A·h/(s_k s_{k+1})
-    # equals the switch, A = mx²/(2ℏ)
+    hbar, m, F, B = params.hbar, params.mass, params.field, params.B
     h = sol.grid.h
-    s = np.arange(1, min(_OVERLAP_SWITCH_EDGES, i - 1) + 2) * h
-    xk = np.sqrt(2.0 * params.hbar * _PHASE_SWITCH * s[:-1] * s[1:] / (params.mass * h))
-    xk = xk[xk < xm]
-    edges = np.r_[-xm, -xk[::-1], 0.0, xk, xm]
+    xm = overlap_domain_halfwidth(params, t)
 
     def integrand(x):
-        return bound_state(x, params) * reconstruct_psi_x(sol, x, t)
+        return bound_state(x, params) * volkov_phi(x, t, params)
 
-    overlap = _gk21_adaptive(integrand, edges[:-1], edges[1:])
-    return overlap, 1.0 - abs(overlap) ** 2
+    free = _gk21_adaptive(integrand, np.array([-xm, 0.0]), np.array([0.0, xm]))
+
+    s, C = _history(sol, i)
+    beta = F * s / (2.0 * hbar)
+    # panel k ≥ 1 is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
+    # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
+    xk = np.r_[0.0, np.sqrt(2.0 * hbar * _PHASE_SWITCH * s[1:-1] * s[2:] / (m * h))]
+
+    # smooth parts: S(β_j, α_j; x_k) = H(β_j, α_j; 0) − H(β_j, α_j; x_k) at
+    # the nodes j = k, k + 1 of panels k = 1 … i − 1
+    wl, wr = _linear_panels(i - 1)
+    alpha = m / (2.0 * hbar * s[1:])
+    H0 = _bound_chirp(B, beta[1:], alpha, 0.0)
+    left = H0[:-1] - _bound_chirp(B, beta[1:-1], alpha[:-1], xk[1:])
+    right = H0[1:] - _bound_chirp(B, beta[2:], alpha[1:], xk[1:])
+    smooth = np.sum(wl[1:] * C[1:-1] * left + wr[1:] * C[2:] * right)
+
+    # exact parts: ∫ s^{−1/2}(linear interpolant of C_j H(β_j, α(s); x_k)) ds
+    # per panel, with s = u² on panel 0
+    g = 0.5 * (1.0 + _GL8_X)
+    sq = np.r_[h * g[None, :] ** 2, s[1:-1, None] + h * g]
+    wq = np.r_[math.sqrt(h) * _GL8_W[None, :], 0.5 * h * _GL8_W / np.sqrt(sq[1:])]
+    aq = m / (2.0 * hbar * sq)
+    lin = (sq - s[:-1, None]) / h
+    exact = np.sum(
+        wq * ((1.0 - lin) * C[:-1, None] * _bound_chirp(B, beta[:-1, None], aq, xk[:, None])
+              + lin * C[1:, None] * _bound_chirp(B, beta[1:, None], aq, xk[:, None]))
+    )
+
+    overlap = free + _coupling(params) * (math.sqrt(h) * smooth + exact)
+    if not np.isfinite(overlap):
+        raise ConvergenceError(f"non-finite bound-state overlap at t={t:g}")
+    return complex(overlap), 1.0 - abs(overlap) ** 2
 
 
 # Gauss–Kronrod (10, 21) pair on [−1, 1] (QUADPACK qk21, Piessens et al.

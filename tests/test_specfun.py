@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from deltawell.errors import PrecisionLossError
 from deltawell.identities import _airy_fourier_tail
 from deltawell.specfun import (
     airy_ai,
@@ -231,6 +232,15 @@ def test_hyp_rejects_b_off_the_sixth_grid(b, z):
     # b - 1 must be a positive multiple of 1/6; other b are refused
     with pytest.raises(ValueError):
         hyp1f1_one(b, z)
+
+
+@pytest.mark.parametrize("z", [1e5, -1e5])
+def test_hyp_unconverged_series_raises(z):
+    # b ≥ |z| + 1 puts z on the forward series, whose terms at b ≈ |z| fall
+    # too slowly to reach 1e-20 of the sum in 2000 terms: no value comes
+    # back (it was 2.9e-10 and 2.3e-9 off mpmath before the check)
+    with pytest.raises(PrecisionLossError, match="not converged"):
+        hyp1f1_one(100001.0 + 1.0 / 6.0, z)
 
 
 def test_hyp_family_matches_scalar():

@@ -1,19 +1,21 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad, simpson
 
 from deltawell import volterra
 from deltawell.errors import ConvergenceError
-from deltawell.params import default_units
+from deltawell.params import default_units, derive_params
 from deltawell.propagator import bound_state, volkov_phi
 from deltawell.specfun import moshinsky
 from deltawell.volterra import (
     _LEAF,
     ComplexSeries,
     TimeGrid,
+    _chirp_tail,
     _coupling,
     _march,
     _rule_weights,
@@ -344,13 +346,22 @@ def test_overlap_proxy_cross_check():
     assert abs(prob - proxy) <= 0.15
 
 
-@pytest.mark.parametrize("f", [0.5, 1.0])
-def test_overlap_matches_quad_oracle(f):
+@pytest.mark.parametrize(
+    "p",
+    [default_units(0.5), default_units(1.0), default_units(2.0), derive_params(0.7, 1.9, 1.3, 0.4)],
+    ids=["0.5", "1.0", "2.0", "hbar0.7-m1.9-v1.3-F0.4"],
+)
+def test_overlap_matches_quad_oracle(p):
     # scipy's adaptive quadrature over one-x reconstructions, two orders
-    # tighter than the overlap's tolerance; it stops early on the
-    # reconstruction's small steps in x, with a roundoff warning
-    p = default_units(f)
+    # tighter than the overlap's tolerance.  ψ(·, t) steps at each switch
+    # point x_k, by about 1e-4 at the first; the first 16 are break points
+    # (without them quad is off by 5e-6 in P at ℏ = 0.7, t = 4), and on the
+    # later, smaller steps it stops early with a roundoff warning.  At f = 2
+    # the late panels take the reflected erfcx branch of the closed form
     sol = solve_psi0(p, TimeGrid(4.0, 400))
+    h = sol.grid.h
+    s = np.arange(1, 18) * h
+    xk = np.sqrt(2.0 * p.hbar * volterra._PHASE_SWITCH * s[:-1] * s[1:] / (p.mass * h))
     for t in (1.0, 4.0):
         xm = overlap_domain_halfwidth(p, t)
 
@@ -360,11 +371,78 @@ def test_overlap_matches_quad_oracle(f):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             want = sum(
-                quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=2000, complex_func=True)[0]
-                for lo, hi in ((-xm, 0.0), (0.0, xm))
+                quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=2000, complex_func=True,
+                     points=pts)[0]
+                for lo, hi, pts in ((-xm, 0.0, -xk), (0.0, xm, xk))
             )
         _, prob = bound_overlap(sol, t)
         assert abs(prob - (1.0 - abs(want) ** 2)) <= 2e-6, t
+
+
+def test_overlap_first_node_matches_quad_oracle():
+    # t = h: one panel, exact at every x, so ψ(·, h) is smooth away from
+    # x = 0 and quad converges; the smooth-panel sum is empty.  What is left
+    # is the ⟨ψ_b|φ_F⟩ x-rule, 5e-9 off at its 1e-6 tolerance
+    p = default_units(1.0)
+    sol = solve_psi0(p, TimeGrid(4.0, 400))
+    t = sol.grid.h
+    xm = overlap_domain_halfwidth(p, t)
+
+    def integrand(x):
+        return complex(bound_state(x, p) * reconstruct_psi_x(sol, x, t))
+
+    want = sum(
+        quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200, complex_func=True)[0]
+        for lo, hi in ((-xm, 0.0), (0.0, xm))
+    )
+    ov, _ = bound_overlap(sol, t)
+    assert abs(ov - want) <= 1e-7
+
+
+def test_overlap_does_not_reconstruct(monkeypatch):
+    # the reconstruction enters the overlap only through its closed-form
+    # x-integral, never through ψ(x, t) at sample points
+    sol = solve_psi0(default_units(1.0), TimeGrid(4.0, 400))
+    want = bound_overlap(sol, 4.0)
+
+    def refuse(*args):
+        raise AssertionError("bound_overlap evaluated ψ(x, t)")
+
+    monkeypatch.setattr(volterra, "reconstruct_psi_x", refuse)
+    monkeypatch.setattr(volterra, "_psi_off_origin", refuse)
+    assert bound_overlap(sol, 4.0) == want
+
+
+@pytest.mark.parametrize(
+    "p, alpha, a",
+    [
+        (1.0 - 0.3j, 0.7, 0.0),
+        (1.0 + 0.3j, 0.7, 0.0),
+        (1.0 + 3.0j, 0.7, 0.0),  # Re u < 0: reflected erfcx
+        (1.0 + 3.0j, 2.0, 0.2),  # Re u < 0 at a > 0
+        (1.0 + 3.0j, 2.0, 1.5),
+        (1.0 - 3.0j, 5.0, 2.0),
+        (0.8 + 0.1j, 0.05, 3.0),
+    ],
+)
+def test_chirp_tail_vs_mpmath(p, alpha, a):
+    # T(p, α, a) = ∫_a^∞ e^{−px+iαx²}dx by mpmath quadrature; the tail
+    # beyond a + 64 is below e^{−51}
+    def f(x):
+        return mpmath.exp(-p * x + 1j * alpha * x * x)
+
+    with mpmath.workdps(20):
+        want = complex(mpmath.quad(f, [a + d for d in (0, 0.5, 1, 2, 4, 8, 16, 32, 64)], maxdegree=10))
+    got = _chirp_tail(np.array([p]), alpha, a)[0]
+    assert abs(got - want) <= 1e-15
+
+
+def test_chirp_tail_far_edge_is_zero():
+    # e^{−pa} underflows; the result is 0, not 0·∞ or NaN, on both sides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _chirp_tail(np.array([1.0 + 3.0j, 1.0 - 3.0j]), 2.0, np.array([1e4, 800.0]))
+    assert got.tolist() == [0.0, 0.0]
 
 
 def test_overlap_panel_cap_raises(monkeypatch):
