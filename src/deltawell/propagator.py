@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .params import PhysParams
-from .specfun import moshinsky
+from .specfun import _moshinsky
 
 __all__ = ["bound_state", "volkov_phi"]
 
@@ -37,11 +37,14 @@ def bound_state(x, params: PhysParams):
 
 def volkov_phi(x, t, params: PhysParams):
     """Homogeneous solution φ_F(x,t): the bound state evolved by the field
-    propagator alone.  t = 0 returns ψ_b(x); t < 0 is an error."""
+    propagator alone.  t = 0 returns ψ_b(x); t < 0 and non-finite x or t
+    are errors."""
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise ValueError("volkov_phi requires t >= 0")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+        raise ValueError("volkov_phi: non-finite argument")
     scalar = x.ndim == 0 and t.ndim == 0
     x, t = (np.atleast_1d(a) for a in np.broadcast_arrays(x, t))
     out = np.empty(x.shape, dtype=np.complex128)
@@ -51,15 +54,21 @@ def volkov_phi(x, t, params: PhysParams):
         out[zero] = bound_state(x[zero], params)
     pos = ~zero
     if pos.any():
-        hbar, m, B, F = params.hbar, params.mass, params.B, params.field
-        xp, tp = x[pos], t[pos]
-        p_c = F * tp
-        x_c = F * tp * tp / (2.0 * m)
-        S_c = F * F * tp**3 / (6.0 * m)
-        T = hbar * tp / m
-        out[pos] = (
-            math.sqrt(B)
-            * np.exp(1j * (xp * p_c - S_c) / hbar)
-            * (moshinsky(xp - x_c, -1j * B, T) + moshinsky(x_c - xp, -1j * B, T))
-        )
+        out[pos] = _volkov_phi(x[pos], t[pos], params)
     return out[0] if scalar else out
+
+
+def _volkov_phi(x: np.ndarray, t, params: PhysParams) -> np.ndarray:
+    # φ_F(x, t) at t > 0 for a float array x and a scalar t or a float
+    # array of x's shape, unchecked: one Moshinsky call over ±(x − x_c).
+    # t³ is taken on an array: numpy's array power can differ from the
+    # scalar one in the last bit
+    hbar, m, B, F = params.hbar, params.mass, params.B, params.field
+    t = np.asarray(t, dtype=np.float64)
+    p_c = F * t
+    x_c = F * t * t / (2.0 * m)
+    S_c = F * F * t**3 / (6.0 * m)
+    T = hbar * t / m
+    d = x - x_c
+    M = _moshinsky(np.concatenate((d, x_c - x)), -1j * B, np.concatenate((T, T)) if T.ndim else T)
+    return math.sqrt(B) * np.exp(1j * (x * p_c - S_c) / hbar) * (M[: d.size] + M[d.size :])

@@ -30,6 +30,9 @@ written here:
 * ``gl_panels`` / ``gl_rule`` — the composite 12-point Gauss–Legendre rule
   on equal or on given panels, shared by the ₁F₁ integral, the Y(t)
   quadrature and the identity checks.
+
+``cerfc`` and ``moshinsky`` check their arguments, then call unchecked
+cores that inner loops call directly; erfcx's core is scipy's ufunc.
 """
 
 from __future__ import annotations
@@ -93,17 +96,22 @@ def cerfc(z):
     z = np.atleast_1d(z)
     if not np.all(np.isfinite(z)):
         raise ValueError("cerfc: non-finite argument")
-    out = np.empty_like(z)
+    out = _cerfc(z)
+    return out[0] if scalar else out
 
+
+def _cerfc(z: np.ndarray) -> np.ndarray:
+    # cerfc on a finite complex array, unchecked
+    out = np.empty_like(z)
     right = z.real >= 0.0
     if right.any():
         zr = z[right]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out[right] = np.exp(-zr * zr) * erfcx(zr)
+            out[right] = np.exp(-zr * zr) * special.erfcx(zr)
     left = ~right
     if left.any():
-        out[left] = 2.0 - cerfc(-z[left])
-    return out[0] if scalar else out
+        out[left] = 2.0 - _cerfc(-z[left])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +296,30 @@ def hyp1f1_one(b: float, z: complex) -> complex:
 def moshinsky(x, k, t):
     """Moshinsky function M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)}.
 
-    Requires t > 0; √(2it) is on the principal branch, √(2t)·e^{iπ/4}.
-    Combining the exponential prefactor with the scaled erfc gives the
-    overflow-free form  M = ½ e^{ix²/(2t)} erfcx(ζ)  (Re ζ ≥ 0), with the
-    reflection erfc(ζ) = 2 − erfc(−ζ) applied first when Re ζ < 0.
+    Requires finite x and k and finite t > 0; √(2it) is on the principal
+    branch, √(2t)·e^{iπ/4}.  Combining the exponential prefactor with the
+    scaled erfc gives the overflow-free form  M = ½ e^{ix²/(2t)} erfcx(ζ)
+    (Re ζ ≥ 0), with the reflection erfc(ζ) = 2 − erfc(−ζ) applied first
+    when Re ζ < 0.
     """
     x = np.asarray(x, dtype=np.float64)
     k = _asfarray_complex(k)
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0):
         raise ValueError("moshinsky requires t > 0")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(k)) and np.all(np.isfinite(t))):
+        raise ValueError("moshinsky: non-finite argument")
     scalar = x.ndim == 0 and k.ndim == 0 and t.ndim == 0
     x, k, t = (np.atleast_1d(a) for a in np.broadcast_arrays(x, k, t))
+    out = _moshinsky(x, k, t)
+    return out[0] if scalar else out
 
-    # on grids far beyond the double range x²/t and the plane wave overflow;
-    # the non-finite result is the caller's to report, without warnings
+
+def _moshinsky(x: np.ndarray, k, t) -> np.ndarray:
+    # moshinsky on a float array x, with a complex k and a float t each of
+    # x's shape or a scalar, unchecked.  On grids far beyond the double
+    # range x²/t and the plane wave overflow; the non-finite result is the
+    # caller's to report, without warnings
     with np.errstate(all="ignore"):
         zeta = (x - k * t) / (np.sqrt(2.0 * t) * np.exp(0.25j * math.pi))
         osc = 0.5 * np.exp(0.5j * x * x / t)
@@ -310,10 +327,11 @@ def moshinsky(x, k, t):
 
         right = zeta.real >= 0.0
         if right.any():
-            out[right] = osc[right] * erfcx(zeta[right])
+            out[right] = osc[right] * special.erfcx(zeta[right])
         left = ~right
         if left.any():
-            kl, xl, tl = k[left], x[left], t[left]
+            kl, tl = (a[left] if np.ndim(a) else a for a in (k, t))
+            xl = x[left]
             plane = np.exp(1j * (kl * xl - 0.5 * kl * kl * tl))
-            out[left] = plane - osc[left] * erfcx(-zeta[left])
-    return out[0] if scalar else out
+            out[left] = plane - osc[left] * special.erfcx(-zeta[left])
+    return out

@@ -30,30 +30,31 @@ into the interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is
 integrated exactly through Fresnel/erfc closed forms), with the terminal
 panel always treated exactly.  The phase advance falls along s, so the
 exact panels are the first K(x).  Reconstruction is vectorized over x:
-the factors that do not depend on x are built once per call, the Fresnel
-terms once per s-node, and x runs in chunks sorted by |x|.
+the x-independent tables are cached on the solution, the Fresnel terms
+are built once per s-node, and x runs in chunks sorted by |x|.  Inner
+loops call the unchecked cores of φ_F and erfcx.
 
 The bound-state overlap ⟨ψ_b|ψ(t)⟩ is the x-integral of that same
 reconstruction, taken without evaluating ψ(x,t).  Each panel's piece is
 ψ_b(x)e^{iβx+iαx²} times an x-independent factor, restricted to |x| below
 (smooth) or above (exact) the panel's switch point, so the x-integral of
 every piece is a closed form in erfcx; the exact panels keep an
-s-integral, taken by 8-point Gauss–Legendre per panel.  Only ⟨ψ_b|φ_F⟩ is
-integrated in x, by a globally adaptive Gauss–Kronrod (10, 21) rule with
-QUADPACK's error estimate and a panel cap.
+s-integral, taken by 8-point Gauss–Legendre per panel.  ⟨ψ_b|φ_F⟩ is a
+closed form in the Faddeeva function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from .errors import ConvergenceError
 from .params import PhysParams
-from .propagator import bound_state, volkov_phi
-from .specfun import cerfc, erfcx
+from .propagator import _volkov_phi, bound_state, volkov_phi
 
 __all__ = [
     "TimeGrid",
@@ -62,12 +63,9 @@ __all__ = [
     "solve_psi0",
     "reconstruct_psi_x",
     "bound_overlap",
-    "overlap_domain_halfwidth",
 ]
 
 _ERR_THRESHOLD = 1e-3  # err_est above this flags the grid as too coarse
-_OVERLAP_TOL = 1e-6  # absolute and relative tolerance of the ⟨ψ_b|φ_F⟩ x-integral
-_OVERLAP_MAX_PANELS = 1024  # cap on the Gauss–Kronrod panels of one overlap
 _LEAF = 64  # nodes per leaf of the block march
 
 
@@ -116,9 +114,11 @@ class ComplexSeries:
             raise ValueError("non-finite sample in ComplexSeries")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VolterraSolution:
-    """ψ_F(0,t) on a grid plus solver metadata."""
+    """ψ_F(0,t) on a grid plus solver metadata.  Frozen, with a read-only
+    ``psi0``, so the kernel tables it caches always describe its grid,
+    field and history."""
 
     grid: TimeGrid
     psi0: np.ndarray
@@ -130,6 +130,13 @@ class VolterraSolution:
     @property
     def series(self) -> ComplexSeries:
         return ComplexSeries(self.grid, self.psi0)
+
+    @cached_property
+    def _kernel(self):
+        # x-independent tables over the whole grid, built on first use: the
+        # nodes s_j, g(s_j) and the linear weights of panels 0 … N − 1
+        s = self.grid.nodes
+        return s, _field_phase(self.params, s), *_linear_panels(self.grid.n_steps - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +217,17 @@ def _coupling(params: PhysParams) -> complex:
     )
 
 
+def _field_phase(params: PhysParams, s: np.ndarray) -> np.ndarray:
+    # the kernel's field factor g(s) = e^{−iF²s³/(24mℏ)}
+    F = params.field
+    return np.exp(-1j * F * F * s**3 / (24.0 * params.mass * params.hbar))
+
+
 def _march(params: PhysParams, grid: TimeGrid, rule: str, phi: np.ndarray):
     N = grid.n_steps
     T, start, end = _rule_weights(N, rule)
     lam = _coupling(params)
-    F = params.field
-    g = np.exp(-1j * F * F * grid.nodes**3 / (24.0 * params.mass * params.hbar))
+    g = _field_phase(params, grid.nodes)
 
     psi = np.empty(N + 1, dtype=np.complex128)
     psi[0] = phi[0]
@@ -280,6 +292,7 @@ def solve_psi0(params: PhysParams, grid: TimeGrid, rule: str = "linear") -> Volt
     """
     phi = volkov_phi(0.0, grid.nodes, params)
     psi = _march(params, grid, rule, phi)
+    psi.flags.writeable = False
 
     flags = []
     F, t, h = params.field, grid.t_max, grid.h
@@ -324,7 +337,8 @@ def _fresnel_T(X: np.ndarray):
     """T₁(X) = ∫_X^∞ u^{−3/2}e^{iu}du and T₂(X) = ∫_X^∞ u^{−5/2}e^{iu}du
     (X > 0), via Φ(w) = ∫_w^∞ e^{iv²}dv = (√π/2)e^{iπ/4}erfc(w e^{−iπ/4})."""
     w = np.sqrt(X)
-    phi = 0.5 * _SQRT_PI_C * cerfc(w * _EXP_M_IPI4)
+    z = w * _EXP_M_IPI4  # Re z > 0: erfc(z) = e^{−z²}erfcx(z)
+    phi = 0.5 * _SQRT_PI_C * (np.exp(-z * z) * special.erfcx(z))
     eiX = np.exp(1j * X)
     T1 = 2.0 * eiX / w + 4j * phi
     T2 = (2.0 / 3.0) * (eiX / (w * X) + 1j * T1)
@@ -361,12 +375,11 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
 
 
 def _history(sol: VolterraSolution, i: int):
-    # the s-nodes of node i and the x-independent factor of the kernel at
-    # each, C_j = e^{−iF²s_j³/(24mℏ)} ψ(0, t_i − s_j)
-    params = sol.params
-    F = params.field
-    s = np.arange(i + 1) * sol.grid.h
-    return s, np.exp(-1j * F * F * s**3 / (24.0 * params.mass * params.hbar)) * sol.psi0[i::-1]
+    # node i's first entries of the tables: its s-nodes, the x-independent
+    # factor of the kernel at each, C_j = g(s_j) ψ(0, t_i − s_j), and the
+    # linear weights of its panels
+    s, g, wl, wr = sol._kernel
+    return s[: i + 1], g[: i + 1] * sol.psi0[i::-1], wl[:i], wr[:i]
 
 
 def _psi_off_origin(sol: VolterraSolution, x: np.ndarray, t: float, i: int) -> np.ndarray:
@@ -377,8 +390,7 @@ def _psi_off_origin(sol: VolterraSolution, x: np.ndarray, t: float, i: int) -> n
 
     # x-independent: the s-nodes, C_j, the linear panel weights and each
     # panel's phase rate h/(s_k s_{k+1})
-    s, C = _history(sol, i)
-    wl, wr = _linear_panels(i - 1)
+    s, C, wl, wr = _history(sol, i)
     rate = h / (s[1:-1] * s[2:])
 
     A = m * x * x / (2.0 * hbar)
@@ -415,15 +427,8 @@ def _psi_off_origin(sol: VolterraSolution, x: np.ndarray, t: float, i: int) -> n
             smooth[np.arange(k_lo, i) < Kc] = 0.0
             exact[np.arange(k_hi) >= Kc] = 0.0
         total = math.sqrt(h) * smooth.sum(axis=1) + exact.sum(axis=1)
-        out[idx] = volkov_phi(x[idx], t, params) + _coupling(params) * total
+        out[idx] = _volkov_phi(x[idx], t, params) + _coupling(params) * total
     return out
-
-
-def overlap_domain_halfwidth(params: PhysParams, t: float) -> float:
-    """Spatial truncation |x| ≤ x_c(t) + 40/B + 10√(ℏt/m): the ψ_b factor
-    bounds the tail by e^{−40} and the ballistic spread is covered."""
-    x_c = params.field * t * t / (2.0 * params.mass)
-    return x_c + 40.0 / params.B + 10.0 * math.sqrt(params.hbar * t / params.mass)
 
 
 def _chirp_tail(p, alpha, a):
@@ -439,7 +444,7 @@ def _chirp_tail(p, alpha, a):
     r = np.sqrt(alpha)
     u = _EXP_M_IPI4 * (r * a + 0.5j * p / r)
     flip = u.real < 0.0
-    out = np.exp(-p * a + 1j * alpha * a * a) * erfcx(np.where(flip, -u, u))
+    out = np.exp(-p * a + 1j * alpha * a * a) * special.erfcx(np.where(flip, -u, u))
     pf = p[flip]
     out[flip] = 2.0 * np.exp(1j * pf * pf / (4.0 * alpha[flip])) - out[flip]
     return 0.5 * _SQRT_PI_C / r * out
@@ -450,34 +455,70 @@ def _bound_chirp(B: float, beta, alpha, a):
     return math.sqrt(B) * (_chirp_tail(B - 1j * beta, alpha, a) + _chirp_tail(B + 1j * beta, alpha, a))
 
 
+def _bound_volkov(params: PhysParams, t: float) -> complex:
+    """⟨ψ_b|φ_F(t)⟩ at t > 0 in closed form.
+
+    In momentum space, with b = ℏB, a = t/(2mℏ), d = Ft/2 and u = p + d,
+    it is (2b³/π)∫e^{−iau² − iaF²t²/12}dp/((p² + b²)((p + Ft)² + b²)), with
+    poles ±q₁, ±q₃ in u, q₁ = ib + d, q₃ = ib − d.  ∫e^{−iau²}du/(u − q) =
+    iπW(q) is odd in q, and W(q) = w(κq) for Im q > 0, κ = e^{iπ/4}√a,
+    w(z) = erfcx(−iz).  Where d > b, κq₃ lies below the real axis and erfcx
+    takes the sector term w(z) = 2e^{−z²} − w(−z).  Partial fractions give
+
+        −ib·e^{−iaF²t²/12}·{[W(q₁) − W(q₃)]/(2d) − W(q₁)/(2q₁) − W(q₃)/(2q₃)}.
+
+    For small F·t, |κd|·max(1, |κb|) ≤ ½, the divided difference is the
+    Taylor series κΣₙ w⁽²ⁿ⁺¹⁾(z₀)(κd)²ⁿ/(2n + 1)! about z₀ = iκb, with
+    w′ = 2i/√π − 2zw and w⁽ⁿ⁺¹⁾ = −2z·w⁽ⁿ⁾ − 2n·w⁽ⁿ⁻¹⁾ (at F = 0, κw′(z₀)).
+    """
+    hbar, m, F, B = params.hbar, params.mass, params.field, params.B
+    a = t / (2.0 * m * hbar)
+    b = hbar * B
+    d = 0.5 * F * t
+    kappa = complex(np.exp(0.25j * math.pi)) * math.sqrt(a)
+    z0, y = 1j * kappa * b, kappa * d
+    w0, w1, w3 = special.erfcx(-1j * np.array([z0, z0 + y, z0 - y])).tolist()
+    if abs(y) * max(1.0, abs(z0)) > 0.5:
+        divided = (w1 - w3) / (2.0 * d)
+    else:
+        prev, cur = w0, 2j / math.sqrt(math.pi) - 2.0 * z0 * w0  # w, w′ at z₀
+        total, scale = 0.0, 1.0  # scale = (κd)^{n−1}/n! for odd n
+        for n in range(1, 80, 2):
+            term = cur * scale
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+            prev, cur = cur, -2.0 * z0 * cur - 2.0 * n * prev
+            prev, cur = cur, -2.0 * z0 * cur - 2.0 * (n + 1) * prev
+            scale *= y * y / ((n + 1) * (n + 2))
+        divided = kappa * total
+    q1, q3 = 1j * b + d, 1j * b - d
+    return -1j * b * np.exp(-1j * a * F * F * t * t / 12.0) * (
+        divided - w1 / (2.0 * q1) - w3 / (2.0 * q3)
+    )
+
+
 def bound_overlap(sol: VolterraSolution, t: float):
     """⟨ψ_b|ψ_F(t)⟩ and the ionization probability P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|²,
     with ψ_F(·,t) the reconstruction of `reconstruct_psi_x`.
 
-    The reconstruction is linear in per-panel pieces whose x-dependence is
-    ψ_b-weighted chirps e^{iβx+iαx²}: panel k ≥ 1 absorbs e^{iA/s} into
-    its interpolant for |x| below its switch point x_k and is integrated
-    exactly in s above it; panel 0 is exact at every x.  So the x-integral
-    is taken first, in closed form per panel (`_chirp_tail`), and the exact
+    The reconstruction is φ_F plus a sum of per-panel pieces whose
+    x-dependence is ψ_b-weighted chirps e^{iβx+iαx²}: panel k ≥ 1 absorbs
+    e^{iA/s} into its interpolant for |x| below its switch point x_k and is
+    integrated exactly in s above it; panel 0 is exact at every x.  So the
+    x-integral is taken first: ⟨ψ_b|φ_F⟩ in closed form (`_bound_volkov`),
+    every panel's piece in closed form (`_chirp_tail`), and the exact
     panels' s-integral by an 8-point Gauss–Legendre rule per panel (in √s
-    on panel 0).  Only ⟨ψ_b|φ_F⟩ is integrated in x, over |x| ≤ x_m, by
-    the adaptive Gauss–Kronrod rule of `_gk21_adaptive` to
-    ``_OVERLAP_TOL``.  A non-finite overlap, or more than
-    ``_OVERLAP_MAX_PANELS`` panels, raises `ConvergenceError`."""
+    on panel 0).  No x-quadrature is left.  A non-finite overlap raises
+    `ConvergenceError`."""
     params = sol.params
     i = sol.grid.index_of(t)
     if i == 0:
         return 1.0 + 0.0j, 0.0
     hbar, m, F, B = params.hbar, params.mass, params.field, params.B
     h = sol.grid.h
-    xm = overlap_domain_halfwidth(params, t)
 
-    def integrand(x):
-        return bound_state(x, params) * volkov_phi(x, t, params)
-
-    free = _gk21_adaptive(integrand, np.array([-xm, 0.0]), np.array([0.0, xm]))
-
-    s, C = _history(sol, i)
+    s, C, wl, wr = _history(sol, i)
     beta = F * s / (2.0 * hbar)
     # panel k ≥ 1 is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
     # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
@@ -485,7 +526,6 @@ def bound_overlap(sol: VolterraSolution, t: float):
 
     # smooth parts: S(β_j, α_j; x_k) = H(β_j, α_j; 0) − H(β_j, α_j; x_k) at
     # the nodes j = k, k + 1 of panels k = 1 … i − 1
-    wl, wr = _linear_panels(i - 1)
     alpha = m / (2.0 * hbar * s[1:])
     H0 = _bound_chirp(B, beta[1:], alpha, 0.0)
     left = H0[:-1] - _bound_chirp(B, beta[1:-1], alpha[:-1], xk[1:])
@@ -504,81 +544,7 @@ def bound_overlap(sol: VolterraSolution, t: float):
               + lin * C[1:, None] * _bound_chirp(B, beta[1:, None], aq, xk[:, None]))
     )
 
-    overlap = free + _coupling(params) * (math.sqrt(h) * smooth + exact)
+    overlap = _bound_volkov(params, t) + _coupling(params) * (math.sqrt(h) * smooth + exact)
     if not np.isfinite(overlap):
         raise ConvergenceError(f"non-finite bound-state overlap at t={t:g}")
     return complex(overlap), 1.0 - abs(overlap) ** 2
-
-
-# Gauss–Kronrod (10, 21) pair on [−1, 1] (QUADPACK qk21, Piessens et al.
-# 1983): Kronrod abscissae from the outermost to the centre, their weights,
-# and the Gauss weights of the odd-indexed abscissae
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.zeros(11)
-_WG[1::2] = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-_GK_X = np.r_[-_XGK, _XGK[-2::-1]]
-_GK_WK = np.r_[_WGK, _WGK[-2::-1]]
-_GK_WG = np.r_[_WG, _WG[-2::-1]]
-
-
-def _gk21_adaptive(f, lo: np.ndarray, hi: np.ndarray) -> complex:
-    """∫ f over the panels [lo, hi] to ``_OVERLAP_TOL``, absolute and
-    relative, by globally adaptive bisection of 21-point Gauss–Kronrod
-    panels; f maps an array of x to complex values of its shape.
-
-    A panel's error is QUADPACK's scaled |K21 − G10|.  While the summed
-    error exceeds the tolerance, every panel is bisected except the
-    smallest-error ones that together hold at most half of it, and the new
-    panels go to f in one call.  More than ``_OVERLAP_MAX_PANELS`` panels,
-    or a non-finite value of f, raise `ConvergenceError`."""
-    val = np.empty(0, dtype=np.complex128)
-    err = kept_lo = kept_hi = np.empty(0)
-    while True:
-        if val.size + lo.size > _OVERLAP_MAX_PANELS:
-            raise ConvergenceError(
-                f"overlap quadrature needs more than {_OVERLAP_MAX_PANELS} panels "
-                f"(error {err.sum():.1e} on {val.size})"
-            )
-        half = 0.5 * (hi - lo)
-        fx = f(0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X)
-        if not np.all(np.isfinite(fx)):
-            raise ConvergenceError("non-finite integrand in the overlap quadrature")
-        k21 = fx @ _GK_WK
-        e = np.abs(k21 - fx @ _GK_WG)
-        asc = np.abs(fx - 0.5 * k21[:, None]) @ _GK_WK
-        scaled = (e > 0.0) & (asc > 0.0)
-        e[scaled] = asc[scaled] * np.minimum(1.0, (200.0 * e[scaled] / asc[scaled]) ** 1.5)
-        e = np.maximum(e, 50.0 * np.finfo(float).eps * (np.abs(fx) @ _GK_WK))
-        val = np.r_[val, k21 * half]
-        err = np.r_[err, e * np.abs(half)]
-        lo, hi = np.r_[kept_lo, lo], np.r_[kept_hi, hi]
-
-        total = val.sum()
-        tol = _OVERLAP_TOL * max(1.0, abs(total))
-        if err.sum() <= tol:
-            return complex(total)
-        order = np.argsort(err)
-        n_keep = int(np.searchsorted(np.cumsum(err[order]), 0.5 * tol, side="right"))
-        keep, split = order[:n_keep], order[n_keep:]
-        val, err, kept_lo, kept_hi = val[keep], err[keep], lo[keep], hi[keep]
-        mid = 0.5 * (lo[split] + hi[split])
-        lo, hi = np.r_[lo[split], mid], np.r_[mid, hi[split]]

@@ -1,8 +1,9 @@
-"""Field-free closed forms that the tests check the library against.
+"""Field-free closed forms that the tests check the library against, and
+the x-domain of the overlap oracles.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
 ``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``.
-Neither validates its inputs.
+None validates its inputs.
 """
 
 import math
@@ -28,3 +29,11 @@ def phi0_field_free(t, params):
     # −iE_b t/ℏ = i|E_b|t/ℏ, principal root is on the e^{iπ/4} ray
     arg = np.sqrt(np.abs(E_b) * t / hbar) * np.exp(0.25j * math.pi)
     return math.sqrt(B) * np.exp(-1j * E_b * t / hbar) * erfc(arg)
+
+
+def overlap_domain_halfwidth(params, t):
+    """Spatial truncation |x| ≤ x_c(t) + 40/B + 10√(ℏt/m) of an x-integral
+    against ψ_b: the ψ_b factor bounds the tail by e^{−40} and the
+    ballistic spread is covered."""
+    x_c = params.field * t * t / (2.0 * params.mass)
+    return x_c + 40.0 / params.B + 10.0 * math.sqrt(params.hbar * t / params.mass)

@@ -86,6 +86,14 @@ def test_cerfc_rejects_non_finite():
         cerfc(complex(math.nan, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_erfcx_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        erfcx(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        erfcx(np.array([0.5, bad]))
+
+
 def test_erfcx_matches_scaled_oracle():
     for z in (0.5, 4.0 + 1.0j, 30.0, 2.0 - 17.0j):
         ref = complex(mpmath.exp(mpmath.mpc(z) ** 2) * mpmath.erfc(mpmath.mpc(z)))
