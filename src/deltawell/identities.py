@@ -10,16 +10,20 @@ The first integral converges only conditionally on the oscillatory side;
 its tail ∫_{−∞}^c is reduced with repeated integration by parts built on
 Ai″ = σAi (every pass trades one power of (σ+η²) for a derivative), after
 which the remainder is absolutely convergent and integrated directly.
+The remainder's nodes lie on a fixed 0.15 lattice below σ = −30, so Ai
+and Ai′ there come from one table per process, shared by every η.
 The second integral is Y(t) of the closed forms at ξ₂ = 0, so its left
 side is ``approx.y_integral``, the Y quadrature, which does not evaluate
 the ₁F₁ on the right.  The third integral is not absolutely convergent either; it is *defined*
 here as the ε → 0 limit of the Gaussian-regularized integral (regulator
 e^{−εσ²}, ladder ε₀, ε₀/2, ε₀/4, Richardson-extrapolated), and the report
 carries the ladder so a divergent case is flagged rather than trusted.
+The three rungs share one grid, so Ai and erf are evaluated once per χ.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .approx import YArgs, y_integral
-from .specfun import _airy_both, airy_ai, cerfc, gl_panels, hyp1f1_one
+from .specfun import _airy_both, airy_ai, cerfc, gl_panels, gl_rule, hyp1f1_one
 
 __all__ = [
     "IdentityReport",
@@ -61,16 +65,44 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 _IBP_LEVELS = 4  # integration-by-parts passes before the direct remainder
+_ETA_MAX = 5.0  # validated range |η| ≤ 5
+_TAIL_TOP = -30.0  # lattice anchor: the cutoff c = −(2η² + 30) at η = 0
+_TAIL_H = 0.15  # lattice spacing of the tail panels
 
 
-def _airy_fourier_tail(c: float, eta: float) -> complex:
-    """∫_{−∞}^{c} Ai(σ)e^{iησ} dσ for c < −(η² + margin), by repeated
-    integration by parts: with q = (P − iηQ)/(σ+η²), p = Q − iηq,
+def _tail_cells(eta: float) -> tuple[int, int]:
+    """Lattice cells below σ = −30 down to the cutoff c and to the tail's
+    bottom lo = min(−240, 6c); c = −(2η² + 30) rounded down stays
+    stationary-phase-safe, and 6c is then on the lattice too."""
+    k_c = math.ceil(2.0 * eta * eta / _TAIL_H)
+    c = _TAIL_TOP - _TAIL_H * k_c
+    k_lo = round((_TAIL_TOP - min(-240.0, 6.0 * c)) / _TAIL_H)
+    return k_c, k_lo
+
+
+@functools.cache
+def _tail_table():
+    """Nodes σ, w·Ai(σ) and w·Ai′(σ) of the 12-point Gauss–Legendre rule on
+    each lattice cell below σ = −30, cell j at index 12j…12j+11, down to
+    the lowest bottom over |η| ≤ 5 (lo = −480.6)."""
+    cells = _tail_cells(_ETA_MAX)[1]
+    edges = _TAIL_TOP - _TAIL_H * np.arange(cells + 1)
+    sig, w = gl_rule(edges[1:], edges[:-1])
+    sig, w = sig.ravel(), w.ravel()
+    ai, aip = _airy_both(sig)
+    return sig, w * ai, w * aip
+
+
+def _airy_fourier_tail(eta: float) -> tuple[float, complex]:
+    """Cutoff c and ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ, by repeated integration by
+    parts: with q = (P − iηQ)/(σ+η²), p = Q − iηq,
 
         ∫ e^{iησ}(P·Ai + Q·Ai′) = [e^{iησ}(p·Ai + q·Ai′)] − ∫ e^{iησ}(p′·Ai + q′·Ai′),
 
     each pass making the integrand fall one power of σ faster; the final
-    absolutely convergent remainder is integrated directly."""
+    absolutely convergent remainder is integrated directly on [lo, c]."""
+    k_c, k_lo = _tail_cells(eta)
+    c = _TAIL_TOP - _TAIL_H * k_c
     eta2 = eta * eta
     den = np.array([eta2, 1.0], dtype=np.complex128)  # (σ + η²)
     NP = np.array([1.0], dtype=np.complex128)
@@ -93,30 +125,36 @@ def _airy_fourier_tail(c: float, eta: float) -> complex:
         m += 2
         sign = -sign
 
-    lo = min(-240.0, 6.0 * c)
-    sig, w = gl_panels(lo, c, math.ceil((c - lo) / 0.15))
-    denv = (sig + eta2) ** m
-    ai, aip = _airy_both(sig)
+    sig, w_ai, w_aip = _tail_table()
+    if 12 * k_lo > sig.size:  # never a shorter tail
+        raise ValueError(f"tail bottom {k_lo} cells below sigma=-30 is below the table")
+    part = slice(12 * k_c, 12 * k_lo)
+    sig, w_ai, w_aip = sig[part], w_ai[part], w_aip[part]
+    # (σ + η²)^m as m products: on these negative bases numpy's ** takes a
+    # scalar pow() path, about 40× slower
+    denv = np.ones_like(sig)
+    for _ in range(m):
+        denv *= sig + eta2
     vals = (
         np.exp(1j * eta * sig)
-        * (npoly.polyval(sig, NP) * ai + npoly.polyval(sig, NQ) * aip)
+        * (npoly.polyval(sig, NP) * w_ai + npoly.polyval(sig, NQ) * w_aip)
         / denv
     )
-    total += sign * np.sum(w * vals)
-    return complex(total)
+    total += sign * np.sum(vals)
+    return c, complex(total)
 
 
 def check_airy_fourier(eta: float) -> IdentityReport:
     """∫ dσ Ai(σ) e^{iησ} = e^{−iη³/3}, for |η| ≤ 5."""
-    if not abs(eta) <= 5.0:
+    if not abs(eta) <= _ETA_MAX:
         raise ValueError("validated only for |eta| <= 5")
-    c = -(2.0 * eta * eta + 30.0)  # stationary-phase-safe cutoff
+    c, tail = _airy_fourier_tail(eta)
     hi = 16.0  # Ai(16) ~ 3e-18: decaying tail below target
     freq = math.sqrt(abs(c)) + abs(eta) + 1.0
     width = min(0.3, math.pi / (4.0 * freq))
     sig, w = gl_panels(c, hi, math.ceil((hi - c) / width))
     direct = np.sum(w * airy_ai(sig) * np.exp(1j * eta * sig))
-    lhs = direct + _airy_fourier_tail(c, eta)
+    lhs = direct + tail
     rhs = np.exp(-1j * eta**3 / 3.0)
     return IdentityReport.build(
         "airy_fourier", lhs, rhs, regularization=f"cutoff sigma={c:g}, IBP tail"
@@ -149,26 +187,32 @@ def check_z6_identity(xi1: complex) -> IdentityReport:
 _ERF_EPS = 0.05  # first rung ε₀ of the regulator ladder ε₀, ε₀/2, ε₀/4
 
 
-def _erf_airy_integrand(sig: np.ndarray, chi: complex, eps: float) -> np.ndarray:
-    # erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the ratio
-    # is continuous through σ = 0 with value (2/√π)χ.
+def _erf_airy_integrand(sig: np.ndarray, chi: complex) -> np.ndarray:
+    # Ai(σ)·erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the
+    # ratio is continuous through σ = 0 with value (2/√π)χ.
     root = np.where(sig >= 0, np.sqrt(np.abs(sig)) + 0j, 1j * np.sqrt(np.abs(sig)))
     z = chi * root
     small = np.abs(z) < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(small, (2.0 / math.sqrt(math.pi)) * chi, (1.0 - cerfc(z)) / root)
-    return airy_ai(sig) * ratio * np.exp(-eps * sig * sig)
+    return airy_ai(sig) * ratio
 
 
-def _erf_airy_regularized(chi: complex, eps: float) -> complex:
+def _erf_airy_ladder(chi: complex) -> np.ndarray:
+    """The regularized integrals ∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²} at
+    ε = ε₀, ε₀/2, ε₀/4, all on the grid of the smallest ε, which is both
+    the widest and the finest of the three."""
+    eps = _ERF_EPS / 2.0 ** np.arange(3)
     hi = 16.0
-    # growth e^{Re(−χ̄... ) |σ|} on the negative side is killed by the regulator
+    # On σ < 0, erf(χ√σ)/√σ grows at most like e^{|χ|²|σ|}.  At
+    # lo = −max(40, 1.2|χ|²/ε + √(35/ε)), εσ² − |χ|²|σ| ≥ 35, so the
+    # integrand is below e^{−35} beyond lo.
     growth = max(abs(chi) ** 2, 1e-6)
-    lo = -max(40.0, 1.2 * growth / eps + math.sqrt(35.0 / eps))
+    lo = -max(40.0, 1.2 * growth / eps[-1] + math.sqrt(35.0 / eps[-1]))
     freq = math.sqrt(abs(lo)) + 1.0
     width = min(0.25, math.pi / (4.0 * freq))
     sig, w = gl_panels(lo, hi, math.ceil((hi - lo) / width))
-    return complex(np.sum(w * _erf_airy_integrand(sig, chi, eps)))
+    return np.exp(-np.multiply.outer(eps, sig * sig)) @ (w * _erf_airy_integrand(sig, chi))
 
 
 def check_airy_erf_identity(chi: complex) -> IdentityReport:
@@ -182,7 +226,7 @@ def check_airy_erf_identity(chi: complex) -> IdentityReport:
     if chi == 0:
         return IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0")
 
-    ladder = [_erf_airy_regularized(chi, _ERF_EPS / 2**j) for j in range(3)]
+    ladder = [complex(v) for v in _erf_airy_ladder(chi)]
     i1, i2, i3 = ladder
     extrapolated = (8.0 * i3 - 6.0 * i2 + i1) / 3.0
     flags = []

@@ -1,15 +1,20 @@
-"""Field-free closed forms that the tests check the library against, and
-the x-domain of the overlap oracles.
+"""Field-free closed forms that the tests check the library against, the
+x-domain of the overlap oracles, and a quadrature of the regularized
+erf–Airy integral.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
-``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``.
-None validates its inputs.
+``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``;
+the erf–Airy oracle takes Ai and erf from scipy and integrates with
+``quad``, where ``identities`` uses its own Airy, erfc and Gauss–Legendre
+grid.  None validates its inputs.
 """
 
 import math
+import warnings
 
 import numpy as np
-from scipy.special import erfc
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import airy, erf, erfc
 
 
 def free_kernel(x, t, tau, params):
@@ -37,3 +42,31 @@ def overlap_domain_halfwidth(params, t):
     ballistic spread is covered."""
     x_c = params.field * t * t / (2.0 * params.mass)
     return x_c + 40.0 / params.B + 10.0 * math.sqrt(params.hbar * t / params.mass)
+
+
+def erf_airy_regularized(chi, eps):
+    """∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²}, √σ = i√|σ| on σ < 0, by ``quad`` on
+    unit cells of [−L, 20], and Σ|cell integral|, the scale of its rounding.
+
+    On σ < 0 the integrand is bounded by e^{|χ|²|σ| − εσ²}, which is e^{−40}
+    at σ = −L; Ai(20) ~ 1e−27 ends the positive side for |arg χ| ≤ π/4."""
+    chi = complex(chi)
+    g = abs(chi) ** 2
+    L = (g + math.sqrt(g * g + 160.0 * eps)) / (2.0 * eps)
+
+    def f(s):
+        root = math.sqrt(s) if s >= 0.0 else 1j * math.sqrt(-s)
+        z = chi * root
+        ratio = erf(z) / root if z != 0 else 2.0 * chi / math.sqrt(math.pi)
+        return airy(s)[0] * ratio * math.exp(-eps * s * s)
+
+    edges = np.linspace(-L, 20.0, math.ceil(L + 20.0) + 1)
+    with warnings.catch_warnings():
+        # where the cells cancel, quad reports the rounding it cannot beat
+        warnings.simplefilter("ignore", IntegrationWarning)
+        cells = [
+            quad(f, a, b, complex_func=True, epsabs=0.0, epsrel=1e-13, limit=100)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+    value = complex(math.fsum(c.real for c in cells), math.fsum(c.imag for c in cells))
+    return value, math.fsum(abs(c) for c in cells)

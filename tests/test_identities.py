@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from deltawell import identities
 from deltawell.approx import YArgs, y_integral
 from deltawell.identities import (
     check_airy_erf_identity,
@@ -8,6 +11,7 @@ from deltawell.identities import (
     check_z6_identity,
     z6_closed_form,
 )
+from oracles import erf_airy_regularized
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +46,39 @@ def test_airy_fourier_grid(eta):
 def test_airy_fourier_domain():
     with pytest.raises(ValueError):
         check_airy_fourier(6.0)
+
+
+def test_airy_fourier_regression():
+    # 41 η on [−5, 5] and ±√5, where the tail's bottom switches from −240
+    # to 6c; ±5 reach the last cell of the tail table
+    etas = [*np.linspace(-5.0, 5.0, 41), math.sqrt(5.0), -math.sqrt(5.0)]
+    err, eta = max((check_airy_fourier(eta).abs_err, eta) for eta in etas)
+    assert err <= 1e-12, eta
+
+
+def test_airy_fourier_tail_table_ends_at_the_validated_range():
+    cells = identities._tail_table()[0].size // 12
+    assert identities._tail_cells(5.0)[1] == cells
+    # a tail below the table is an error, never a shorter or wrapped tail
+    with pytest.raises(ValueError, match="below the table"):
+        identities._airy_fourier_tail(5.2)
+
+
+def test_airy_fourier_tail_table_built_once(monkeypatch):
+    sizes = []
+    real = identities._airy_both
+
+    def spy(s):
+        sizes.append(np.size(s))
+        return real(s)
+
+    monkeypatch.setattr(identities, "_airy_both", spy)
+    identities._tail_table.cache_clear()
+    for eta in np.linspace(-2.0, 2.0, 10):
+        check_airy_fourier(eta)
+    # one array call builds the table; the others are the scalar Ai(c), Ai′(c)
+    assert sum(n > 1 for n in sizes) == 1
+    assert len(sizes) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -101,3 +138,30 @@ def test_airy_erf_complex_chi():
     # weaker target reflecting conditional convergence; a flagged ladder
     # would mark the check inconclusive rather than failed
     assert r.flags or r.rel_err <= 1e-2
+
+
+def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
+    counts = {"airy_ai": 0, "cerfc": 0}
+    for name in counts:
+        real = getattr(identities, name)
+
+        def spy(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(identities, name, spy)
+    for chi in (0.05, 0.3, 1.0 + 0.5j):
+        check_airy_erf_identity(chi)
+    assert counts == {"airy_ai": 3, "cerfc": 3}
+
+
+@pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, 1.0 + 0.5j])
+def test_airy_erf_rungs_match_quad_oracle(chi):
+    rungs = identities._erf_airy_ladder(complex(chi))
+    for j, got in enumerate(rungs):
+        want, scale = erf_airy_regularized(chi, 0.05 / 2**j)
+        # 1e-10 relative, or the rounding floor of a double-precision sum
+        # over cancelling cells: at χ = 1, ε₀/4, Σ|cells| is 1.2e6·|I|, and
+        # against 30-digit mpmath the rung is off by 1.8e-9 relative and
+        # the quad oracle by 5.1e-9
+        assert abs(got - want) <= max(1e-10 * abs(want), 1e-14 * scale), j
