@@ -2,16 +2,8 @@
 
 Two approximation schemes:
 
-* the field-free-dressed ("first") scheme, which at the origin is
-      ψ(0,t) ≈ φ_F(0,t) + √B e^{−iE_b t/ℏ} erf(√(−iE_b t/ℏ)),
-  and away from it a series in σ-derivatives of the two-erfc kernel
-
-      T_f(x,t,σ) = (2√(i|E_b|/ℏ)/√π) ∫₀ᵗ ds s^{−1/2} e^{imx²/(2ℏs)} e^{−β²s},
-      β² = (i|E_b|/ℏ)(1 − xBf − σf^{2/3}),
-
-  with the k-th term damped by 1/(k!·3^k).  The integral depends on β²
-  alone, so T_f is entire in σ, and its Taylor coefficients at σ = 0 come
-  from the trapezoidal rule on a circle in the complex σ-plane;
+* the field-free-dressed ("first") scheme at the origin,
+      ψ(0,t) ≈ φ_F(0,t) + √B e^{−iE_b t/ℏ} erf(√(−iE_b t/ℏ));
 
 * the exponential-decay ansatz ψ(0,τ) = √B e^{−iEτ/ℏ} with complex
   quasi-energy E = E_b + Δ − iΓ/2, which closes under the time integral
@@ -43,13 +35,12 @@ import numpy as np
 from .errors import PrecisionLossError
 from .params import PhysParams
 from .propagator import volkov_phi
-from .specfun import cerfc, gl_rule, hyp1f1_one_family, moshinsky
+from .specfun import cerfc, gl_rule, hyp1f1_one_family
 
 __all__ = [
     "DecayAnsatz",
     "YArgs",
     "first_scheme_psi0",
-    "first_scheme_psi_x",
     "wkb_constants",
     "y_integral",
     "decay_closed_pair",
@@ -73,79 +64,6 @@ def first_scheme_psi0(params: PhysParams, t):
     arg = np.sqrt(np.abs(E_b) * t / hbar) * _EXP_IPI4
     erf_term = 1.0 - cerfc(arg)
     return volkov_phi(0.0, t, params) + math.sqrt(B) * np.exp(-1j * E_b * t / hbar) * erf_term
-
-
-def _t_kernel(x: float, t: float, sigma, params: PhysParams):
-    """T_f(x,t,σ) for real or complex σ: the two-erfc combination
-    √(i|E_b|/ℏ)/β·{e^{−2αβ}erfc(α/√t − β√t) − e^{2αβ}erfc(α/√t + β√t)}
-    with α = |x|√(m/(2iℏ)) and β = √(i|E_b|/ℏ)√(1 − xBf − σf^{2/3}).
-
-    With k = β√(2im/ℏ), e^{∓2αβ}erfc(α/√t ∓ β√t) = 2e^{−β²t}M(|x|; ±k; ℏt/m),
-    so the e^{±2αβ} factors never overflow.  The value is even in β, so the
-    branch of the square root does not matter."""
-    sigma = np.asarray(sigma)
-    hbar, m, B, f, E_b = params.hbar, params.mass, params.B, params.f, params.E_b
-    root_e = math.sqrt(abs(E_b) / hbar) * _EXP_IPI4  # √(i|E_b|/ℏ)
-    under = 1.0 - x * B * f - sigma * f ** (2.0 / 3.0)
-    beta = root_e * np.sqrt(under.astype(np.complex128))
-    k = beta * math.sqrt(2.0 * m / hbar) * _EXP_IPI4
-    T = hbar * t / m
-    pair = moshinsky(abs(x), k, T) - moshinsky(abs(x), -k, T)
-    return 2.0 * root_e / beta * np.exp(-beta * beta * t) * pair
-
-
-_CIRCLE_NODES = 64  # σ-nodes on the Cauchy circle
-# bound on the upper half of the circle's Taylor spectrum, relative to its
-# largest coefficient: there the coefficients of an entire T_f have
-# decayed, so the aliasing they leave on the needed ones is far smaller
-_CIRCLE_TAIL_TOL = 1e-6
-
-
-def first_scheme_psi_x(params: PhysParams, x: float, t: float, K: int = 1) -> complex:
-    """First-scheme wavefunction away from the origin: φ_f(x,t) plus the
-    partial sum through k = K of (1/(k!3^k)) ∂σ^{3k} T_f|_{σ=0}.
-
-    T_f = (2√(i|E_b|/ℏ)/√π)∫₀ᵗ s^{−1/2}e^{imx²/(2ℏs)}e^{−β²s}ds depends on β
-    through β² alone, so it is entire in σ: the branch point of β sits only
-    in the erfc form.  Its Taylor coefficients are therefore the
-    trapezoidal rule on the circle |σ| = r (Fornberg, ACM TOMS 7 (1981)
-    512; Trefethen & Weideman, SIAM Rev. 56 (2014) 385): one FFT of T_f at
-    _CIRCLE_NODES nodes at half steps of angle, none of them on the real
-    axis, where the erfc form is 0/0 at its branch point.  The radius
-    r = max(3K, 1)·ℏ/(|E_b|f^{2/3}t) makes the σ-part of β²t equal to
-    max(3K, 1) in modulus on the circle, so the coefficient of σ^{3K} lies
-    near the peak of the spectrum whatever ℏ, m and V₀ are.  Raises
-    PrecisionLossError when the upper half of the spectrum is not below
-    _CIRCLE_TAIL_TOL of its largest coefficient (a large K): the circle
-    then does not resolve the series."""
-    if t <= 0.0:
-        raise ValueError("first_scheme_psi_x requires t > 0")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    B, hbar, E_b, f = params.B, params.hbar, params.E_b, params.f
-    pre = (math.sqrt(B) / 2.0) * np.exp(-1j * E_b * t / hbar)
-    phi = volkov_phi(x, t, params)
-
-    if f == 0.0:
-        # σ drops out entirely; all derivative terms vanish
-        return complex(phi + pre * _t_kernel(x, t, 0.0, params))
-
-    M = _CIRCLE_NODES
-    r = max(3 * K, 1) * hbar / (abs(E_b) * f ** (2.0 / 3.0) * t)
-    n = np.arange(M)
-    # coef[n] = T^{(n)}(0)·rⁿ/n!, up to the aliased coefficients of σ^{n+M}
-    coef = np.fft.fft(_t_kernel(x, t, r * np.exp(2j * np.pi * (n + 0.5) / M), params))
-    coef *= np.exp(-1j * np.pi * n / M) / M
-    mag = np.abs(coef)
-    if not mag[M // 2 :].max() <= _CIRCLE_TAIL_TOL * mag.max():
-        raise PrecisionLossError(
-            f"sigma circle does not resolve the Taylor spectrum at x={x}, t={t}, K={K}"
-        )
-    total = sum(
-        coef[3 * k] * math.factorial(3 * k) / (r ** (3 * k) * math.factorial(k) * 3**k)
-        for k in range(K + 1)
-    )
-    return complex(phi + pre * total)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def _cmd_identity_check(args) -> int:
     for token, r in zip(points, rows):
         print(f"{token},{r.abs_err:.3e},{r.rel_err:.3e},{'|'.join(r.flags)}")
         err = r.abs_err if kind == "abs" else r.rel_err
-        if not r.flags and err > tol:
+        if not r.flags and not err <= tol:  # a NaN row fails too
             failures += 1
     if failures:
         print(f"{failures} unflagged row(s) beyond tolerance {tol:g} ({kind})", file=sys.stderr)

@@ -10,15 +10,21 @@ The first integral converges only conditionally on the oscillatory side;
 its tail ∫_{−∞}^c is reduced with repeated integration by parts built on
 Ai″ = σAi (every pass trades one power of (σ+η²) for a derivative), after
 which the remainder is absolutely convergent and integrated directly.
-The remainder's nodes lie on a fixed 0.15 lattice below σ = −30, so Ai
-and Ai′ there come from one table per process, shared by every η.
 The second integral is Y(t) of the closed forms at ξ₂ = 0, so its left
 side is ``approx.y_integral``, the Y quadrature, which does not evaluate
 the ₁F₁ on the right.  The third integral is not absolutely convergent either; it is *defined*
 here as the ε → 0 limit of the Gaussian-regularized integral (regulator
 e^{−εσ²}, ladder ε₀, ε₀/2, ε₀/4, Richardson-extrapolated), and the report
-carries the ladder so a divergent case is flagged rather than trusted.
-The three rungs share one grid, so Ai and erf are evaluated once per χ.
+carries the ladder so a divergent case is flagged rather than trusted;
+a non-finite rung raises ConvergenceError.
+
+Ai and Ai′ on every quadrature node come from one table per process:
+the 12-point Gauss–Legendre nodes of each cell of a fixed 0.15 lattice,
+from σ = 16.05 down to the lowest bottom the validated ranges reach.  The
+Airy–Fourier check reads its direct part [c, 16.05] and its tail [lo, c]
+from the table, and the three ε rungs read one slice [lo, 16.05], so per
+point only e^{iησ}, erf(χ√σ) and the integration-by-parts algebra are
+evaluated.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .approx import YArgs, y_integral
-from .specfun import _airy_both, airy_ai, cerfc, gl_panels, gl_rule, hyp1f1_one
+from .errors import ConvergenceError
+from .specfun import _airy_both, cerfc, gl_rule, hyp1f1_one
 
 __all__ = [
     "IdentityReport",
@@ -61,48 +68,81 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# Airy-Fourier transform
+# Airy values on one lattice
 # ---------------------------------------------------------------------------
 
-_IBP_LEVELS = 4  # integration-by-parts passes before the direct remainder
 _ETA_MAX = 5.0  # validated range |η| ≤ 5
-_TAIL_TOP = -30.0  # lattice anchor: the cutoff c = −(2η² + 30) at η = 0
-_TAIL_H = 0.15  # lattice spacing of the tail panels
+_XI1_MAX = 50.0  # validated range |ξ₁| ≤ 50 of the z⁶ closed form's ₁F₁
+_ERF_EPS = 0.05  # first rung ε₀ of the regulator ladder ε₀, ε₀/2, ε₀/4
+_ANCHOR = -30.0  # lattice anchor: the cutoff c = −(2η² + 30) at η = 0
+_CELL = 0.15  # lattice spacing
+_CELLS_ABOVE = 307  # cells above the anchor: the lattice starts at σ = 16.05, Ai ~ 3e-18
 
 
 def _tail_cells(eta: float) -> tuple[int, int]:
     """Lattice cells below σ = −30 down to the cutoff c and to the tail's
     bottom lo = min(−240, 6c); c = −(2η² + 30) rounded down stays
     stationary-phase-safe, and 6c is then on the lattice too."""
-    k_c = math.ceil(2.0 * eta * eta / _TAIL_H)
-    c = _TAIL_TOP - _TAIL_H * k_c
-    k_lo = round((_TAIL_TOP - min(-240.0, 6.0 * c)) / _TAIL_H)
+    k_c = math.ceil(2.0 * eta * eta / _CELL)
+    c = _ANCHOR - _CELL * k_c
+    k_lo = round((_ANCHOR - min(-240.0, 6.0 * c)) / _CELL)
     return k_c, k_lo
 
 
+def _ladder_cells(chi: complex) -> int:
+    """Lattice cells below σ = −30 down to the ε-ladder's bottom
+    lo = −(1.2|χ|²/ε + √(35/ε)) at its smallest ε, rounded down.  On σ < 0,
+    erf(χ√σ)/√σ grows at most like e^{|χ|²|σ|}; beyond lo,
+    εσ² − |χ|²|σ| ≥ 35, so the regularized integrand is below e^{−35}."""
+    eps = _ERF_EPS / 4.0
+    lo = -(1.2 * abs(chi) ** 2 / eps + math.sqrt(35.0 / eps))
+    return math.ceil((_ANCHOR - lo) / _CELL)
+
+
 @functools.cache
-def _tail_table():
+def _airy_table():
     """Nodes σ, w·Ai(σ) and w·Ai′(σ) of the 12-point Gauss–Legendre rule on
-    each lattice cell below σ = −30, cell j at index 12j…12j+11, down to
-    the lowest bottom over |η| ≤ 5 (lo = −480.6)."""
-    cells = _tail_cells(_ETA_MAX)[1]
-    edges = _TAIL_TOP - _TAIL_H * np.arange(cells + 1)
+    each lattice cell from σ = 16.05 down to the lower of the bottoms that
+    the validated ranges reach: the Airy–Fourier tail's at |η| = 5 (−480.6)
+    and the ε-ladder's at |χ⁶/3| = 50 (−563.1).  The cell k cells below
+    σ = −30 (k < 0 above it) is at index 12(k + 307)…12(k + 307) + 11."""
+    cells = max(_tail_cells(_ETA_MAX)[1], _ladder_cells((3.0 * _XI1_MAX) ** (1.0 / 6.0)))
+    edges = _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, cells + 1)
     sig, w = gl_rule(edges[1:], edges[:-1])
     sig, w = sig.ravel(), w.ravel()
     ai, aip = _airy_both(sig)
     return sig, w * ai, w * aip
 
 
+def _lattice(k_hi: int, k_lo: int):
+    """The table's σ, w·Ai and w·Ai′ on the cells k_hi…k_lo − 1 below
+    σ = −30, i.e. on [−30 − 0.15·k_lo, −30 − 0.15·k_hi]."""
+    sig, w_ai, w_aip = _airy_table()
+    if 12 * (_CELLS_ABOVE + k_lo) > sig.size:  # never a shorter range
+        raise ValueError(f"bottom {k_lo} cells below sigma=-30 is below the table")
+    part = slice(12 * (_CELLS_ABOVE + k_hi), 12 * (_CELLS_ABOVE + k_lo))
+    return sig[part], w_ai[part], w_aip[part]
+
+
+# ---------------------------------------------------------------------------
+# Airy-Fourier transform
+# ---------------------------------------------------------------------------
+
+_IBP_LEVELS = 4  # integration-by-parts passes before the direct remainder
+
+
 def _airy_fourier_tail(eta: float) -> tuple[float, complex]:
-    """Cutoff c and ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ, by repeated integration by
-    parts: with q = (P − iηQ)/(σ+η²), p = Q − iηq,
+    """Cutoff c and ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ, |η| ≤ 5, by repeated
+    integration by parts: with q = (P − iηQ)/(σ+η²), p = Q − iηq,
 
         ∫ e^{iησ}(P·Ai + Q·Ai′) = [e^{iησ}(p·Ai + q·Ai′)] − ∫ e^{iησ}(p′·Ai + q′·Ai′),
 
     each pass making the integrand fall one power of σ faster; the final
     absolutely convergent remainder is integrated directly on [lo, c]."""
+    if not abs(eta) <= _ETA_MAX:
+        raise ValueError("validated only for |eta| <= 5")
     k_c, k_lo = _tail_cells(eta)
-    c = _TAIL_TOP - _TAIL_H * k_c
+    c = _ANCHOR - _CELL * k_c
     eta2 = eta * eta
     den = np.array([eta2, 1.0], dtype=np.complex128)  # (σ + η²)
     NP = np.array([1.0], dtype=np.complex128)
@@ -125,11 +165,7 @@ def _airy_fourier_tail(eta: float) -> tuple[float, complex]:
         m += 2
         sign = -sign
 
-    sig, w_ai, w_aip = _tail_table()
-    if 12 * k_lo > sig.size:  # never a shorter tail
-        raise ValueError(f"tail bottom {k_lo} cells below sigma=-30 is below the table")
-    part = slice(12 * k_c, 12 * k_lo)
-    sig, w_ai, w_aip = sig[part], w_ai[part], w_aip[part]
+    sig, w_ai, w_aip = _lattice(k_c, k_lo)
     # (σ + η²)^m as m products: on these negative bases numpy's ** takes a
     # scalar pow() path, about 40× slower
     denv = np.ones_like(sig)
@@ -146,15 +182,9 @@ def _airy_fourier_tail(eta: float) -> tuple[float, complex]:
 
 def check_airy_fourier(eta: float) -> IdentityReport:
     """∫ dσ Ai(σ) e^{iησ} = e^{−iη³/3}, for |η| ≤ 5."""
-    if not abs(eta) <= _ETA_MAX:
-        raise ValueError("validated only for |eta| <= 5")
     c, tail = _airy_fourier_tail(eta)
-    hi = 16.0  # Ai(16) ~ 3e-18: decaying tail below target
-    freq = math.sqrt(abs(c)) + abs(eta) + 1.0
-    width = min(0.3, math.pi / (4.0 * freq))
-    sig, w = gl_panels(c, hi, math.ceil((hi - c) / width))
-    direct = np.sum(w * airy_ai(sig) * np.exp(1j * eta * sig))
-    lhs = direct + tail
+    sig, w_ai, _ = _lattice(-_CELLS_ABOVE, _tail_cells(eta)[0])
+    lhs = np.sum(w_ai * np.exp(1j * eta * sig)) + tail
     rhs = np.exp(-1j * eta**3 / 3.0)
     return IdentityReport.build(
         "airy_fourier", lhs, rhs, regularization=f"cutoff sigma={c:g}, IBP tail"
@@ -175,7 +205,7 @@ def check_z6_identity(xi1: complex) -> IdentityReport:
     """∫₀¹ e^{−ξ₁z⁶} dz, by the Y(t) quadrature at ξ₂ = 0, against its ₁F₁
     closed form, |ξ₁| ≤ 50."""
     xi1 = complex(xi1)
-    if not abs(xi1) <= 50.0:
+    if not abs(xi1) <= _XI1_MAX:
         raise ValueError("validated only for |xi1| <= 50")
     return IdentityReport.build("z6", y_integral(YArgs(xi1, 0j)), z6_closed_form(xi1))
 
@@ -184,35 +214,23 @@ def check_z6_identity(xi1: complex) -> IdentityReport:
 # erf-Airy identity (Gaussian-regularized)
 # ---------------------------------------------------------------------------
 
-_ERF_EPS = 0.05  # first rung ε₀ of the regulator ladder ε₀, ε₀/2, ε₀/4
-
-
-def _erf_airy_integrand(sig: np.ndarray, chi: complex) -> np.ndarray:
-    # Ai(σ)·erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the
-    # ratio is continuous through σ = 0 with value (2/√π)χ.
+def _erf_airy_ladder(chi: complex) -> np.ndarray:
+    """The regularized integrals ∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²} at
+    ε = ε₀, ε₀/2, ε₀/4, all on the table's cells from 16.05 down to the
+    bottom of the smallest ε."""
+    eps = _ERF_EPS / 2.0 ** np.arange(3)
+    sig, w_ai, _ = _lattice(-_CELLS_ABOVE, _ladder_cells(chi))
+    # erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the ratio
+    # is continuous through σ = 0 with value (2/√π)χ
     root = np.where(sig >= 0, np.sqrt(np.abs(sig)) + 0j, 1j * np.sqrt(np.abs(sig)))
     z = chi * root
     small = np.abs(z) < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(small, (2.0 / math.sqrt(math.pi)) * chi, (1.0 - cerfc(z)) / root)
-    return airy_ai(sig) * ratio
-
-
-def _erf_airy_ladder(chi: complex) -> np.ndarray:
-    """The regularized integrals ∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²} at
-    ε = ε₀, ε₀/2, ε₀/4, all on the grid of the smallest ε, which is both
-    the widest and the finest of the three."""
-    eps = _ERF_EPS / 2.0 ** np.arange(3)
-    hi = 16.0
-    # On σ < 0, erf(χ√σ)/√σ grows at most like e^{|χ|²|σ|}.  At
-    # lo = −max(40, 1.2|χ|²/ε + √(35/ε)), εσ² − |χ|²|σ| ≥ 35, so the
-    # integrand is below e^{−35} beyond lo.
-    growth = max(abs(chi) ** 2, 1e-6)
-    lo = -max(40.0, 1.2 * growth / eps[-1] + math.sqrt(35.0 / eps[-1]))
-    freq = math.sqrt(abs(lo)) + 1.0
-    width = min(0.25, math.pi / (4.0 * freq))
-    sig, w = gl_panels(lo, hi, math.ceil((hi - lo) / width))
-    return np.exp(-np.multiply.outer(eps, sig * sig)) @ (w * _erf_airy_integrand(sig, chi))
+    rungs = np.exp(-np.multiply.outer(eps, sig * sig)) @ (w_ai * ratio)
+    if not np.all(np.isfinite(rungs)):
+        raise ConvergenceError(f"erf-Airy ladder has a non-finite rung at chi={chi}")
+    return rungs
 
 
 def check_airy_erf_identity(chi: complex) -> IdentityReport:
@@ -221,7 +239,7 @@ def check_airy_erf_identity(chi: complex) -> IdentityReport:
     chi = complex(chi)
     xi1 = chi**6 / 3.0
     # the closed form's ₁F₁ is validated for |ξ₁| ≤ 50, as in check_z6_identity
-    if not abs(xi1) <= 50.0:
+    if not abs(xi1) <= _XI1_MAX:
         raise ValueError("validated only for |chi^6/3| <= 50")
     if chi == 0:
         return IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0")

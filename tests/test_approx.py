@@ -4,24 +4,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from deltawell import approx
 from deltawell.approx import (
     DecayAnsatz,
     YArgs,
     decay_closed_pair,
     decay_closed_psi0,
     first_scheme_psi0,
-    first_scheme_psi_x,
     wkb_constants,
     y_integral,
     _decay_pair,
-    _t_kernel,
 )
-from deltawell.errors import PrecisionLossError
-from deltawell.params import default_units, derive_params
+from deltawell.params import default_units
 from deltawell.propagator import volkov_phi
 from deltawell.scenario import PRESETS
-from deltawell.specfun import moshinsky
 
 mpmath.mp.dps = 30
 
@@ -53,118 +48,6 @@ def test_first_scheme_weak_field_accuracy():
     # solver oracle, is 0.180 here — dominated by phase, not magnitude
     assert abs(abs(got) - abs(sol.psi0[-1])) <= 0.05
     assert abs(got - sol.psi0[-1]) <= 0.25
-
-
-def test_first_scheme_x_field_free_reduction():
-    # ψ_f(x,t) at f = 0 equals √B{M(|x|;iB;t) + M(−|x|;−iB;t)} for any K
-    p = default_units(0.0)
-    x, t = 1.0, 1.0
-    want = moshinsky(abs(x), 1.0j, t) + moshinsky(-abs(x), -1.0j, t)
-    for K in (0, 1, 2):
-        got = first_scheme_psi_x(p, x, t, K)
-        assert abs(got - want) < 1e-13, K
-
-
-def test_first_scheme_x_truncation_definition():
-    # K = 0 at x = 0 is a pure evaluation: φ_f(0,t) + (√B/2)e^{−iE_b t}T_f(0,t,0)
-    p = default_units(0.3)
-    t = 2.0
-    want = volkov_phi(0.0, t, p) + 0.5 * np.exp(0.5j * t) * complex(
-        _t_kernel(0.0, t, 0.0, p)
-    )
-    got = first_scheme_psi_x(p, 0.0, t, K=0)
-    assert abs(got - want) < 1e-14
-
-
-def test_first_scheme_x_weak_field_accuracy():
-    from deltawell.volterra import TimeGrid, solve_psi0
-
-    p = default_units(0.1)
-    sol = solve_psi0(p, TimeGrid(5.0, 1000))
-    got = first_scheme_psi_x(p, 0.0, 5.0, K=1)
-    assert abs(got - sol.psi0[-1]) <= 0.08
-
-
-def test_first_scheme_x_consistency_with_psi0():
-    # at x = 0 the σ-series through K = 1 stays close to the closed form
-    p = default_units(0.2)
-    t = 4.0
-    a = first_scheme_psi_x(p, 0.0, t, K=1)
-    b = first_scheme_psi0(p, t)
-    assert abs(a - b) < 0.05
-
-
-def test_first_scheme_x_branch_point_finite_and_continuous():
-    # 1 − xBf − σf^{2/3} vanishes at σ = 0 for x = 1/(Bf); T_f is entire in
-    # σ there too, so the value is finite and continuous in x
-    for f in (0.5, 1.0):
-        p = default_units(f)
-        x = 1.0 / (p.B * f)
-        for K in (1, 2):
-            at = first_scheme_psi_x(p, x, 1.0, K)
-            near = first_scheme_psi_x(p, x + 1e-9, 1.0, K)
-            assert np.isfinite(at) and abs(at - near) <= 1e-8, (f, K)
-
-
-def _mp_moshinsky(x, k, t):
-    zeta = (x - k * t) / mpmath.sqrt(2j * t)
-    return 0.5 * mpmath.exp(1j * (k * x - k * k * t / 2)) * mpmath.erfc(zeta)
-
-
-def _mp_first_scheme_psi_x(p, x, t, K):
-    # φ_f(x,t) + (√B/2)e^{−iE_b t/ℏ} Σ_k ∂σ^{3k}T_f/(k!3^k), with T_f in its
-    # two-erfc form and the σ-derivatives by mpmath.diff
-    hbar, m, B, f, E_b, F = (mpmath.mpf(v) for v in (p.hbar, p.mass, p.B, p.f, p.E_b, p.field))
-    x, t = mpmath.mpf(x), mpmath.mpf(t)
-    x_c, T = F * t * t / (2 * m), hbar * t / m
-    phi = mpmath.sqrt(B) * mpmath.exp(1j * (x * F * t - F * F * t**3 / (6 * m)) / hbar) * (
-        _mp_moshinsky(x - x_c, -1j * B, T) + _mp_moshinsky(x_c - x, -1j * B, T)
-    )
-    root_e = mpmath.sqrt(1j * abs(E_b) / hbar)
-    alpha = abs(x) * mpmath.sqrt(m / (2j * hbar)) / mpmath.sqrt(t)
-
-    def kernel(sigma):
-        beta = root_e * mpmath.sqrt(1 - x * B * f - sigma * f ** (mpmath.mpf(2) / 3))
-        b = beta * mpmath.sqrt(t)
-        return root_e / beta * (
-            mpmath.exp(-2 * alpha * b) * mpmath.erfc(alpha - b)
-            - mpmath.exp(2 * alpha * b) * mpmath.erfc(alpha + b)
-        )
-
-    series = sum(mpmath.diff(kernel, 0, 3 * k) / (math.factorial(k) * 3**k) for k in range(K + 1))
-    return complex(phi + mpmath.sqrt(B) / 2 * mpmath.exp(-1j * E_b * t / hbar) * series)
-
-
-def test_first_scheme_x_sigma_derivatives_vs_mpmath():
-    # the circle's σ-derivatives agree with mpmath's at unit and non-unit
-    # parameters, including non-unit t = 20, where the kernel's phase in σ
-    # is fastest; K = 3 at three points (one mpmath point costs about 1 s)
-    units = derive_params(0.7, 1.9, 1.3, 1.0)
-    cases = [
-        (default_units(f), x, t, K)
-        for f in (0.1, 1.0) for x in (-4.0, 0.0, 3.0) for t in (0.5, 5.0) for K in (1, 2)
-    ]
-    non_unit = derive_params(0.7, 1.9, 1.3, 0.3 / units.f)
-    cases += [(non_unit, 0.5, t, K) for t in (2.0, 20.0) for K in (1, 2)]
-    cases += [
-        (default_units(0.3), -4.0, 5.0, 3),
-        (default_units(1.0), 3.0, 0.5, 3),
-        (non_unit, 0.5, 20.0, 3),
-    ]
-    for p, x, t, K in cases:
-        want = _mp_first_scheme_psi_x(p, x, t, K)
-        assert abs(first_scheme_psi_x(p, x, t, K) - want) <= 1e-9 * abs(want), (p.f, x, t, K)
-
-
-def test_first_scheme_x_unresolved_circle_raises(monkeypatch):
-    # a large K peaks the σ-spectrum beyond what 64 nodes resolve, and so
-    # does K = 1 on a circle of 8 nodes
-    p = default_units(0.3)
-    with pytest.raises(PrecisionLossError, match="does not resolve"):
-        first_scheme_psi_x(p, 0.5, 2.0, K=6)
-    monkeypatch.setattr(approx, "_CIRCLE_NODES", 8)
-    with pytest.raises(PrecisionLossError, match="does not resolve"):
-        first_scheme_psi_x(p, 0.5, 2.0, K=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from deltawell import cli
 from deltawell.cli import main
+from deltawell.identities import IdentityReport
 from deltawell.scenario import (
     COLUMNS, METHODS, PRESETS, ScenarioConfig, _json, preset_config, result_to_csv,
     result_to_json, run_scenario,
@@ -123,6 +124,19 @@ def test_identity_check_exit_codes(capsys):
     assert main(["identity-check", "airy_erf", "--points", "0,0.3"]) == 0
     assert main(["identity-check", "z6", "--points", "oops"]) == 1
     capsys.readouterr()
+
+
+def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
+    # a NaN rung raises; a NaN row that reaches the table counts as failing
+    assert main(["identity-check", "airy_erf", "--points", "1.6"]) == 2
+    assert "non-finite rung" in capsys.readouterr().err
+    nan = float("nan")
+    monkeypatch.setattr(
+        cli, "check_airy_erf_identity",
+        lambda chi: IdentityReport("airy_erf", nan, 0.0, nan, nan),
+    )
+    assert main(["identity-check", "airy_erf", "--points", "0.3"]) == 2
+    assert "1 unflagged row(s)" in capsys.readouterr().err
 
 
 def test_identity_check_calls_the_module_binding(monkeypatch, capsys):

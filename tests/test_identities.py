@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deltawell import identities
+from deltawell import identities, specfun
 from deltawell.approx import YArgs, y_integral
 from deltawell.identities import (
     check_airy_erf_identity,
@@ -50,22 +50,28 @@ def test_airy_fourier_domain():
 
 def test_airy_fourier_regression():
     # 41 η on [−5, 5] and ±√5, where the tail's bottom switches from −240
-    # to 6c; ±5 reach the last cell of the tail table
+    # to 6c; ±5 reach the lowest tail bottom
     etas = [*np.linspace(-5.0, 5.0, 41), math.sqrt(5.0), -math.sqrt(5.0)]
     err, eta = max((check_airy_fourier(eta).abs_err, eta) for eta in etas)
     assert err <= 1e-12, eta
 
 
 def test_airy_fourier_tail_table_ends_at_the_validated_range():
-    cells = identities._tail_table()[0].size // 12
-    assert identities._tail_cells(5.0)[1] == cells
-    # a tail below the table is an error, never a shorter or wrapped tail
-    with pytest.raises(ValueError, match="below the table"):
+    # the table ends at the lower of the bottoms the validated ranges
+    # reach: the Airy–Fourier tail's at |η| = 5, the ε-ladder's at
+    # |χ⁶/3| = 50; a range below the table is an error, never a shorter one
+    cells = identities._airy_table()[0].size // 12 - identities._CELLS_ABOVE
+    chi_max = 150.0 ** (1.0 / 6.0)
+    assert cells == max(identities._tail_cells(5.0)[1], identities._ladder_cells(chi_max))
+    with pytest.raises(ValueError, match="validated"):
         identities._airy_fourier_tail(5.2)
+    with pytest.raises(ValueError, match="below the table"):
+        identities._erf_airy_ladder(2.4 + 0j)
 
 
-def test_airy_fourier_tail_table_built_once(monkeypatch):
-    sizes = []
+def _count_airy_calls(monkeypatch):
+    # sizes of the identities' _airy_both calls, and a count of specfun.airy_ai calls
+    sizes, airy_ai_calls = [], []
     real = identities._airy_both
 
     def spy(s):
@@ -73,12 +79,21 @@ def test_airy_fourier_tail_table_built_once(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(identities, "_airy_both", spy)
-    identities._tail_table.cache_clear()
-    for eta in np.linspace(-2.0, 2.0, 10):
+    monkeypatch.setattr(specfun, "airy_ai", lambda *args: airy_ai_calls.append(args))
+    assert not hasattr(identities, "airy_ai")
+    return sizes, airy_ai_calls
+
+
+def test_airy_fourier_tail_table_built_once(monkeypatch):
+    sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
+    identities._airy_table.cache_clear()
+    for eta, chi in zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.05, 1.0, 10)):
         check_airy_fourier(eta)
+        check_airy_erf_identity(chi)
     # one array call builds the table; the others are the scalar Ai(c), Ai′(c)
     assert sum(n > 1 for n in sizes) == 1
     assert len(sizes) == 11
+    assert not airy_ai_calls
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +156,21 @@ def test_airy_erf_complex_chi():
 
 
 def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
-    counts = {"airy_ai": 0, "cerfc": 0}
-    for name in counts:
-        real = getattr(identities, name)
+    identities._airy_table()
+    sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
+    cerfc_calls = []
+    real = identities.cerfc
 
-        def spy(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
+    def spy(z):
+        cerfc_calls.append(np.size(z))
+        return real(z)
 
-        monkeypatch.setattr(identities, name, spy)
+    monkeypatch.setattr(identities, "cerfc", spy)
     for chi in (0.05, 0.3, 1.0 + 0.5j):
         check_airy_erf_identity(chi)
-    assert counts == {"airy_ai": 3, "cerfc": 3}
+    # Ai comes from the table; erf is one array call per χ
+    assert not sizes and not airy_ai_calls
+    assert len(cerfc_calls) == 3 and min(cerfc_calls) > 1
 
 
 @pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, 1.0 + 0.5j])
