@@ -2,8 +2,8 @@
 
 Domain violations (bad arguments) raise plain ValueError throughout the
 package; the classes here mark *runtime* numerical trouble that a caller
-may want to catch and route around (e.g. fall back from a series to a
-quadrature).
+may want to catch and report (e.g. ``identity-check`` exits 2 on a
+non-finite erf–Airy rung).
 """
 
 

@@ -227,7 +227,7 @@ def _erf_airy_ladder(chi: complex) -> np.ndarray:
     small = np.abs(z) < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(small, (2.0 / math.sqrt(math.pi)) * chi, (1.0 - cerfc(z)) / root)
-    rungs = np.exp(-np.multiply.outer(eps, sig * sig)) @ (w_ai * ratio)
+        rungs = np.exp(-np.multiply.outer(eps, sig * sig)) @ (w_ai * ratio)
     if not np.all(np.isfinite(rungs)):
         raise ConvergenceError(f"erf-Airy ladder has a non-finite rung at chi={chi}")
     return rungs

@@ -1,16 +1,11 @@
 """Special functions used by the propagators, solvers and identity checks.
 
-All functions are vectorized over numpy arrays.  scipy is used where it is
-both faster and more accurate than an own implementation; the rest is
-written here:
+All functions are vectorized over numpy arrays, with one evaluation rule
+each.  scipy is used where it is both faster and more accurate than an
+own implementation; the rest is written here:
 
-* ``cerfc`` / ``erfcx`` — complementary error function of complex argument
-  and its scaled variant e^{z²}·erfc(z).  erfcx is ``scipy.special.erfcx``
-  (the Faddeeva function w(iz)); cerfc is e^{−z²}·erfcx(z) on Re z ≥ 0 and
-  the reflection 2 − erfc(−z) on Re z < 0.  ``scipy.special.erfc`` is not
-  used directly: its rounding, amplified by the reconstruction of ψ(x,t),
-  moves ψ(x,4) of the benchmark's seed-0 overlap job to 1.44× its pinned
-  tolerance.
+* ``cerfc`` — complementary error function of complex argument,
+  ``scipy.special.erfc`` behind a finiteness check.
 * ``airy_ai`` / ``airy_ai_prime`` — Airy Ai and Ai′ on the real line:
   ``scipy.special.airy`` inside |s| ≤ 10 (0.08–0.6 µs a point, ~6e−16
   absolute error), beyond it the first 26 terms of the asymptotic
@@ -18,21 +13,19 @@ written here:
   falls back to AMOS Bessel routines at 3–5 µs.
 * ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
   ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
-  only b the Y series and the z⁶ closed form use.  Members with
-  b ≥ |z| + 1 take the forward series, which raises on cancellation or
-  when 2000 terms do not converge; all others the exact integral
-  representation (DLMF §13.4)
-  n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).  Kept in-house: scipy's
-  complex ``hyp1f1`` is off by 2.7e−10 at b = 11/6, z = 30i.
+  only b the Y series and the z⁶ closed form use, by the exact integral
+  representation (DLMF §13.4) n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).
+  Kept in-house: scipy's complex ``hyp1f1`` is off by 2.7e−10 at
+  b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
-  evaluated through erfcx so the product of a huge exponential and a tiny
-  erfc never overflows.
+  evaluated through ``scipy.special.erfcx`` so the product of a huge
+  exponential and a tiny erfc never overflows.
 * ``gl_panels`` / ``gl_rule`` — the composite 12-point Gauss–Legendre rule
   on equal or on given panels, shared by the ₁F₁ integral, the Y(t)
   quadrature and the identity checks.
 
-``cerfc`` and ``moshinsky`` check their arguments, then call unchecked
-cores that inner loops call directly; erfcx's core is scipy's ufunc.
+``moshinsky`` checks its arguments, then calls an unchecked core that
+inner loops call directly.
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ from .errors import PrecisionLossError
 
 __all__ = [
     "cerfc",
-    "erfcx",
     "airy_ai",
     "airy_ai_prime",
     "hyp1f1_one",
@@ -70,48 +62,18 @@ def _asfarray_complex(z):
 # complementary error function
 # ---------------------------------------------------------------------------
 
-def erfcx(z):
-    """Scaled complementary error function e^{z²}·erfc(z), complex z
-    (``scipy.special.erfcx``).
-
-    Never overflows for Re z ≥ 0; for Re z < 0 the value grows like 2e^{z²}
-    and comes back infinite where that is not representable.
-    """
-    z = _asfarray_complex(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("erfcx: non-finite argument")
-    return special.erfcx(z)
-
-
 def cerfc(z):
-    """Complementary error function erfc(z) for complex z.
+    """Complementary error function erfc(z) for complex z
+    (``scipy.special.erfc``).
 
-    Evaluated as e^{−z²}·erfcx(z) with the exponential re-attached only
-    when representable: results that underflow the double range come back
-    as 0, results that overflow come back as complex infinities (never as
-    a silently wrong finite number).
+    Results that underflow the double range come back as 0, results that
+    overflow as complex infinities (never as a silently wrong finite
+    number).
     """
     z = _asfarray_complex(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if not np.all(np.isfinite(z)):
         raise ValueError("cerfc: non-finite argument")
-    out = _cerfc(z)
-    return out[0] if scalar else out
-
-
-def _cerfc(z: np.ndarray) -> np.ndarray:
-    # cerfc on a finite complex array, unchecked
-    out = np.empty_like(z)
-    right = z.real >= 0.0
-    if right.any():
-        zr = z[right]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out[right] = np.exp(-zr * zr) * special.erfcx(zr)
-    left = ~right
-    if left.any():
-        out[left] = 2.0 - _cerfc(-z[left])
-    return out
+    return special.erfc(z)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +160,8 @@ def airy_ai_prime(s):
 # Confluent hypergeometric ₁F₁(1; b; z)
 # ---------------------------------------------------------------------------
 
-_HYP_CANCEL_BOUND = 1e10
-_HYP_SERIES_TERMS = 2000
+_HYP_MAX_PANELS = 32_768  # cap on the panels of the ₁F₁ integral
+_HYP_BLOCK = 1 << 21  # entries of one block of the ₁F₁ matrix product (16 MB)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -221,71 +183,48 @@ def gl_panels(lo: float, hi: float, n_panels: int):
     return x.ravel(), w.ravel()
 
 
-def _hyp1f1_series_vec(bs: np.ndarray, z: complex) -> np.ndarray:
-    # shared-k forward series in 80-bit accumulation for a batch of b
-    # values (term ratio z/(b+k)); raises when a lane lost more than
-    # _HYP_CANCEL_BOUND to cancellation or the terms have not fallen below
-    # 1e-20 of the sum after _HYP_SERIES_TERMS terms
-    bs = bs.astype(np.longdouble)
-    zl = np.clongdouble(z)
-    term = np.ones(bs.shape, dtype=np.clongdouble)
-    total = np.ones(bs.shape, dtype=np.clongdouble)
-    peak = np.ones(bs.shape, dtype=np.longdouble)
-    for k in range(_HYP_SERIES_TERMS):
-        term = term * (zl / (bs + k))
-        total = total + term
-        mag = np.abs(term)
-        np.maximum(peak, mag, out=peak)
-        if np.all(mag <= 1e-20 * np.maximum(np.abs(total), 1e-300)):
-            break
-    else:
-        raise PrecisionLossError(
-            f"hyp1f1 series not converged after {_HYP_SERIES_TERMS} terms at z={z}"
-        )
-    lost = peak > _HYP_CANCEL_BOUND * np.maximum(np.abs(total), 1e-300)
-    if lost.any():
-        raise PrecisionLossError(
-            f"hyp1f1 series cancellation beyond condition bound at b={bs[lost][0]}, z={z}"
-        )
-    return total.astype(np.complex128)
-
-
 def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     """[₁F₁(1; b0 + m; z) for m in 0..count−1], b0 − 1 a positive multiple
-    of 1/6 (ValueError otherwise).
+    of 1/6, count ≥ 1 and z finite (ValueError otherwise).
 
-    Members with b ≥ |z| + 1 share one forward series, whose terms fall
-    from the first on; every other member takes the exact integral
-    representation, all of them in one matrix product.
+    Every member takes the integral representation (DLMF §13.4)
+    n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1) a positive integer, whose
+    integrand is entire: one set of 12-point Gauss–Legendre panels, fine
+    enough for both the phase of e^{z(1−v⁶)} and the width 1/n of v^{n−1}
+    at v = 1, serves all members in one matrix product.  Raises
+    PrecisionLossError when more than 32 768 panels would be needed or the
+    result is not finite.
     """
     n0 = 6.0 * (b0 - 1.0)
     if not (math.isfinite(n0) and n0 > 0.5 and abs(n0 - round(n0)) <= 1e-9):
         raise ValueError(f"hyp1f1 requires b - 1 to be a positive multiple of 1/6, got b={b0}")
+    if count < 1:
+        raise ValueError(f"hyp1f1_one_family requires count >= 1, got {count}")
     z = complex(z)
-    bs = b0 + np.arange(count, dtype=np.float64)
-    out = np.empty(count, dtype=np.complex128)
-    series = bs >= abs(z) + 1.0
-    if series.any():
-        out[series] = _hyp1f1_series_vec(bs[series], z)
-    if not series.all():
-        # ₁F₁(1;b;z) = n ∫₀¹ v^{n−1} e^{z(1−v⁶)} dv with n = 6(b−1) a positive
-        # integer: the integrand is entire, and as n < 6|z| here the panels
-        # resolve both v^{n−1} and the phase
-        n = round(n0) + 6 * np.arange(count)[~series]
-        v, w = gl_panels(0.0, 1.0, max(8, int(3.0 * abs(z) / math.pi) + 8))
-        out[~series] = n * (v ** (n[:, None] - 1) @ (w * np.exp(z * (1.0 - v**6))))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("hyp1f1: non-finite z")
+    n = round(n0) + 6 * np.arange(count)
+    panels = max(8, int((3.0 * abs(z) + n[-1] / 4.0) / math.pi) + 8)
+    if panels > _HYP_MAX_PANELS:
+        raise PrecisionLossError(f"hyp1f1 integral needs {panels} panels at b={b0 + count - 1}, z={z}")
+    v, w = gl_panels(0.0, 1.0, panels)
+    # members in blocks of at most _HYP_BLOCK powers v^{n−1}
+    blocks = np.array_split(n, -(-count * v.size // _HYP_BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = w * np.exp(z * (1.0 - v**6))
+        out = np.concatenate([m * (v ** (m[:, None] - 1) @ e) for m in blocks])
+    if not np.all(np.isfinite(out)):
+        raise PrecisionLossError(f"hyp1f1 integral is not finite at b={b0}, z={z}")
     return out
 
 
 def hyp1f1_one(b: float, z: complex) -> complex:
     """₁F₁(1; b; z) for b − 1 a positive multiple of 1/6 and complex z;
-    relative error ≲ 1e−11 for |z| ≤ 50.
+    relative error ≲ 5e−12 against mpmath for |z| ≤ 50 and b ≤ 1211/6,
+    largest where |₁F₁| is small next to the integrand.
 
     The m = 0 member of :func:`hyp1f1_one_family`.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("hyp1f1_one: non-finite z")
     return complex(hyp1f1_one_family(b, 1, z)[0])
 
 
