@@ -22,8 +22,8 @@ max(u, |b|u², |a|u⁶) (within a factor 3 of the phase bound), gives G at
 the panel edges by a cumulative sum;
 each node adds one 12-point rule on its partial panel.  The panels depend
 on (a, b) alone, so a node's value does not depend on the rest of the
-grid.  Y's ₁F₁ series (three families of terms, one per residue of the ξ₂
-power mod 3) is kept as the independent check.
+grid.  This quadrature is Y's one evaluation rule; the tests check it
+against the paper's ₁F₁ series, summed in mpmath.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import PrecisionLossError
 from .params import PhysParams
 from .propagator import volkov_phi
-from .specfun import cerfc, gl_rule, hyp1f1_one_family
+from .specfun import cerfc, gl_rule
 
 __all__ = [
     "DecayAnsatz",
@@ -127,50 +127,9 @@ class YArgs:
         return cls(xi1=xi1, xi2=xi2)
 
 
-_Y_TERM_TOL = 1e-14
-_Y_CANCEL_BOUND = 1e10
-_Y_STAGNATION = 10
 _Y_PHASE_STEP = 1.5  # step of _g_phase per panel in the first pass of G
 _Y_MAX_PANELS = 32_768  # cap on the panels of one pass of G
 _Y_CHUNK = 4096  # intervals per rule evaluation in _g_panels
-
-
-def _y_family(k: int, b0: float, xi1: complex, xi2: complex) -> tuple:
-    """A_k = Σ_n (−ξ₂)^{3n+k}/(3n+k)! · ₁F₁(1; n+b0; ξ₁)/(6n+2k+1)
-    (without the overall e^{−ξ₁}); returns (sum, peak |partial sum|)."""
-    n_max = int(abs(xi2)) + 16
-    fam = hyp1f1_one_family(b0, n_max, xi1)
-    coef = (-xi2) ** k / math.factorial(k) if k else 1.0
-    total = 0.0 + 0.0j
-    peak = 0.0
-    stagnant = 0
-    z3 = (-xi2) ** 3
-    for n in range(n_max):
-        term = coef * fam[n] / (6 * n + 2 * k + 1)
-        total += term
-        peak = max(peak, abs(total))
-        j = 3 * n + k
-        coef = coef * z3 / ((j + 1) * (j + 2) * (j + 3))
-        if abs(term) < _Y_TERM_TOL * max(abs(total), 1e-300):
-            stagnant += 1
-            if stagnant >= _Y_STAGNATION:
-                break
-        else:
-            stagnant = 0
-    return total, peak
-
-
-def _y_series(xi1: complex, xi2: complex) -> complex:
-    a0, p0 = _y_family(0, 7.0 / 6.0, xi1, xi2)
-    a1, p1 = _y_family(1, 3.0 / 2.0, xi1, xi2)
-    a2, p2 = _y_family(2, 11.0 / 6.0, xi1, xi2)
-    total = np.exp(-xi1) * (a0 + a1 + a2)
-    peak = max(p0, p1, p2) * abs(np.exp(-xi1))
-    if peak > _Y_CANCEL_BOUND * max(abs(total), 1e-300):
-        raise PrecisionLossError(
-            f"Y series cancellation beyond condition bound at xi1={xi1}, xi2={xi2}"
-        )
-    return complex(total)
 
 
 def _g_phase(aa: float, bb: float, u):
@@ -249,27 +208,23 @@ def _g_integral(a: complex, b: complex, s: np.ndarray) -> np.ndarray:
 
 
 def y_integral(args: YArgs, method: str = "quadrature"):
-    """Y = ∫₀¹ e^{−ξ₁z⁶ − ξ₂z²} dz.
+    """Y = ∫₀¹ e^{−ξ₁z⁶ − ξ₂z²} dz by quadrature, the only rule.
 
-    ``quadrature`` (the default) takes scalar or array arguments and
-    returns a complex or a complex array: each node is G(1) with
-    (a, b) = (ξ₁, ξ₂), one node at a time.  The closed forms do not call
-    it; they take Y(t) = t^{−1/2}G(√t) for a whole grid from one pass.
-    ``series`` evaluates the paper's ₁F₁ series at one node, the
-    independent check of the quadrature."""
+    Takes scalar or array arguments and returns a complex or a complex
+    array: each node is G(1) with (a, b) = (ξ₁, ξ₂), one node at a time.
+    The closed forms do not call it; they take Y(t) = t^{−1/2}G(√t) for a
+    whole grid from one pass.  ``method`` accepts ``"quadrature"`` alone."""
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
     xi1, xi2 = np.broadcast_arrays(np.asarray(args.xi1, complex), np.asarray(args.xi2, complex))
     if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
         raise ValueError("y_integral: non-finite arguments")
-    if method == "series":
-        return _y_series(complex(xi1), complex(xi2))
-    if method == "quadrature":
-        one = np.ones(1)
-        Y = np.fromiter(
-            (_g_integral(x1, x2, one)[0] for x1, x2 in zip(xi1.flat, xi2.flat)),
-            dtype=np.complex128, count=xi1.size,
-        ).reshape(xi1.shape)
-        return complex(Y) if Y.ndim == 0 else Y
-    raise ValueError(f"unknown method {method!r}")
+    one = np.ones(1)
+    Y = np.fromiter(
+        (_g_integral(x1, x2, one)[0] for x1, x2 in zip(xi1.flat, xi2.flat)),
+        dtype=np.complex128, count=xi1.size,
+    ).reshape(xi1.shape)
+    return complex(Y) if Y.ndim == 0 else Y
 
 
 _DECAY_FORMS = ("ansatz_only", "additive", "multiplicative", "combined")

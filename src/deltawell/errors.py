@@ -14,8 +14,8 @@ class NumericsError(ArithmeticError):
 class PrecisionLossError(NumericsError):
     """A result could not be computed to its advertised accuracy.
 
-    Raised instead of silently returning a wrong answer, e.g. when a
-    series suffers catastrophic cancellation beyond its condition bound.
+    Raised instead of silently returning a wrong answer, e.g. when the
+    Y(t) quadrature does not reach its tolerance within its panel cap.
     """
 
 

@@ -73,6 +73,7 @@ class IdentityReport:
 
 _ETA_MAX = 5.0  # validated range |η| ≤ 5
 _XI1_MAX = 50.0  # validated range |ξ₁| ≤ 50 of the z⁶ closed form's ₁F₁
+_CHI_MAX = 1.0  # validated range |χ| ≤ 1 of the erf–Airy ladder
 _ERF_EPS = 0.05  # first rung ε₀ of the regulator ladder ε₀, ε₀/2, ε₀/4
 _ANCHOR = -30.0  # lattice anchor: the cutoff c = −(2η² + 30) at η = 0
 _CELL = 0.15  # lattice spacing
@@ -102,11 +103,11 @@ def _ladder_cells(chi: complex) -> int:
 @functools.cache
 def _airy_table():
     """Nodes σ, w·Ai(σ) and w·Ai′(σ) of the 12-point Gauss–Legendre rule on
-    each lattice cell from σ = 16.05 down to the lower of the bottoms that
-    the validated ranges reach: the Airy–Fourier tail's at |η| = 5 (−480.6)
-    and the ε-ladder's at |χ⁶/3| = 50 (−563.1).  The cell k cells below
-    σ = −30 (k < 0 above it) is at index 12(k + 307)…12(k + 307) + 11."""
-    cells = max(_tail_cells(_ETA_MAX)[1], _ladder_cells((3.0 * _XI1_MAX) ** (1.0 / 6.0)))
+    each lattice cell from σ = 16.05 down to the Airy–Fourier tail's bottom
+    at |η| = 5 (−480.6), below the ε-ladder's at |χ| = 1 (−148.9).  The cell
+    k cells below σ = −30 (k < 0 above it) is at index
+    12(k + 307)…12(k + 307) + 11."""
+    cells = _tail_cells(_ETA_MAX)[1]
     edges = _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, cells + 1)
     sig, w = gl_rule(edges[1:], edges[:-1])
     sig, w = sig.ravel(), w.ravel()
@@ -235,12 +236,14 @@ def _erf_airy_ladder(chi: complex) -> np.ndarray:
 
 def check_airy_erf_identity(chi: complex) -> IdentityReport:
     """∫ dσ/√σ Ai(σ) erf(χ√σ) = (2χ/√π)e^{−ξ₁}{(6ξ₁/7)₁F₁(1;13/6;ξ₁)+1},
-    defined through the ε → 0 limit of the Gaussian-regularized integral."""
+    defined through the ε → 0 limit of the Gaussian-regularized integral,
+    for |χ| ≤ 1.  Over 96 phases of χ the worst unflagged relative error is
+    3.8e-4 at |χ| = 1, 7.9e-4 at 1.1 and 0.11 at 1.2, past the ladder's 1e-3
+    tolerance, so larger |χ| is refused."""
     chi = complex(chi)
+    if not abs(chi) <= _CHI_MAX:
+        raise ValueError("validated only for |chi| <= 1")
     xi1 = chi**6 / 3.0
-    # the closed form's ₁F₁ is validated for |ξ₁| ≤ 50, as in check_z6_identity
-    if not abs(xi1) <= _XI1_MAX:
-        raise ValueError("validated only for |chi^6/3| <= 50")
     if chi == 0:
         return IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0")
 

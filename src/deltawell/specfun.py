@@ -13,8 +13,9 @@ own implementation; the rest is written here:
   falls back to AMOS Bessel routines at 3–5 µs.
 * ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
   ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
-  only b the Y series and the z⁶ closed form use, by the exact integral
-  representation (DLMF §13.4) n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).
+  b of the paper's Y series and of the z⁶ closed form (which alone calls
+  it, at b = 13/6), by the exact integral representation (DLMF §13.4)
+  n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).
   Kept in-house: scipy's complex ``hyp1f1`` is off by 2.7e−10 at
   b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
@@ -31,6 +32,7 @@ inner loops call directly.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -185,7 +187,7 @@ def gl_panels(lo: float, hi: float, n_panels: int):
 
 def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     """[₁F₁(1; b0 + m; z) for m in 0..count−1], b0 − 1 a positive multiple
-    of 1/6, count ≥ 1 and z finite (ValueError otherwise).
+    of 1/6, count an integer ≥ 1 and z finite (ValueError otherwise).
 
     Every member takes the integral representation (DLMF §13.4)
     n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1) a positive integer, whose
@@ -198,8 +200,8 @@ def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     n0 = 6.0 * (b0 - 1.0)
     if not (math.isfinite(n0) and n0 > 0.5 and abs(n0 - round(n0)) <= 1e-9):
         raise ValueError(f"hyp1f1 requires b - 1 to be a positive multiple of 1/6, got b={b0}")
-    if count < 1:
-        raise ValueError(f"hyp1f1_one_family requires count >= 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"hyp1f1_one_family requires an integer count >= 1, got {count!r}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("hyp1f1: non-finite z")

@@ -46,6 +46,7 @@ closed form in the Faddeeva function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +80,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 

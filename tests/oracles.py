@@ -1,17 +1,19 @@
 """Field-free closed forms that the tests check the library against, the
-x-domain of the overlap oracles, and a quadrature of the regularized
-erf–Airy integral.
+x-domain of the overlap oracles, a quadrature of the regularized
+erf–Airy integral and the paper's ₁F₁ series for Y.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
 ``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``;
 the erf–Airy oracle takes Ai and erf from scipy and integrates with
 ``quad``, where ``identities`` uses its own Airy, erfc and Gauss–Legendre
-grid.  None validates its inputs.
+grid; the Y series sums mpmath's ``hyp1f1`` where ``approx`` integrates
+by Gauss–Legendre panels.  None validates its inputs.
 """
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import airy, erf, erfc
@@ -70,3 +72,24 @@ def erf_airy_regularized(chi, eps):
         ]
     value = complex(math.fsum(c.real for c in cells), math.fsum(c.imag for c in cells))
     return value, math.fsum(abs(c) for c in cells)
+
+
+def y_paper_series(xi1, xi2):
+    """Y = ∫₀¹ e^{−ξ₁z⁶−ξ₂z²}dz as the paper's series in 30-digit mpmath,
+
+        Y = e^{−ξ₁} Σ_j (−ξ₂)^j/j! · ₁F₁(1; 7/6 + j/3; ξ₁)/(2j + 1),
+
+    the Taylor series of e^{−ξ₂z²} integrated term by term against
+    e^{−ξ₁z⁶}.  Summed until j > |ξ₂| and a term falls below 1e-30 of the
+    sum.  The terms peak near |ξ₂|^{|ξ₂|}/|ξ₂|!, so 30 digits hold only for
+    moderate |ξ₂|: at ξ₂ = 100 the sum is wrong."""
+    with mpmath.workdps(30):
+        x1, x2 = mpmath.mpc(xi1), mpmath.mpc(xi2)
+        total, coef, j = mpmath.mpc(0), mpmath.mpf(1), 0
+        while True:
+            term = coef * mpmath.hyp1f1(1, mpmath.mpf(7) / 6 + mpmath.mpf(j) / 3, x1) / (2 * j + 1)
+            total += term
+            if j > abs(x2) and abs(term) <= mpmath.mpf(10) ** -30 * abs(total):
+                return complex(mpmath.exp(-x1) * total)
+            j += 1
+            coef *= -x2 / j

@@ -17,6 +17,7 @@ from deltawell.approx import (
 from deltawell.params import default_units
 from deltawell.propagator import volkov_phi
 from deltawell.scenario import PRESETS
+from oracles import y_paper_series
 
 mpmath.mp.dps = 30
 
@@ -76,17 +77,17 @@ def test_wkb_rate_monotone_and_zero_limit():
 
 
 # ---------------------------------------------------------------------------
-# Y(t) dual evaluation
+# Y(t): the quadrature against closed forms, mpmath and the paper's series
 # ---------------------------------------------------------------------------
 
 def test_y_at_zero_args():
-    assert y_integral(YArgs(0.0, 0.0), "series") == pytest.approx(1.0)
+    assert y_integral(YArgs(0.0, 0.0)) == pytest.approx(1.0)
     assert y_integral(YArgs(0.0, 0.0), "quadrature") == pytest.approx(1.0)
 
 
 def test_y_field_free_erf_form():
     # ξ₁ = 0: Y = ½√(π/ξ₂) erf(√ξ₂); value 0.746824 at ξ₂ = 1
-    got = y_integral(YArgs(0.0, 1.0), "series")
+    got = y_integral(YArgs(0.0, 1.0))
     want = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
     assert abs(got - want) < 1e-12
     assert want == pytest.approx(0.746824, abs=1e-6)
@@ -95,15 +96,29 @@ def test_y_field_free_erf_form():
 @pytest.mark.parametrize("xi2", [0.1, 1.0, 5.0, 1.0 + 2.0j])
 def test_y_erf_closed_form_grid(xi2):
     want = complex(0.5 * mpmath.sqrt(mpmath.pi / xi2) * mpmath.erf(mpmath.sqrt(xi2)))
-    for method in ("series", "quadrature"):
-        got = y_integral(YArgs(0.0, xi2), method)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), method
+    got = y_integral(YArgs(0.0, xi2))
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_y_series_vs_quadrature():
-    got_s = y_integral(YArgs(1.0 + 0.0j, 1.0 + 1.0j), "series")
-    got_q = y_integral(YArgs(1.0 + 0.0j, 1.0 + 1.0j), "quadrature")
-    assert abs(got_s - got_q) <= 1e-8 * abs(got_q)
+    want = y_paper_series(1.0, 1.0 + 1.0j)
+    got = y_integral(YArgs(1.0 + 0.0j, 1.0 + 1.0j))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_y_has_one_rule():
+    with pytest.raises(ValueError, match="unknown method"):
+        y_integral(YArgs(1.0, 1.0), "series")
+
+
+@pytest.mark.parametrize("xi2", [30.0, 100.0, 400.0, 1000.0])
+def test_y_large_xi2_vs_mpmath_quad(xi2):
+    # where the paper's series cancels beyond double precision: Y stays
+    # finite and accurate, in milliseconds
+    x1 = mpmath.mpc(1.0, 1.0)
+    want = complex(mpmath.quad(lambda z: mpmath.exp(-x1 * z**6 - xi2 * z**2), [0, 0.01, 0.1, 1]))
+    got = y_integral(YArgs(1.0 + 1.0j, xi2))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_y_quadrature_array_matches_scalar_calls():
@@ -210,8 +225,9 @@ def test_multiplicative_pair_shares_y():
 
 
 def test_additive_at_series_domain_edge_vs_mpmath():
-    # fig1a constants at t = 47.11 (|xi1| ~ 44, |xi2| ~ 24): the 1F1 series
-    # is off by 1.6e-8 here; the closed form must carry Y to quadrature accuracy
+    # fig1a constants at t = 47.11 (|xi1| ~ 44, |xi2| ~ 24), where the
+    # paper's 1F1 series, summed in double precision, is off by about 1e-7;
+    # the closed form must carry Y to quadrature accuracy
     p = default_units(0.1)
     a = DecayAnsatz.explicit(p, 0.0010, -0.0072)
     t = 47.11

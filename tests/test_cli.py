@@ -127,9 +127,11 @@ def test_identity_check_exit_codes(capsys):
 
 
 def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
-    # a NaN rung raises; a NaN row that reaches the table counts as failing
-    assert main(["identity-check", "airy_erf", "--points", "1.6"]) == 2
-    assert "non-finite rung" in capsys.readouterr().err
+    # χ = 1.6 lies outside the validated |χ| ≤ 1 (its ladder has a NaN
+    # rung) and is a usage error; a NaN row that reaches the table counts
+    # as failing
+    assert main(["identity-check", "airy_erf", "--points", "1.6"]) == 1
+    assert "validated only for |chi| <= 1" in capsys.readouterr().err
     nan = float("nan")
     monkeypatch.setattr(
         cli, "check_airy_erf_identity",

@@ -1,6 +1,7 @@
 """The names that the benchmark's tracer and the package exports refer to
 exist, so that trimming the library cannot break them unnoticed, and the
-identity checks start without scipy.integrate."""
+identity checks start without scipy.integrate or the test-only mpmath and
+hypothesis."""
 
 import importlib.util
 import os
@@ -44,12 +45,14 @@ def test_module_exports_exist():
 
 def test_identity_checks_leave_scipy_integrate_unloaded():
     # scipy.integrate costs about 0.4 s of start-up on every identity-check
-    # call; a fresh interpreter runs all three selectors on their default grids
+    # call, and mpmath and hypothesis are test-only dependencies, which the
+    # oracles use and the library must not; a fresh interpreter runs all
+    # three selectors on their default grids
     code = (
         "import sys\n"
         "from deltawell.cli import main\n"
         "codes = [main(['identity-check', s]) for s in ('z6', 'airy_fourier', 'airy_erf')]\n"
-        "print(codes, 'scipy.integrate' in sys.modules)\n"
+        "print(codes, [m for m in ('scipy.integrate', 'mpmath', 'hypothesis') if m in sys.modules])\n"
     )
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -57,4 +60,4 @@ def test_identity_checks_leave_scipy_integrate_unloaded():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltawell import identities, specfun
-from deltawell.approx import YArgs, y_integral
+from deltawell.errors import ConvergenceError
 from deltawell.identities import (
     check_airy_erf_identity,
     check_airy_fourier,
@@ -57,14 +57,16 @@ def test_airy_fourier_regression():
 
 
 def test_airy_fourier_tail_table_ends_at_the_validated_range():
-    # the table ends at the lower of the bottoms the validated ranges
-    # reach: the Airy–Fourier tail's at |η| = 5, the ε-ladder's at
-    # |χ⁶/3| = 50; a range below the table is an error, never a shorter one
+    # the table ends at the Airy–Fourier tail's bottom at |η| = 5, below
+    # the ε-ladder's at |χ| = 1; a range below the table is an error, never
+    # a shorter one
     cells = identities._airy_table()[0].size // 12 - identities._CELLS_ABOVE
-    chi_max = 150.0 ** (1.0 / 6.0)
-    assert cells == max(identities._tail_cells(5.0)[1], identities._ladder_cells(chi_max))
+    assert cells == identities._tail_cells(5.0)[1]
+    assert identities._ladder_cells(1.0) < cells
     with pytest.raises(ValueError, match="validated"):
         identities._airy_fourier_tail(5.2)
+    with pytest.raises(ValueError, match="validated"):
+        check_airy_erf_identity(1.01)
     with pytest.raises(ValueError, match="below the table"):
         identities._erf_airy_ladder(2.4 + 0j)
 
@@ -123,10 +125,11 @@ def test_z6_domain():
 
 
 def test_consistency_chain_with_y_series():
-    # Y(ξ₁, 0) and the z⁶ closed form are the same function through two
-    # code paths (approx series vs identities RHS)
+    # at ξ₂ = 0 the paper's Y series is its j = 0 term e^{−ξ₁}₁F₁(1;7/6;ξ₁);
+    # the z⁶ closed form takes ₁F₁(1;13/6;ξ₁), so the two agree through the
+    # contiguous relation (6ξ₁/7)₁F₁(1;13/6;ξ₁) + 1 = ₁F₁(1;7/6;ξ₁)
     for xi1 in (0.1, 1.0, 2.0, 5.0j, 1.0 + 3.0j):
-        a = y_integral(YArgs(xi1, 0.0), "series")
+        a = np.exp(-xi1) * specfun.hyp1f1_one(7.0 / 6.0, xi1)
         b = z6_closed_form(xi1)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
@@ -155,6 +158,12 @@ def test_airy_erf_complex_chi():
     assert r.flags or r.rel_err <= 1e-2
 
 
+def test_airy_erf_ladder_non_finite_rung_raises():
+    # outside |χ| ≤ 1 the unchecked ladder has a non-finite rung at χ = 1.6
+    with pytest.raises(ConvergenceError, match="non-finite rung"):
+        identities._erf_airy_ladder(1.6 + 0j)
+
+
 def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
     identities._airy_table()
     sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
@@ -166,7 +175,7 @@ def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
         return real(z)
 
     monkeypatch.setattr(identities, "cerfc", spy)
-    for chi in (0.05, 0.3, 1.0 + 0.5j):
+    for chi in (0.05, 0.3, 0.8 + 0.5j):
         check_airy_erf_identity(chi)
     # Ai comes from the table; erf is one array call per χ
     assert not sizes and not airy_ai_calls

@@ -210,7 +210,7 @@ def test_hyp_domain_error():
 def test_hyp_accuracy_grid_vs_oracle(rng):
     zs = list(rng.uniform(-50, 50, 40) + 1j * rng.uniform(-50, 50, 40))
     zs += [50.0j, -50.0j, 14.9j, 15.1j, 41.7j, -35.0 + 0.0j, 50.0 + 0.0j]
-    # 7/6 + 100 and 11/6 + 200: large-b members as the Y series takes them
+    # 7/6 + 100 and 11/6 + 200: large-b members, where v^{n−1} is 1/n wide at v = 1
     for b in (7.0 / 6.0, 3.0 / 2.0, 11.0 / 6.0, 13.0 / 6.0, 17.0 / 6.0, 37.0 / 6.0, 61.0,
               7.0 / 6.0 + 100.0, 11.0 / 6.0 + 200.0):
         for z in zs:
@@ -265,6 +265,12 @@ def test_hyp_family_rejects_non_finite_z(z):
 def test_hyp_family_rejects_empty_count():
     with pytest.raises(ValueError, match="count"):
         hyp1f1_one_family(7.0 / 6.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
+def test_hyp_family_rejects_non_integer_count(count):
+    with pytest.raises(ValueError, match="integer count"):
+        hyp1f1_one_family(7.0 / 6.0, count, 1.0)
 
 
 def test_hyp_family_matches_scalar():

@@ -48,6 +48,11 @@ def test_grid_validation():
     assert g.index_of(1.5) == 3
     with pytest.raises(ValueError):
         g.index_of(0.7)
+    # a float count would put nodes past t_max or break the march's slices
+    for n in (2.5, 10.5, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(1.0, n)
+    assert TimeGrid(1.0, np.int64(10)).nodes[-1] == 1.0
 
 
 def test_series_rejects_non_finite():
