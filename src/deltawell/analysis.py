@@ -34,7 +34,6 @@ __all__ = [
     "density_proxy",
     "FitResult",
     "fit_c",
-    "count_extrema",
 ]
 
 _LOG_FLOOR = 1e-12  # |ln(ψ/√B)| on the plateau window below which no plateau is fitted
@@ -177,13 +176,3 @@ def fit_c(exact: ComplexSeries, params: PhysParams, ansatz_base: DecayAnsatz) ->
             f2 = objective(x2)
     c_opt = 0.5 * (a + b)
     return FitResult(c=float(c_opt), objective=objective(c_opt), multimodal=False)
-
-
-def count_extrema(t: np.ndarray, y: np.ndarray, t_lo: float, t_hi: float) -> tuple:
-    """(#local maxima, #local minima) of y on t ∈ [t_lo, t_hi], from sign
-    changes of the discrete derivative; used for ripple detection."""
-    m = (t >= t_lo) & (t <= t_hi)
-    dy = np.sign(np.diff(y[m]))
-    dy = dy[dy != 0]
-    flips = np.diff(dy)
-    return int(np.sum(flips < 0)), int(np.sum(flips > 0))

@@ -8,6 +8,12 @@ Subcommands:
     identity-check  verify the Airy integral identities on a value grid
     figures         run a figure preset (fig1a … fig3d)
 
+solve, approx and figures share one handler and differ only in their
+defaults.  For every scenario field the defaults come first, then the
+--config file (a JSON object of ScenarioConfig fields only), then the
+flags.  fit-c sets c = "fit", takes no c (flag or file) and writes the
+summary of the exact series and the chosen methods.
+
 Exit codes: 0 success, 1 usage error, 2 numerical flag raised (partial
 output is still written).  All dataset output is deterministic for a
 fixed configuration.
@@ -18,11 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .identities import check_airy_fourier, check_airy_erf_identity, check_z6_identity
 from .scenario import (
+    ANSATZ_SOURCES,
     METHODS,
     PRESETS,
     ScenarioConfig,
@@ -52,12 +59,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser):
+    # a scenario flag's dest is its ScenarioConfig field, which _load_config looks up by name
     p.add_argument("--f", type=float, help="relative field strength f = mF/(hbar^2 B^3)")
     p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--steps", type=int, dest="n_steps")
     p.add_argument("--rule", choices=tuple(RULE_ORDER))
     p.add_argument("--c", help="mixing weight in [0,1], or 'fit'")
-    p.add_argument("--ansatz", choices=("wkb", "fit", "explicit", "auto"), dest="ansatz_source")
+    p.add_argument("--ansatz", choices=ANSATZ_SOURCES, dest="ansatz_source")
     p.add_argument("--gamma", type=float, help="explicit ansatz decay rate")
     p.add_argument("--delta", type=float, help="explicit ansatz level shift")
     p.add_argument("--config", help="JSON config file (flags override file values)")
@@ -65,8 +73,15 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), help="dataset format (default csv)")
 
 
+def _add_method_flag(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--method", action="append", dest="methods", choices=[m for m in METHODS if m != "exact"],
+        help="may be repeated; default decay_combined",
+    )
+
+
 def _load_config(args, defaults: dict) -> ScenarioConfig:
-    # precedence: flags over the --config file over ``defaults``
+    # precedence for every field: flags over the --config file over ``defaults``
     base = dict(defaults)
     if args.config:
         try:
@@ -75,16 +90,14 @@ def _load_config(args, defaults: dict) -> ScenarioConfig:
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(doc, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
-        unknown = set(doc) - set(ScenarioConfig.__dataclass_fields__) - {"methods", "out", "format"}
+        unknown = set(doc) - set(ScenarioConfig.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         base.update(doc)
-    for key in ("f", "t_max", "n_steps", "rule", "c", "ansatz_source", "gamma", "delta"):
+    for key in ScenarioConfig.__dataclass_fields__:
         v = getattr(args, key, None)
         if v is not None:
             base[key] = v
-    base.pop("out", None)
-    base.pop("format", None)
     if isinstance(base.get("methods"), list):
         base["methods"] = tuple(base["methods"])
     if isinstance(base.get("c"), str) and base["c"] != "fit":
@@ -115,25 +128,27 @@ def _emit_result(result, args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    config = _load_config(args, {"methods": ("exact",)})
-    return _emit_result(run_scenario(config), args)
+_DEFAULT_METHODS = {"solve": ("exact",), "approx": ("decay_combined",)}
 
 
-def _cmd_approx(args) -> int:
-    methods = tuple(args.method) if args.method else ("decay_combined",)
-    config = _load_config(args, {"methods": methods})
-    return _emit_result(run_scenario(config), args)
+def _cmd_scenario(args) -> int:
+    # solve, approx and figures differ only in the defaults under the file and the flags
+    if args.command == "figures":
+        try:
+            defaults = asdict(preset_config(args.preset))
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    else:
+        defaults = {"methods": _DEFAULT_METHODS[args.command]}
+    return _emit_result(run_scenario(_load_config(args, defaults)), args)
 
 
 def _cmd_fit_c(args) -> int:
-    args.c = "fit"
-    if args.method:
-        methods = ("exact",) + tuple(args.method)
-    else:
-        methods = ("exact", "decay_combined")
-    config = _load_config(args, {"methods": methods})
-    result = run_scenario(config)
+    config = _load_config(args, {"methods": ("decay_combined",)})
+    if config.c is not None:
+        raise UsageError("fit-c fits c itself and takes no c, from --c or the config file")
+    methods = ("exact", *(m for m in config.methods if m != "exact"))
+    result = run_scenario(replace(config, c="fit", methods=methods))
     print(f"fitted c = {result.summary['fitted_c']:.4f}")
     if args.out:
         Path(args.out).write_text(summary_to_json(result))
@@ -181,34 +196,22 @@ def _cmd_identity_check(args) -> int:
     return 0
 
 
-def _cmd_figures(args) -> int:
-    try:
-        preset = preset_config(args.preset)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    config = _load_config(args, asdict(preset))
-    return _emit_result(run_scenario(config), args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="deltawell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="exact Volterra solve", parents=[], add_help=True)
+    p = sub.add_parser("solve", help="exact Volterra solve")
     _add_scenario_flags(p)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("approx", help="closed-form approximations")
     _add_scenario_flags(p)
-    p.add_argument(
-        "--method", action="append", choices=[m for m in METHODS if m != "exact"],
-        help="may be repeated; default decay_combined",
-    )
-    p.set_defaults(func=_cmd_approx)
+    _add_method_flag(p)
+    p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("fit-c", help="fit the mixing weight against the exact solve")
     _add_scenario_flags(p)
-    p.add_argument("--method", action="append", choices=[m for m in METHODS if m != "exact"])
+    _add_method_flag(p)
     p.set_defaults(func=_cmd_fit_c)
 
     p = sub.add_parser("identity-check", help="verify Airy integral identities")
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="run a figure preset")
     p.add_argument("preset", help=f"one of {', '.join(sorted(PRESETS))}")
     _add_scenario_flags(p)
-    p.set_defaults(func=_cmd_figures)
+    p.set_defaults(func=_cmd_scenario)
 
     return parser
 

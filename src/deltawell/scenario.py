@@ -42,6 +42,8 @@ METHODS = (
     "decay_combined",
 )
 
+ANSATZ_SOURCES = ("wkb", "fit", "explicit", "auto")
+
 COLUMNS = ("t", "re", "im", "abs2", "gamma", "delta", "proxy", "method")
 _CSV_CHUNK = 4096  # rows converted to Python floats at a time
 
@@ -56,7 +58,7 @@ class ScenarioConfig:
     n_steps: int = 8000
     methods: tuple = ("exact",)
     c: object = None          # float, "fit", or None (→ 1.0)
-    ansatz_source: str = "auto"  # wkb | fit | explicit | auto
+    ansatz_source: str = "auto"  # one of ANSATZ_SOURCES
     gamma: object = None
     delta: object = None
     rule: str = "linear"
@@ -79,7 +81,7 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
-        if self.ansatz_source not in ("wkb", "fit", "explicit", "auto"):
+        if self.ansatz_source not in ANSATZ_SOURCES:
             raise ValueError(f"unknown ansatz_source {self.ansatz_source!r}")
         if self.ansatz_source == "explicit":
             if self.gamma is None or self.delta is None:
@@ -109,32 +111,15 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    grid: TimeGrid
-    series: dict          # method -> ComplexSeries
     tables: dict          # method -> structured column dict
     summary: dict
     flags: tuple = field(default_factory=tuple)
 
 
-def _needs_exact(config: ScenarioConfig) -> bool:
-    if "exact" in config.methods:
-        return True
-    if config.c == "fit":
-        return True
-    src = config.ansatz_source
-    if src == "fit" or (src == "auto" and config.f > 0.2):
-        return True
-    return False
-
-
-def _build_ansatz(config, params, exact_sol: VolterraSolution | None, summary) -> DecayAnsatz:
-    src = config.ansatz_source
-    if src == "auto":
-        src = "wkb" if config.f <= 0.2 else "fit"
-    summary["ansatz_source"] = src
-    if src == "explicit":
+def _build_ansatz(config, source, params, exact_sol: VolterraSolution | None) -> DecayAnsatz:
+    if source == "explicit":
         return DecayAnsatz.explicit(params, float(config.gamma), float(config.delta))
-    if src == "wkb":
+    if source == "wkb":
         return DecayAnsatz.from_wkb(params)
     try:
         gam, del_ = plateau(extract_rate_shift(exact_sol.series, params))
@@ -151,46 +136,51 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     summary: dict = {"f": config.f, "rule": config.rule}
     flags: list = []
 
+    # the plan: each product is computed only when an output needs it
+    source = config.ansatz_source
+    if source == "auto":
+        source = "wkb" if config.f <= 0.2 else "fit"
+    fit = config.c == "fit"
+    needs_ansatz = fit or any(m.startswith("decay") or m == "exp_ansatz" for m in config.methods)
+
     exact_sol = None
-    if _needs_exact(config):
+    if "exact" in config.methods or (needs_ansatz and (fit or source == "fit")):
         exact_sol = solve_psi0(params, grid, config.rule)
         flags.extend(exact_sol.flags)
         summary["err_est"] = exact_sol.err_est
 
     ansatz = None
-    if any(m.startswith("decay") or m == "exp_ansatz" for m in config.methods):
-        ansatz = _build_ansatz(config, params, exact_sol, summary)
+    if needs_ansatz:
+        ansatz = _build_ansatz(config, source, params, exact_sol)
+        summary["ansatz_source"] = source
         summary["ansatz_gamma"] = ansatz.gamma
         summary["ansatz_delta"] = ansatz.delta
 
         c_val = config.c
-        if c_val == "fit":
-            fit = fit_c(exact_sol.series, params, ansatz)
-            summary["fitted_c"] = fit.c
-            if fit.multimodal:
+        if fit:
+            fit_result = fit_c(exact_sol.series, params, ansatz)
+            summary["fitted_c"] = fit_result.c
+            if fit_result.multimodal:
                 flags.append("fit_c_multimodal")
-            c_val = fit.c
+            c_val = fit_result.c
         elif c_val is None:
             c_val = 1.0
         ansatz = DecayAnsatz(E_f=ansatz.E_f, gamma=ansatz.gamma, delta=ansatz.delta, c=float(c_val))
         summary["c"] = ansatz.c
 
-    series: dict = {}
-    for m in config.methods:
-        if m == "exact":
-            series[m] = exact_sol.series
-            continue
-        if m == "first_scheme":
-            values = first_scheme_psi0(params, t)
-        else:
-            form = {"exp_ansatz": "ansatz_only"}.get(m, m.removeprefix("decay_"))
-            values = decay_closed_psi0(params, t, ansatz, form)
-        if not np.all(np.isfinite(values)):
-            raise NumericsError(f"{m} is not finite on this grid")
-        series[m] = ComplexSeries(grid, values)
-
     tables: dict = {}
-    for m, s in series.items():
+    for m in dict.fromkeys(config.methods):  # each method once, in order
+        if m == "exact":
+            s = exact_sol.series
+        else:
+            if m == "first_scheme":
+                values = first_scheme_psi0(params, t)
+            else:
+                form = {"exp_ansatz": "ansatz_only"}.get(m, m.removeprefix("decay_"))
+                values = decay_closed_psi0(params, t, ansatz, form)
+            if not np.all(np.isfinite(values)):
+                raise NumericsError(f"{m} is not finite on this grid")
+            s = ComplexSeries(grid, values)
         proxy = density_proxy(s, params)
         try:
             rss = extract_rate_shift(s, params)
@@ -213,10 +203,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             "proxy": proxy,
         }
 
-    return ScenarioResult(
-        config=config, grid=grid, series=series, tables=tables,
-        summary=summary, flags=tuple(flags),
-    )
+    return ScenarioResult(config=config, tables=tables, summary=summary, flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------

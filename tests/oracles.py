@@ -1,6 +1,7 @@
 """Field-free closed forms that the tests check the library against, the
 x-domain of the overlap oracles, a quadrature of the regularized
-erf–Airy integral and the paper's ₁F₁ series for Y.
+erf–Airy integral, the paper's ₁F₁ series for Y and an extremum counter
+for ripple tests.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
 ``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``;
@@ -93,3 +94,13 @@ def y_paper_series(xi1, xi2):
                 return complex(mpmath.exp(-x1) * total)
             j += 1
             coef *= -x2 / j
+
+
+def count_extrema(t: np.ndarray, y: np.ndarray, t_lo: float, t_hi: float) -> tuple:
+    """(#local maxima, #local minima) of y on t ∈ [t_lo, t_hi], from sign
+    changes of the discrete derivative; used for ripple detection."""
+    m = (t >= t_lo) & (t <= t_hi)
+    dy = np.sign(np.diff(y[m]))
+    dy = dy[dy != 0]
+    flips = np.diff(dy)
+    return int(np.sum(flips < 0)), int(np.sum(flips > 0))

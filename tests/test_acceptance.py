@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from deltawell.analysis import (
-    count_extrema,
     density_proxy,
     extract_rate_shift,
     fit_c,
@@ -26,7 +25,7 @@ from deltawell.identities import (
 )
 from deltawell.params import default_units
 from deltawell.volterra import ComplexSeries, TimeGrid, bound_overlap, solve_psi0
-from oracles import y_paper_series
+from oracles import count_extrema, y_paper_series
 
 # reference values: f -> (Gamma_f, Delta_f, grid)
 REFERENCE = {

@@ -82,9 +82,14 @@ def test_json_format(tmp_path):
 def test_usage_errors_exit_1(tmp_path, capsys):
     not_an_object = tmp_path / "five.json"
     not_an_object.write_text("5")
-    bad_docs = [tmp_path / f"bad{i}.json" for i in range(4)]
-    for path, doc in zip(bad_docs, ({"n_steps": 100.5}, {"rule": "cubic"}, {"hbar": -1}, {"mass": 0})):
+    # out and format are flags only, not scenario fields
+    docs = ({"n_steps": 100.5}, {"rule": "cubic"}, {"hbar": -1}, {"mass": 0},
+            {"out": str(tmp_path / "x.csv")}, {"format": "json"})
+    bad_docs = [tmp_path / f"bad{i}.json" for i in range(len(docs))]
+    for path, doc in zip(bad_docs, docs):
         path.write_text(json.dumps(doc))
+    fit_c_doc = tmp_path / "c.json"  # fit-c fits c and takes none
+    fit_c_doc.write_text(json.dumps({"c": 0.3}))
     for argv in (
         ["solve", "--f", "-1", "--t-max", "2", "--steps", "100"],
         ["figures", "fig9z"],
@@ -104,6 +109,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["identity-check", "z6", "--points", "nan"],
         ["identity-check", "airy_erf", "--points", "1e9"],
         ["solve", "--t-max", "1e200", "--steps", "100"],
+        ["fit-c", "--c", "0.3", "--t-max", "2", "--steps", "50"],
+        ["fit-c", "--config", str(fit_c_doc), "--t-max", "2", "--steps", "50"],
         *(["solve", "--config", str(path)] for path in bad_docs),
     ):
         assert main(argv) == 1, argv
@@ -167,6 +174,13 @@ def test_config_file_with_flag_override(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["f"] == 0.1       # flag wins
     assert doc["config"]["t_max"] == 3.0   # file value kept
+    # --method overrides the file's methods like every other flag
+    methods_cfg = tmp_path / "methods.json"
+    methods_cfg.write_text(json.dumps({"methods": ["decay_combined"], "t_max": 2.0, "n_steps": 50}))
+    csv = tmp_path / "m.csv"
+    assert main(["approx", "--config", str(methods_cfg), "--method", "first_scheme",
+                 "--out", str(csv)]) == 0
+    assert {row[7] for row in _read_rows(csv)[1]} == {"first_scheme"}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": 1}))
     assert main(["solve", "--config", str(bad)]) == 1
@@ -204,6 +218,28 @@ def test_fit_c_subcommand(tmp_path, capsys):
     assert "fitted c" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert 0.4 <= doc["summary"]["fitted_c"] <= 0.8
+
+
+def test_fit_c_without_closed_form_reports_fitted_c(tmp_path, capsys):
+    # c = "fit" needs the ansatz even when no decay method is written
+    out = tmp_path / "fit.json"
+    rc = main(["fit-c", "--f", "0.5", "--t-max", "4", "--steps", "200",
+               "--method", "first_scheme", "--out", str(out)])
+    assert rc == 0
+    assert "fitted c" in capsys.readouterr().out
+    assert 0.0 <= json.loads(out.read_text())["summary"]["fitted_c"] <= 1.0
+
+
+def test_closed_form_run_skips_the_exact_solve(tmp_path):
+    # at f = 2 the auto ansatz would be fitted, but first_scheme needs no
+    # ansatz; the coarse exact solve, whose flags would exit 2, is not run
+    out = tmp_path / "coarse.csv"
+    rc = main(["approx", "--f", "2", "--t-max", "20", "--steps", "60",
+               "--method", "first_scheme", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "coarse.csv.summary.json").read_text())
+    assert "err_est" not in doc["summary"]
+    assert doc["flags"] == []
 
 
 _ANSATZ_ARGV = st.one_of(

@@ -1,7 +1,7 @@
 """The names that the benchmark's tracer and the package exports refer to
-exist, so that trimming the library cannot break them unnoticed, and the
+exist, so that trimming the library cannot break them unnoticed, the
 identity checks start without scipy.integrate or the test-only mpmath and
-hypothesis."""
+hypothesis, and every scenario flag overrides the config field it names."""
 
 import importlib.util
 import os
@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import deltawell
+from deltawell.cli import build_parser
+from deltawell.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -61,3 +63,16 @@ def test_identity_checks_leave_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_scenario_flags_are_config_fields():
+    # the CLI finds the flags that override the config file by field name,
+    # so a scenario flag whose dest is not a ScenarioConfig field would
+    # escape the defaults < file < flags precedence
+    parser = build_parser()
+    allowed = set(ScenarioConfig.__dataclass_fields__) | {
+        "config", "out", "format", "preset", "command", "func",
+    }
+    for argv in (["solve"], ["approx"], ["fit-c"], ["figures", "fig1a"]):
+        dests = set(vars(parser.parse_args(argv)))
+        assert dests - allowed == set(), argv
