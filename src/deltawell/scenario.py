@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -46,6 +47,11 @@ ANSATZ_SOURCES = ("wkb", "fit", "explicit", "auto")
 
 COLUMNS = ("t", "re", "im", "abs2", "gamma", "delta", "proxy", "method")
 _CSV_CHUNK = 4096  # rows converted to Python floats at a time
+# rows per formatting block, at least: the smallest table at which two blocks
+# beat one in 9 of 10 alternating trials (each the best of 5 per side) had
+# 6 000 rows, on 2 vCPUs with Python 3.11; below about 2 000 rows the fork
+# costs more than the second CPU saves
+_MIN_BLOCK_ROWS = 3000
 
 
 @dataclass
@@ -81,6 +87,8 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
         if self.ansatz_source not in ANSATZ_SOURCES:
             raise ValueError(f"unknown ansatz_source {self.ansatz_source!r}")
         if self.ansatz_source == "explicit":
@@ -169,7 +177,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         summary["c"] = ansatz.c
 
     tables: dict = {}
-    for m in dict.fromkeys(config.methods):  # each method once, in order
+    for m in config.methods:
         if m == "exact":
             s = exact_sol.series
         else:
@@ -216,17 +224,89 @@ def _config_lines(config: ScenarioConfig):
     return [f"# {k} = {d[k]}" for k in sorted(d)]
 
 
+def _csv_rows(tables: dict, methods, lo: int, hi: int) -> str:
+    """Data rows lo … hi − 1 of the dataset, counted over the methods in
+    order, joined by newlines."""
+    lines = []
+    start = 0
+    for m in methods:
+        tb = tables[m]
+        n = len(tb["t"])
+        # .tolist() gives Python floats, whose repr is the shortest round-trip
+        # form; chunks bound the memory those floats take
+        stop = min(hi - start, n)
+        for a in range(max(lo - start, 0), stop, _CSV_CHUNK):
+            cols = [tb[c][a : min(a + _CSV_CHUNK, stop)].tolist() for c in COLUMNS[:-1]]
+            lines.extend(",".join(map(repr, row)) + f",{m}" for row in zip(*cols))
+        start += n
+    return "\n".join(lines)
+
+
+def _block_count(rows: int) -> int:
+    # where os.fork or os.sched_getaffinity is missing, one in-process block
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_BLOCK_ROWS))
+
+
+def _fork_block(tables: dict, methods, lo: int, hi: int, inherited) -> tuple[int, int]:
+    """Format rows lo … hi − 1 in a forked worker; returns its pid and the
+    read end of the pipe that carries its text.  Fork, not spawn: the worker
+    inherits the table instead of importing numpy and receiving a pickled
+    copy, and it runs only slicing, .tolist() and float repr, so it takes
+    no lock that another thread (a BLAS pool) could hold at the fork."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the worker leaves only through os._exit, never into the caller
+        code = 1
+        try:
+            for fd in (r, *inherited):
+                os.close(fd)
+            with open(w, "wb") as out:
+                out.write(_csv_rows(tables, methods, lo, hi).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _data_rows(tables: dict, methods) -> list:
+    """The dataset's data rows as contiguous blocks, one per usable CPU
+    when the table is large enough: block 0 is formatted here, each other
+    block in a forked worker.  Every worker is reaped, also when this
+    raises, and one that fails raises ChildProcessError."""
+    total = sum(len(tables[m]["t"]) for m in methods)
+    n = _block_count(total)
+    edges = [total * k // n for k in range(n + 1)]
+    workers = []  # (pid, read end) of blocks 1 … n − 1
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            workers.append(_fork_block(tables, methods, lo, hi, [r for _, r in workers]))
+        blocks = [_csv_rows(tables, methods, 0, edges[1])]
+        for _, r in workers:
+            with open(r, "rb", closefd=False) as pipe:
+                blocks.append(pipe.read().decode())
+    finally:
+        for _, r in workers:
+            os.close(r)
+        codes = [(pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])) for pid, _ in workers]
+    failed = [f"{pid} (exit {code})" for pid, code in codes if code != 0]
+    if failed:
+        raise ChildProcessError(f"dataset worker(s) failed: {', '.join(failed)}")
+    return blocks
+
+
 def result_to_csv(result: ScenarioResult) -> str:
     lines = ["# deltawell scenario dataset"]
     lines.extend(_config_lines(result.config))
     lines.append(",".join(COLUMNS))
-    for m in result.config.methods:
-        tb = result.tables[m]
-        # .tolist() gives Python floats, whose repr is the shortest round-trip
-        # form; chunks bound the memory those floats take
-        for lo in range(0, len(tb["t"]), _CSV_CHUNK):
-            cols = [tb[c][lo : lo + _CSV_CHUNK].tolist() for c in COLUMNS[:-1]]
-            lines.extend(",".join(map(repr, row)) + f",{m}" for row in zip(*cols))
+    lines.extend(_data_rows(result.tables, result.config.methods))
     return "\n".join(lines) + "\n"
 
 

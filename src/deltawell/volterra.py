@@ -355,7 +355,8 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
     oscillatory moments on every panel whose phase advance exceeds the
     switch threshold.  A scalar x gives a complex, an array a complex array
     of its shape; x must be finite.  An |x| within _X_ORIGIN·√(2ℏh/m) of
-    the well gives ψ(0,t)."""
+    the well gives ψ(0,t).  A non-finite value raises `ConvergenceError`,
+    naming the first such x."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
@@ -373,7 +374,13 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
     if i == 0:
         out[off] = bound_state(flat[off], params)
     elif off.any():
-        out[off] = _psi_off_origin(sol, flat[off], t, i)
+        # far from the well A = mx²/(2ℏ) and the Fresnel terms overflow: a
+        # non-finite value is raised below, never warned about or returned
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[off] = _psi_off_origin(sol, flat[off], t, i)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ConvergenceError(f"non-finite ψ(x, t) at x={flat[bad[0]]:g}, t={t:g}")
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -33,3 +35,16 @@ def assert_close(got, want, tol, label=""):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no children at all
+    pytest.fail(f"the test left child process {pid or '(still running)'} behind")

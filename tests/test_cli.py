@@ -8,9 +8,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deltawell import cli
+from deltawell import cli, scenario
 from deltawell.cli import main
 from deltawell.identities import IdentityReport
 from deltawell.scenario import (
@@ -305,22 +307,105 @@ def test_unresolved_grid_plateau_is_flagged(tmp_path):
     assert "within 1e-12 of 1" in doc["summary"]["exact_extraction_error"]
 
 
-def test_dataset_rows_match_per_value_repr():
-    # NaN columns from a failed extraction, and more rows than one chunk
+@pytest.fixture(scope="module")
+def split_result():
+    # 6 × _MIN_BLOCK_ROWS rows over three methods, NaN gamma/delta columns
+    # from failed extractions: four blocks cut inside each method
+    config = ScenarioConfig(t_max=1e-300, n_steps=2 * scenario._MIN_BLOCK_ROWS - 1,
+                            methods=("exact", "first_scheme", "decay_combined"))
+    return run_scenario(config)
+
+
+def _four_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+
+def test_dataset_rows_match_per_value_repr(monkeypatch, split_result):
+    # NaN columns from a failed extraction, and more rows than one chunk;
+    # with four CPUs the split table is formatted in four blocks, three of
+    # them forked
     config = ScenarioConfig(t_max=1e-300, n_steps=5000, methods=("exact", "first_scheme"))
+    small = run_scenario(config)
+    assert "exact_extraction_failed" in small.flags
+    assert all(np.isnan(tb["gamma"]).all() for tb in split_result.tables.values())
+    _four_cpus(monkeypatch)
+    total = sum(len(tb["t"]) for tb in split_result.tables.values())
+    assert scenario._block_count(total) == (4 if hasattr(os, "fork") else 1)
+    for result in (small, split_result):
+        methods = result.config.methods
+        rows = {m: [[float(v) for v in tb[c]] for c in COLUMNS[:-1]] for m, tb in result.tables.items()}
+        lines = [
+            ",".join(repr(float(v)) for v in row) + f",{m}"
+            for m in methods
+            for row in zip(*(result.tables[m][c] for c in COLUMNS[:-1]))
+        ]
+        csv = result_to_csv(result)
+        assert csv.endswith("\n" + ",".join(COLUMNS) + "\n" + "\n".join(lines) + "\n")
+        assert result_to_json(result) == _json(result, rows={
+            m: dict(zip(COLUMNS[:-1], cols)) for m, cols in rows.items()
+        })
+
+
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: rows are formatted in-process")
+
+
+def _refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+@_NEEDS_FORK
+def test_dataset_below_two_blocks_starts_no_process(monkeypatch):
+    # two methods of _MIN_BLOCK_ROWS − 1 rows: one row short of two blocks
+    config = ScenarioConfig(t_max=2.0, n_steps=scenario._MIN_BLOCK_ROWS - 2,
+                            methods=("first_scheme", "decay_combined"))
     result = run_scenario(config)
-    assert "exact_extraction_failed" in result.flags
-    rows = {m: [[float(v) for v in tb[c]] for c in COLUMNS[:-1]] for m, tb in result.tables.items()}
-    lines = [
-        ",".join(repr(float(v)) for v in row) + f",{m}"
-        for m in config.methods
-        for row in zip(*(result.tables[m][c] for c in COLUMNS[:-1]))
-    ]
-    csv = result_to_csv(result)
-    assert csv.endswith("\n" + ",".join(COLUMNS) + "\n" + "\n".join(lines) + "\n")
-    assert result_to_json(result) == _json(result, rows={
-        m: dict(zip(COLUMNS[:-1], cols)) for m, cols in rows.items()
-    })
+    _four_cpus(monkeypatch)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert sum(len(tb["t"]) for tb in result.tables.values()) == 2 * scenario._MIN_BLOCK_ROWS - 2
+    assert result_to_csv(result).endswith(",decay_combined\n")
+
+
+@_NEEDS_FORK
+def test_dataset_without_fork_is_formatted_in_process(monkeypatch, split_result):
+    _four_cpus(monkeypatch)
+    split = result_to_csv(split_result)
+    monkeypatch.delattr(os, "fork")
+    assert result_to_csv(split_result) == split
+
+
+@_NEEDS_FORK
+def test_failed_block_raises_and_reaps_every_worker(monkeypatch, split_result):
+    # forked workers keep the patched formatter; the conftest fixture checks
+    # that no child is left behind
+    _four_cpus(monkeypatch)
+    rows = scenario._csv_rows
+
+    def failing(block):
+        def fmt(tables, methods, lo, hi):
+            if (lo > 0) == (block == "worker"):
+                raise RuntimeError(f"{block} block failed")
+            return rows(tables, methods, lo, hi)
+        return fmt
+
+    monkeypatch.setattr(scenario, "_csv_rows", failing("worker"))
+    with pytest.raises(ChildProcessError, match=r"(\(exit 1\).*){3}"):
+        result_to_csv(split_result)
+    monkeypatch.setattr(scenario, "_csv_rows", failing("parent"))
+    with pytest.raises(RuntimeError, match="parent block failed"):
+        result_to_csv(split_result)
+
+
+def test_repeated_methods_exit_1(tmp_path, capsys):
+    doc = tmp_path / "d.json"
+    doc.write_text(json.dumps({"methods": ["exact", "exact"]}))
+    out = tmp_path / "d.csv"
+    for argv in (
+        ["solve", "--config", str(doc), "--t-max", "2", "--steps", "20"],
+        ["approx", "--method", "first_scheme", "--method", "first_scheme", "--t-max", "2", "--steps", "20"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        assert "methods must not repeat" in capsys.readouterr().err, argv
+        assert not out.exists()
 
 
 def _fresh_python(*args, cwd=None):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -594,6 +595,16 @@ def test_fresnel_T_vs_mpmath(X):
         want = complex(2 * mpmath.expj(X) / w + 4j * phi)
     got = _fresnel_T(np.array([X]))[0][0]
     assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("x", [1e10, -1e10, 1e200])
+def test_reconstruct_far_x_raises(x):
+    # A = mx²/(2ℏ) and the Fresnel terms overflow: an error naming the first
+    # such x, with no RuntimeWarning (an error under the suite's filter)
+    sol = solve_psi0(default_units(1.0), TimeGrid(4.0, 400))
+    for xs in (x, np.array([1.0, x, 2.0 * x])):
+        with pytest.raises(ConvergenceError, match=re.escape(f"at x={x:g}, t=4")):
+            reconstruct_psi_x(sol, xs, 4.0)
 
 
 @pytest.mark.xfail(
