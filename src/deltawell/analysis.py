@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import DecayAnsatz, _decay_pair
-from .params import PhysParams
 from .volterra import ComplexSeries, TimeGrid
 
 __all__ = [
@@ -52,12 +51,13 @@ class RateShiftSeries:
     log_amp: np.ndarray  # ln|ψ/√B|
 
 
-def extract_rate_shift(series: ComplexSeries, params: PhysParams) -> RateShiftSeries:
+def extract_rate_shift(series: ComplexSeries) -> RateShiftSeries:
     """Running decay rate and level shift of a ψ(0,t) series.
 
     Preconditions enforced: the series starts at √B (within 1e−9), stays
     above 1e−12 in magnitude, and advances its phase by less than π per
     step (else the grid is too coarse to unwrap)."""
+    params = series.params
     sqB = math.sqrt(params.B)
     vals = series.values
     if abs(vals[0] - sqB) > 1e-9 * sqB:
@@ -122,9 +122,9 @@ def plateau(rss: RateShiftSeries) -> tuple:
     return gam, del_
 
 
-def density_proxy(series: ComplexSeries, params: PhysParams) -> np.ndarray:
+def density_proxy(series: ComplexSeries) -> np.ndarray:
     """Ionization proxy 1 − |ψ(0,t)|²/B (0 at t = 0, → 1 at full depletion)."""
-    return 1.0 - np.abs(series.values) ** 2 / params.B
+    return 1.0 - np.abs(series.values) ** 2 / series.params.B
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,14 @@ class FitResult:
     multimodal: bool = False
 
 
-def fit_c(exact: ComplexSeries, params: PhysParams, ansatz_base: DecayAnsatz) -> FitResult:
+def fit_c(exact: ComplexSeries, ansatz_base: DecayAnsatz) -> FitResult:
     """Fit the mixing weight: c = argmin Σ_i (|combined(t_i;c)|² − |exact(t_i)|²)².
 
     The additive and multiplicative series are precomputed once, so the
     objective is cheap; minimized by golden-section to |Δc| ≤ 1e−3 after a
     coarse unimodality scan (a non-unimodal scan returns the best scanned
     c with the multimodal flag set)."""
-    add, mul = _decay_pair(params, exact.grid.nodes, ansatz_base)
+    add, mul = _decay_pair(exact.params, exact.grid.nodes, ansatz_base)
     target = np.abs(exact.values) ** 2
 
     def objective(c: float) -> float:

@@ -130,7 +130,7 @@ def _build_ansatz(config, source, params, exact_sol: VolterraSolution | None) ->
     if source == "wkb":
         return DecayAnsatz.from_wkb(params)
     try:
-        gam, del_ = plateau(extract_rate_shift(exact_sol.series, params))
+        gam, del_ = plateau(extract_rate_shift(exact_sol))
     except ValueError as exc:
         raise NumericsError(f"cannot fit the decay ansatz to the exact series: {exc}") from exc
     return DecayAnsatz.explicit(params, max(gam, 0.0), del_)
@@ -166,7 +166,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
         c_val = config.c
         if fit:
-            fit_result = fit_c(exact_sol.series, params, ansatz)
+            fit_result = fit_c(exact_sol, ansatz)
             summary["fitted_c"] = fit_result.c
             if fit_result.multimodal:
                 flags.append("fit_c_multimodal")
@@ -179,7 +179,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     tables: dict = {}
     for m in config.methods:
         if m == "exact":
-            s = exact_sol.series
+            s = exact_sol
         else:
             if m == "first_scheme":
                 values = first_scheme_psi0(params, t)
@@ -188,10 +188,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 values = decay_closed_psi0(params, t, ansatz, form)
             if not np.all(np.isfinite(values)):
                 raise NumericsError(f"{m} is not finite on this grid")
-            s = ComplexSeries(grid, values)
-        proxy = density_proxy(s, params)
+            s = ComplexSeries(grid, values, params)
+        proxy = density_proxy(s)
         try:
-            rss = extract_rate_shift(s, params)
+            rss = extract_rate_shift(s)
             gamma, delta = rss.gamma, rss.delta
             gam_bar, del_bar = plateau(rss)
             summary[f"{m}_gamma_plateau"] = gam_bar

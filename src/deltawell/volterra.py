@@ -23,14 +23,16 @@ moments are differences of powers of k and lose accuracy by cancellation
 at large k (ν₂ is off by 2e-4 relative at k = 10⁴), so the quadratic
 rule's weights degrade beyond about 10⁴ steps.
 
-Away from the origin the kernel picks up the factor e^{imx²/(2ℏs)} whose
-phase diverges at the s → 0 endpoint.  Reconstruction therefore splits
-panels into "smooth" (phase change below a threshold: factor absorbed
-into the interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is
-integrated exactly through Fresnel/erfc closed forms), with the terminal
+Away from the origin any ψ(0,t) series, the march's or a closed form's,
+is substituted back with the linear panel weights, whatever its rule.
+The kernel then picks up the factor e^{imx²/(2ℏs)}, whose phase diverges
+at the s → 0 endpoint.  Reconstruction therefore splits panels into
+"smooth" (phase change below a threshold: factor absorbed into the
+interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is integrated
+exactly through Fresnel/erfc closed forms), with the terminal
 panel always treated exactly.  The phase advance falls along s, so the
 exact panels are the first K(x).  Reconstruction is vectorized over x:
-the x-independent tables are cached on the solution, the Fresnel terms
+the x-independent tables are cached on the series, the Fresnel terms
 are built once per s-node, and x runs in chunks sorted by |x|.  Inner
 loops call the unchecked cores of φ_F and erfcx.
 
@@ -47,13 +49,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericsError
 from .params import PhysParams
 from .propagator import _volkov_phi, bound_state, volkov_phi
 
@@ -101,38 +103,25 @@ class TimeGrid:
         return i
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexSeries:
-    """A complex amplitude sampled on a TimeGrid: the shared currency of
-    every ψ(0,t) producer (exact solver and all closed-form schemes)."""
+    """ψ(0,t) on a grid for the problem ``params``: the one amplitude type
+    that the march and every closed form produce and that reconstruction,
+    overlap and analysis take.  Frozen, with read-only ``values``, so the
+    kernel tables it caches always describe its grid and field."""
 
     grid: TimeGrid
     values: np.ndarray
+    params: PhysParams
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.n_steps + 1,):
+        values = np.array(self.values, dtype=np.complex128)
+        if values.shape != (self.grid.n_steps + 1,):
             raise ValueError("values must have one sample per grid node")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("non-finite sample in ComplexSeries")
-
-
-@dataclass(frozen=True)
-class VolterraSolution:
-    """ψ_F(0,t) on a grid plus solver metadata.  Frozen, with a read-only
-    ``psi0``, so the kernel tables it caches always describe its grid,
-    field and history."""
-
-    grid: TimeGrid
-    psi0: np.ndarray
-    rule: str
-    err_est: float
-    params: PhysParams
-    flags: tuple = field(default_factory=tuple)
-
-    @property
-    def series(self) -> ComplexSeries:
-        return ComplexSeries(self.grid, self.psi0)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @cached_property
     def _kernel(self):
@@ -140,6 +129,19 @@ class VolterraSolution:
         # nodes s_j, g(s_j) and the linear weights of panels 0 … N − 1
         s = self.grid.nodes
         return s, _field_phase(self.params, s), *_linear_panels(self.grid.n_steps - 1)
+
+
+@dataclass(frozen=True)
+class VolterraSolution(ComplexSeries):
+    """The march's ψ_F(0,t) plus its rule, error estimate and flags."""
+
+    rule: str
+    err_est: float
+    flags: tuple = ()
+
+    @property
+    def psi0(self) -> np.ndarray:
+        return self.values
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,6 @@ def solve_psi0(params: PhysParams, grid: TimeGrid, rule: str = "linear") -> Volt
     """
     phi = volkov_phi(0.0, grid.nodes, params)
     psi = _march(params, grid, rule, phi)
-    psi.flags.writeable = False
 
     flags = []
     F, t, h = params.field, grid.t_max, grid.h
@@ -314,14 +315,7 @@ def solve_psi0(params: PhysParams, grid: TimeGrid, rule: str = "linear") -> Volt
         if err_est > _ERR_THRESHOLD:
             flags.append("err_est_above_threshold")
 
-    return VolterraSolution(
-        grid=grid,
-        psi0=psi,
-        rule=rule,
-        err_est=err_est,
-        params=params,
-        flags=tuple(flags),
-    )
+    return VolterraSolution(grid, psi, params, rule, err_est, tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +342,10 @@ def _fresnel_T(X: np.ndarray):
     return T1, T2
 
 
-def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
+def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     """ψ_F(x,t) at a grid node for a scalar x or an array of x, substituting
-    ψ_F(0,·) back into the integral equation with the linear product rule;
+    any ψ_F(0,·) series back into the integral equation with the linear
+    product rule, whatever rule produced the series;
     the endpoint oscillation of e^{imx²/(2ℏs)} is handled by exact
     oscillatory moments on every panel whose phase advance exceeds the
     switch threshold.  A scalar x gives a complex, an array a complex array
@@ -360,16 +355,16 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    i = sol.grid.index_of(t)
+    i = series.grid.index_of(t)
     flat = x.ravel()
     out = np.empty(flat.shape, dtype=np.complex128)
-    params = sol.params
+    params = series.params
     # ψ(·,t) is continuous at the well: ψ(x,t) − ψ(0,t) is O(|x|/ℓ), where
     # ℓ = √(2ℏh/m) is the |x| at which the kernel phase mx²/(2ℏs) reaches 1
     # on the first panel.  Below _X_ORIGIN·ℓ that is far under rounding,
     # while A/s would underflow in the Fresnel terms
-    origin = np.abs(flat) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * sol.grid.h / params.mass)
-    out[origin] = sol.psi0[i]
+    origin = np.abs(flat) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * series.grid.h / params.mass)
+    out[origin] = series.values[i]
     off = ~origin
     if i == 0:
         out[off] = bound_state(flat[off], params)
@@ -377,30 +372,30 @@ def reconstruct_psi_x(sol: VolterraSolution, x, t: float):
         # far from the well A = mx²/(2ℏ) and the Fresnel terms overflow: a
         # non-finite value is raised below, never warned about or returned
         with np.errstate(over="ignore", invalid="ignore"):
-            out[off] = _psi_off_origin(sol, flat[off], t, i)
+            out[off] = _psi_off_origin(series, flat[off], t, i)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ConvergenceError(f"non-finite ψ(x, t) at x={flat[bad[0]]:g}, t={t:g}")
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _history(sol: VolterraSolution, i: int):
+def _history(series: ComplexSeries, i: int):
     # node i's first entries of the tables: its s-nodes, the x-independent
     # factor of the kernel at each, C_j = g(s_j) ψ(0, t_i − s_j), and the
     # linear weights of its panels
-    s, g, wl, wr = sol._kernel
-    return s[: i + 1], g[: i + 1] * sol.psi0[i::-1], wl[:i], wr[:i]
+    s, g, wl, wr = series._kernel
+    return s[: i + 1], g[: i + 1] * series.values[i::-1], wl[:i], wr[:i]
 
 
-def _psi_off_origin(sol: VolterraSolution, x: np.ndarray, t: float, i: int) -> np.ndarray:
+def _psi_off_origin(series: ComplexSeries, x: np.ndarray, t: float, i: int) -> np.ndarray:
     # ψ(x, t) at node i ≥ 1 for x ≠ 0, in chunks of x sorted by |x|
-    params = sol.params
-    h = sol.grid.h
+    params = series.params
+    h = series.grid.h
     hbar, m, F = params.hbar, params.mass, params.field
 
     # x-independent: the s-nodes, C_j, the linear panel weights and each
     # panel's phase rate h/(s_k s_{k+1})
-    s, C, wl, wr = _history(sol, i)
+    s, C, wl, wr = _history(series, i)
     rate = h / (s[1:-1] * s[2:])
 
     A = m * x * x / (2.0 * hbar)
@@ -508,9 +503,9 @@ def _bound_volkov(params: PhysParams, t: float) -> complex:
     )
 
 
-def bound_overlap(sol: VolterraSolution, t: float):
+def bound_overlap(series: ComplexSeries, t: float):
     """⟨ψ_b|ψ_F(t)⟩ and the ionization probability P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|²,
-    with ψ_F(·,t) the reconstruction of `reconstruct_psi_x`.
+    with ψ_F(·,t) the reconstruction of `reconstruct_psi_x` from any series.
 
     The reconstruction is φ_F plus a sum of per-panel pieces whose
     x-dependence is ψ_b-weighted chirps e^{iβx+iαx²}: panel k ≥ 1 absorbs
@@ -520,15 +515,16 @@ def bound_overlap(sol: VolterraSolution, t: float):
     every panel's piece in closed form (`_chirp_tail`), and the exact
     panels' s-integral by an 8-point Gauss–Legendre rule per panel (in √s
     on panel 0).  No x-quadrature is left.  A non-finite overlap raises
-    `ConvergenceError`."""
-    params = sol.params
-    i = sol.grid.index_of(t)
+    `ConvergenceError`, and P < −1e-9 (a series that does not conserve the
+    norm, such as the first scheme's) `NumericsError`."""
+    params = series.params
+    i = series.grid.index_of(t)
     if i == 0:
         return 1.0 + 0.0j, 0.0
     hbar, m, F, B = params.hbar, params.mass, params.field, params.B
-    h = sol.grid.h
+    h = series.grid.h
 
-    s, C, wl, wr = _history(sol, i)
+    s, C, wl, wr = _history(series, i)
     beta = F * s / (2.0 * hbar)
     # panel k ≥ 1 is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
     # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
@@ -557,4 +553,7 @@ def bound_overlap(sol: VolterraSolution, t: float):
     overlap = _bound_volkov(params, t) + _coupling(params) * (math.sqrt(h) * smooth + exact)
     if not np.isfinite(overlap):
         raise ConvergenceError(f"non-finite bound-state overlap at t={t:g}")
-    return complex(overlap), 1.0 - abs(overlap) ** 2
+    P = 1.0 - abs(overlap) ** 2
+    if P < -1e-9:
+        raise NumericsError(f"P = {P:.4g} < 0 at t={t:g}: the series does not conserve the norm")
+    return complex(overlap), P

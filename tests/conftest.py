@@ -16,14 +16,12 @@ settings.load_profile("derandomized")
 @pytest.fixture(scope="session")
 def exact_f05():
     """Exact solve at f = 0.5 on a mid-resolution grid (shared by tests)."""
-    params = default_units(0.5)
-    return solve_psi0(params, TimeGrid(20.0, 4000)), params
+    return solve_psi0(default_units(0.5), TimeGrid(20.0, 4000))
 
 
 @pytest.fixture(scope="session")
 def exact_f1():
-    params = default_units(1.0)
-    return solve_psi0(params, TimeGrid(20.0, 8000)), params
+    return solve_psi0(default_units(1.0), TimeGrid(20.0, 8000))
 
 
 def assert_close(got, want, tol, label=""):

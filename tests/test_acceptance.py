@@ -48,7 +48,7 @@ def reference_runs():
         t0 = time.time()
         params = default_units(f)
         sol = solve_psi0(params, grid)
-        rss = extract_rate_shift(sol.series, params)
+        rss = extract_rate_shift(sol)
         gam, dl = plateau(rss)
         runs[f] = dict(
             params=params, sol=sol, gamma=gam, delta=dl,
@@ -142,9 +142,9 @@ def test_criterion_6_fit_recovery(reference_runs):
         params, sol = run["params"], run["sol"]
         stride = 12 if f == 0.5 else 10
         grid = TimeGrid(sol.grid.t_max, sol.grid.n_steps // stride)
-        series = ComplexSeries(grid, sol.psi0[::stride])
+        series = ComplexSeries(grid, sol.psi0[::stride], params)
         base = DecayAnsatz.explicit(params, run["gamma_ref"], run["delta_ref"])
-        fit = fit_c(series, params, base)
+        fit = fit_c(series, base)
         ok &= lo <= fit.c <= hi and not fit.multimodal
         details.append(f"f={f}: c = {fit.c:.3f} (want [{lo}, {hi}])")
     _report("criterion 6 (fit recovery)", ok, "; ".join(details))
@@ -211,7 +211,7 @@ def test_criterion_10_overlap_proxy_consistency():
     params = default_units(1.0)
     grid = TimeGrid(10.0, 2000)
     sol = solve_psi0(params, grid)
-    proxy = density_proxy(sol.series, params)
+    proxy = density_proxy(sol)
     worst = 0.0
     for t in (1.0, 2.0, 4.0, 6.0, 8.0, 10.0):
         _, prob = bound_overlap(sol, t)

@@ -194,7 +194,8 @@ def test_additive_field_free_is_exact():
 def test_combined_tracks_exact_with_reference_constants(exact_f05):
     # the measured ceiling of this closed form against the solver oracle
     # is 0.056 (at t ≈ 1.6, the first ripple); no c does better than 0.056
-    sol, p = exact_f05
+    sol = exact_f05
+    p = sol.params
     a = DecayAnsatz.explicit(p, 0.1896, -0.0738, c=0.65)
     t = sol.grid.nodes[::40][1:]  # decimated comparison grid up to t = 20
     worst = 0.0

@@ -307,6 +307,21 @@ def test_unresolved_grid_plateau_is_flagged(tmp_path):
     assert "within 1e-12 of 1" in doc["summary"]["exact_extraction_error"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="at f = 0.05 the true Γ is about 1.6e-6 (WKB), far below what a 1/t fit "
+    "of the switch-on transient on t ≤ 20 resolves: Γ̄ = −7.4e-4, no flag, exit 0.  "
+    "The benchmark's scenario_mix fig1a jobs show the same (t_max = 18, N = 1500: "
+    "−7.5e-4), so flagging it waits for a change of the benchmark",
+)
+def test_weak_field_plateau_is_positive_or_flagged(tmp_path):
+    # an unflagged decay rate is positive
+    out = tmp_path / "weak.json"
+    rc = main(["solve", "--f", "0.05", "--t-max", "20", "--steps", "400", "--format", "json",
+               "--out", str(out)])
+    assert rc == 2 or json.loads(out.read_text())["summary"]["exact_gamma_plateau"] > 0.0
+
+
 @pytest.fixture(scope="module")
 def split_result():
     # 6 × _MIN_BLOCK_ROWS rows over three methods, NaN gamma/delta columns

@@ -1,5 +1,6 @@
 """The names that the benchmark's tracer and the package exports refer to
-exist, so that trimming the library cannot break them unnoticed, the
+exist and the benchmark's smallest jobs pass its checks, so that trimming
+the library cannot break them unnoticed, the
 identity checks start without scipy.integrate or the test-only mpmath and
 hypothesis, and every scenario flag overrides the config field it names."""
 
@@ -15,15 +16,21 @@ from deltawell.cli import build_parser
 from deltawell.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_perfbench(name):
+    # a perfbench module loaded from its file, read-only; registered before
+    # it runs, as its dataclasses look their module up by name
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_are_callable():
-    # perfbench/tracing.py is loaded from its file, read-only; its install()
-    # looks every INSTRUMENTED name up with getattr
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    # the tracer's install() looks every INSTRUMENTED name up with getattr
+    tracing = _load_perfbench("tracing")
     missing = []
     for name in tracing.INSTRUMENTED:
         module_name, attr = name.split(".")
@@ -31,6 +38,19 @@ def test_traced_names_are_callable():
         if not callable(getattr(module, attr, None)):
             missing.append(name)
     assert not missing
+
+
+def test_benchmark_minimal_jobs_pass_their_checks(tmp_path):
+    # every workload's smallest jobs run and pass the benchmark's own checks,
+    # which read the solution (psi0, params, flags), the datasets and
+    # y_integral(args, "quadrature")
+    jobs = _load_perfbench("jobs")
+    for name, workload in jobs.WORKLOADS.items():
+        for k, job in enumerate(workload.minimal()):
+            tmp = tmp_path / f"{name}-{k}"
+            tmp.mkdir()
+            problems, _ = workload.check(job, workload.run(job, tmp))
+            assert problems == [], (name, job.spec)
 
 
 def test_package_exports_exist():

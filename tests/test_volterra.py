@@ -10,7 +10,9 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad, simpson
 
 from deltawell import volterra
-from deltawell.errors import ConvergenceError
+from deltawell.analysis import density_proxy
+from deltawell.approx import DecayAnsatz, decay_closed_psi0, first_scheme_psi0
+from deltawell.errors import ConvergenceError, NumericsError
 from deltawell.params import default_units, derive_params
 from deltawell.propagator import bound_state, volkov_phi
 from deltawell.specfun import moshinsky
@@ -32,6 +34,15 @@ from deltawell.volterra import (
     solve_psi0,
 )
 from oracles import overlap_domain_halfwidth
+
+
+def _decay_combined(f, grid):
+    # the combined closed form with the fig1b (f = 0.5) or fig1c (f = 1)
+    # constants of scenario.PRESETS
+    p = default_units(f)
+    gamma, delta, c = {0.5: (0.1896, -0.0738, 0.65), 1.0: (0.52916, -0.10722, 0.45)}[f]
+    ansatz = DecayAnsatz.explicit(p, gamma, delta, c)
+    return ComplexSeries(grid, decay_closed_psi0(p, grid.nodes, ansatz), p)
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +68,11 @@ def test_grid_validation():
 
 
 def test_series_rejects_non_finite():
-    g = TimeGrid(1.0, 2)
+    g, p = TimeGrid(1.0, 2), default_units(0.0)
     with pytest.raises(ValueError):
-        ComplexSeries(g, np.array([1.0, math.nan, 1.0]))
+        ComplexSeries(g, np.array([1.0, math.nan, 1.0]), p)
     with pytest.raises(ValueError):
-        ComplexSeries(g, np.array([1.0, 2.0]))
+        ComplexSeries(g, np.array([1.0, 2.0]), p)
 
 
 def test_abel_weights_polynomial_exactness():
@@ -359,19 +370,22 @@ def test_overlap_proxy_cross_check():
 
 
 @pytest.mark.parametrize(
-    "p",
-    [default_units(0.5), default_units(1.0), default_units(2.0), derive_params(0.7, 1.9, 1.3, 0.4)],
-    ids=["0.5", "1.0", "2.0", "hbar0.7-m1.9-v1.3-F0.4"],
+    "make",
+    [functools.partial(solve_psi0, p) for p in
+     (default_units(0.5), default_units(1.0), default_units(2.0), derive_params(0.7, 1.9, 1.3, 0.4))]
+    + [functools.partial(_decay_combined, 1.0)],
+    ids=["0.5", "1.0", "2.0", "hbar0.7-m1.9-v1.3-F0.4", "decay_combined-f1"],
 )
-def test_overlap_matches_quad_oracle(p):
-    # scipy's adaptive quadrature over one-x reconstructions, to 1e-8.
-    # ψ(·, t) steps at each switch
-    # point x_k, by about 1e-4 at the first; the first 16 are break points
-    # (without them quad is off by 5e-6 in P at ℏ = 0.7, t = 4), and on the
-    # later, smaller steps it stops early with a roundoff warning.  At f = 2
-    # the late panels take the reflected erfcx branch of the closed form
-    sol = solve_psi0(p, TimeGrid(4.0, 400))
-    h = sol.grid.h
+def test_overlap_matches_quad_oracle(make):
+    # scipy's adaptive quadrature over one-x reconstructions, to 1e-8, of
+    # the march's series and of a closed form's.  ψ(·, t) steps at each
+    # switch point x_k, by about 1e-4 at the first; the first 16 are break
+    # points (without them quad is off by 5e-6 in P at ℏ = 0.7, t = 4), and
+    # on the later, smaller steps it stops early with a roundoff warning.
+    # At f = 2 the late panels take the reflected erfcx branch of the
+    # closed form
+    sol = make(TimeGrid(4.0, 400))
+    p, h = sol.params, sol.grid.h
     s = np.arange(1, 18) * h
     xk = np.sqrt(2.0 * p.hbar * volterra._PHASE_SWITCH * s[:-1] * s[1:] / (p.mass * h))
     for t in (1.0, 4.0):
@@ -417,6 +431,66 @@ def test_overlap_non_finite_raises(monkeypatch):
     monkeypatch.setattr(volterra, "_bound_volkov", lambda params, t: complex(math.nan, 0.0))
     with pytest.raises(ConvergenceError, match="non-finite bound-state overlap"):
         bound_overlap(sol, 4.0)
+
+
+def test_overlap_below_zero_P_raises(monkeypatch):
+    # a zero series leaves ⟨ψ_b|φ_F⟩ alone, so |overlap|² = 1 + e gives
+    # P = −e: rounding up to e = 1e-9, an error beyond
+    zero = ComplexSeries(TimeGrid(4.0, 400), np.zeros(401), default_units(1.0))
+    monkeypatch.setattr(volterra, "_bound_volkov", lambda params, t: math.sqrt(1.0 + 0.5e-9) + 0j)
+    assert bound_overlap(zero, 4.0)[1] == pytest.approx(-0.5e-9, abs=1e-15)
+    monkeypatch.setattr(volterra, "_bound_volkov", lambda params, t: math.sqrt(1.0 + 2e-9) + 0j)
+    with pytest.raises(NumericsError, match="does not conserve the norm"):
+        bound_overlap(zero, 4.0)
+
+
+def test_first_scheme_overlap_raises_where_P_is_negative():
+    # the first scheme's ψ(0,t) is not a norm-preserving evolution: at
+    # f = 0.5 its P is 0.1065 at t = 1 and −1.3049 at t = 6
+    grid, p = TimeGrid(10.0, 2000), default_units(0.5)
+    series = ComplexSeries(grid, first_scheme_psi0(p, grid.nodes), p)
+    assert bound_overlap(series, 1.0)[1] == pytest.approx(0.1065, abs=1e-4)
+    with pytest.raises(NumericsError, match=r"P = -1\.305 < 0 at t=6"):
+        bound_overlap(series, 6.0)
+
+
+@pytest.mark.parametrize("f, bound", [(0.5, 0.08), (1.0, 0.04)])
+def test_closed_form_P_tracks_exact_P(f, bound):
+    # P(t) from the combined closed form's ψ(0,t) against P from the march's
+    # at t = 1, 2, 4, 6, 10.  The measured gaps are 0.0600 (f = 0.5, t = 2)
+    # and 0.0301 (f = 1, t = 4); the bounds are about a third above them.
+    # The exact series' proxy 1 − |ψ(0,t)|²/B misses P by 0.074 and 0.211
+    grid = TimeGrid(10.0, 2000)
+    exact = solve_psi0(default_units(f), grid)
+    closed = _decay_combined(f, grid)
+    times = (1.0, 2.0, 4.0, 6.0, 10.0)
+    P = np.array([bound_overlap(exact, t)[1] for t in times])
+    gap = np.abs(np.array([bound_overlap(closed, t)[1] for t in times]) - P).max()
+    proxy_gap = np.abs(density_proxy(exact)[[grid.index_of(t) for t in times]] - P).max()
+    print(f"f={f}: max |P(closed) - P| = {gap:.4f} (bound {bound}), max |proxy - P| = {proxy_gap:.4f}")
+    assert gap <= bound
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_unit_scaling_covariance(f):
+    # ℏ = 0.7, m = 1.9, V₀ = 1.3 is the unit preset in other units: in x̃ = Bx
+    # and t̃ = t|E_b|/ℏ the same f gives the same ψ(0,t)/√B, P and ψ(x,t)/√B
+    # on grids of equal t̃ and N.  Measured: 1.0e-15, 4.4e-16 and 1.9e-9; the
+    # last is the cancellation of T₁ in _fresnel_T (test_fresnel_T_vs_mpmath)
+    unit = default_units(f)
+    hbar, m, v0 = 0.7, 1.9, 1.3
+    B = m * v0 / hbar**2
+    other = derive_params(hbar, m, v0, f * hbar**2 * B**3 / m)
+    gu = TimeGrid(4.0, 1600)
+    go = TimeGrid(4.0 * (abs(unit.E_b) / unit.hbar) / (abs(other.E_b) / other.hbar), 1600)
+    su, so = solve_psi0(unit, gu), solve_psi0(other, go)
+    sqB = math.sqrt(other.B)
+    assert np.abs(so.psi0 / sqB - su.psi0).max() <= 1e-13
+    for i in (400, 1600):
+        assert abs(bound_overlap(so, go.nodes[i])[1] - bound_overlap(su, gu.nodes[i])[1]) <= 1e-13
+    x = np.linspace(-20.0, 40.0, 241)
+    psi_o = reconstruct_psi_x(so, x / other.B, go.t_max) / sqB
+    assert np.abs(psi_o - reconstruct_psi_x(su, x, gu.t_max)).max() <= 1e-8
 
 
 def test_overlap_does_not_reconstruct(monkeypatch):
