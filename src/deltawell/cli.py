@@ -165,7 +165,7 @@ _IDENTITY_TOL = {"z6": ("rel", 1e-9), "airy_fourier": ("abs", 1e-6), "airy_erf":
 
 def _cmd_identity_check(args) -> int:
     selector = args.selector
-    points = args.points.split(",") if args.points else _IDENTITY_GRIDS[selector]
+    points = _IDENTITY_GRIDS[selector] if args.points is None else args.points.split(",")
     kind, tol = _IDENTITY_TOL[selector]
     # looked up per call, so that a rebinding of the module names is seen
     check = {

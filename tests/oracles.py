@@ -75,6 +75,22 @@ def erf_airy_regularized(chi, eps):
     return value, math.fsum(abs(c) for c in cells)
 
 
+def airy_fourier_segment(eta, lo, hi):
+    """∫_lo^hi Ai(σ)e^{iησ} dσ by ``quad`` on cells of at most unit width."""
+    def f(s):
+        return airy(s)[0] * complex(math.cos(eta * s), math.sin(eta * s))
+
+    edges = np.linspace(lo, hi, math.ceil(hi - lo) + 1)
+    with warnings.catch_warnings():
+        # quad reports the rounding of scipy's Ai, about 2e-15 a cell
+        warnings.simplefilter("ignore", IntegrationWarning)
+        cells = [
+            quad(f, a, b, complex_func=True, epsabs=0.0, epsrel=1e-13, limit=100)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+    return complex(math.fsum(c.real for c in cells), math.fsum(c.imag for c in cells))
+
+
 def y_paper_series(xi1, xi2):
     """Y = ∫₀¹ e^{−ξ₁z⁶−ξ₂z²}dz as the paper's series in 30-digit mpmath,
 

@@ -135,6 +135,15 @@ def test_identity_check_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_identity_check_empty_points_is_a_usage_error(capsys):
+    # only leaving --points out selects the default grid
+    for selector in ("z6", "airy_fourier", "airy_erf"):
+        for flag in (["--points", ""], ["--points="]):
+            assert main(["identity-check", selector, *flag]) == 1, (selector, flag)
+            captured = capsys.readouterr()
+            assert "bad grid point ''" in captured.err and not captured.out
+
+
 def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
     # χ = 1.6 lies outside the validated |χ| ≤ 1 (its ladder has a NaN
     # rung) and is a usage error; a NaN row that reaches the table counts
@@ -335,6 +344,9 @@ def _four_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
 
+# Python ≥ 3.12 warns when a process with threads forks; as an error, that
+# warning fails this test instead of passing unseen
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_dataset_rows_match_per_value_repr(monkeypatch, split_result):
     # NaN columns from a failed extraction, and more rows than one chunk;
     # with four CPUs the split table is formatted in four blocks, three of
