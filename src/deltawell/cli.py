@@ -160,7 +160,7 @@ _IDENTITY_GRIDS = {
     "airy_fourier": ("0", "1", "-1", "2"),
     "airy_erf": ("0", "0.3", "0.2"),
 }
-_IDENTITY_TOL = {"z6": ("rel", 1e-9), "airy_fourier": ("abs", 1e-6), "airy_erf": ("rel", 1e-3)}
+_IDENTITY_TOL = {"z6": ("rel", 1e-9), "airy_fourier": ("abs", 1e-12), "airy_erf": ("rel", 1e-3)}
 
 
 def _cmd_identity_check(args) -> int:

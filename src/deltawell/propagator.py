@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .params import PhysParams
-from .specfun import _moshinsky
+from .specfun import _moshinsky, _moshinsky_one
 
 __all__ = ["bound_state", "volkov_phi"]
 
@@ -58,11 +58,11 @@ def volkov_phi(x, t, params: PhysParams):
     return out[0] if scalar else out
 
 
-def _volkov_phi(x: np.ndarray, t, params: PhysParams) -> np.ndarray:
-    # φ_F(x, t) at t > 0 for a float array x and a scalar t or a float
-    # array of x's shape, unchecked: one Moshinsky call over ±(x − x_c).
-    # t³ is taken on an array: numpy's array power can differ from the
-    # scalar one in the last bit
+def _volkov_phi(x, t, params: PhysParams):
+    # φ_F(x, t) at t > 0, unchecked: for a float array x and a scalar t or a
+    # float array of x's shape, by one Moshinsky call over ±(x − x_c); for
+    # one float64 x and a scalar t, on scalars.  t³ is taken on an array:
+    # numpy's array power can differ from the scalar one in the last bit
     hbar, m, B, F = params.hbar, params.mass, params.B, params.field
     t = np.asarray(t, dtype=np.float64)
     p_c = F * t
@@ -70,5 +70,9 @@ def _volkov_phi(x: np.ndarray, t, params: PhysParams) -> np.ndarray:
     S_c = F * F * t**3 / (6.0 * m)
     T = hbar * t / m
     d = x - x_c
-    M = _moshinsky(np.concatenate((d, x_c - x)), -1j * B, np.concatenate((T, T)) if T.ndim else T)
-    return math.sqrt(B) * np.exp(1j * (x * p_c - S_c) / hbar) * (M[: d.size] + M[d.size :])
+    if np.ndim(d) == 0:
+        M = _moshinsky_one(d, -1j * B, T) + _moshinsky_one(-d, -1j * B, T)
+    else:
+        M = _moshinsky(np.concatenate((d, x_c - x)), -1j * B, np.concatenate((T, T)) if T.ndim else T)
+        M = M[: d.size] + M[d.size :]
+    return math.sqrt(B) * np.exp(1j * (x * p_c - S_c) / hbar) * M

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_EXP_IPI4 = np.exp(0.25j * math.pi)
 
 
 def _asfarray_complex(z):
@@ -262,7 +263,7 @@ def _moshinsky(x: np.ndarray, k, t) -> np.ndarray:
     # range x²/t and the plane wave overflow; the non-finite result is the
     # caller's to report, without warnings
     with np.errstate(all="ignore"):
-        zeta = (x - k * t) / (np.sqrt(2.0 * t) * np.exp(0.25j * math.pi))
+        zeta = (x - k * t) / (np.sqrt(2.0 * t) * _EXP_IPI4)
         osc = 0.5 * np.exp(0.5j * x * x / t)
         out = np.empty(zeta.shape, dtype=np.complex128)
 
@@ -276,3 +277,14 @@ def _moshinsky(x: np.ndarray, k, t) -> np.ndarray:
             plane = np.exp(1j * (kl * xl - 0.5 * kl * kl * tl))
             out[left] = plane - osc[left] * special.erfcx(-zeta[left])
     return out
+
+
+def _moshinsky_one(x, k, t):
+    # _moshinsky's steps for one float64 x, with a complex k and a float64
+    # t, on scalars: the branch is an if, not a mask
+    with np.errstate(all="ignore"):
+        zeta = (x - k * t) / (np.sqrt(2.0 * t) * _EXP_IPI4)
+        osc = 0.5 * np.exp(0.5j * x * x / t)
+        if zeta.real >= 0.0:
+            return osc * special.erfcx(zeta)
+        return np.exp(1j * (k * x - 0.5 * k * k * t)) - osc * special.erfcx(-zeta)

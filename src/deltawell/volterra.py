@@ -31,9 +31,10 @@ at the s → 0 endpoint.  Reconstruction therefore splits panels into
 interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is integrated
 exactly through Fresnel/erfc closed forms), with the terminal
 panel always treated exactly.  The phase advance falls along s, so the
-exact panels are the first K(x).  Reconstruction is vectorized over x:
-the x-independent tables are cached on the series, the Fresnel terms
-are built once per s-node, and x runs in chunks sorted by |x|.  Inner
+exact panels are the first K(x).  The x-independent tables (nodes, g(s),
+panel weights and phase rates) are cached on the series.  An array of x
+runs in chunks sorted by |x|; one x is a chunk of scalars in the same
+loop, so a scalar call does no sorting, gathering or masking.  Inner
 loops call the unchecked cores of φ_F and erfcx.
 
 The bound-state overlap ⟨ψ_b|ψ(t)⟩ is the x-integral of that same
@@ -42,7 +43,13 @@ reconstruction, taken without evaluating ψ(x,t).  Each panel's piece is
 (smooth) or above (exact) the panel's switch point, so the x-integral of
 every piece is a closed form in erfcx; the exact panels keep an
 s-integral, taken by 8-point Gauss–Legendre per panel.  ⟨ψ_b|φ_F⟩ is a
-closed form in the Faddeeva function.
+closed form in the Faddeeva function.  Everything but ψ(0,·) and
+⟨ψ_b|φ_F⟩ depends on neither t nor the series values: the smooth panels'
+chirp integrals and the exact panels' rule weights, interpolation
+fractions and chirp integrals.  They are tables on the series, built by
+the first overlap up to its node and extended by the rows a later,
+larger t needs; node i reads the first i rows.  So P at t₁ < … < t_n
+builds the rows of t_n once and adds one weighted sum per t.
 """
 
 from __future__ import annotations
@@ -125,10 +132,23 @@ class ComplexSeries:
 
     @cached_property
     def _kernel(self):
-        # x-independent tables over the whole grid, built on first use: the
-        # nodes s_j, g(s_j) and the linear weights of panels 0 … N − 1
+        # x-independent tables over the whole grid, built on first use and
+        # read-only: the nodes s_j, g(s_j), the linear weights of panels
+        # 0 … N − 1 and the phase rates h/(s_k s_{k+1}) of panels 1 … N − 1
         s = self.grid.nodes
-        return s, _field_phase(self.params, s), *_linear_panels(self.grid.n_steps - 1)
+        tables = (
+            s, _field_phase(self.params, s), *_linear_panels(self.grid.n_steps - 1),
+            self.grid.h / (s[1:-1] * s[2:]),
+        )
+        for a in tables:
+            a.flags.writeable = False
+        return tables
+
+    @cached_property
+    def _overlap(self):
+        # the overlap's panel tables, which depend on neither t nor the
+        # values, built up to the largest node asked for so far
+        return _OverlapTables(self.grid, self.params)
 
 
 @dataclass(frozen=True)
@@ -353,87 +373,96 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     the well gives ψ(0,t).  A non-finite value raises `ConvergenceError`,
     naming the first such x."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     i = series.grid.index_of(t)
-    flat = x.ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
     params = series.params
     # ψ(·,t) is continuous at the well: ψ(x,t) − ψ(0,t) is O(|x|/ℓ), where
     # ℓ = √(2ℏh/m) is the |x| at which the kernel phase mx²/(2ℏs) reaches 1
     # on the first panel.  Below _X_ORIGIN·ℓ that is far under rounding,
     # while A/s would underflow in the Fresnel terms
-    origin = np.abs(flat) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * series.grid.h / params.mass)
-    out[origin] = series.values[i]
-    off = ~origin
+    origin = np.abs(x) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * series.grid.h / params.mass)
     if i == 0:
-        out[off] = bound_state(flat[off], params)
-    elif off.any():
-        # far from the well A = mx²/(2ℏ) and the Fresnel terms overflow: a
-        # non-finite value is raised below, never warned about or returned
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[off] = _psi_off_origin(series, flat[off], t, i)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise ConvergenceError(f"non-finite ψ(x, t) at x={flat[bad[0]]:g}, t={t:g}")
-    return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        out = np.where(origin, series.values[0], bound_state(x, params))
+    elif x.ndim == 0:
+        out = series.values[i] if origin else _psi_off_origin(series, x[()], t, i)
+    else:
+        flat, off = x.reshape(-1), ~origin.reshape(-1)
+        out = np.full(flat.shape, series.values[i])
+        out[off] = _psi_off_origin(series, flat[off], t, i)
+        out = out.reshape(x.shape)
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = x.reshape(-1)[np.argmin(finite)]
+        raise ConvergenceError(f"non-finite ψ(x, t) at x={bad:g}, t={t:g}")
+    return complex(out) if x.ndim == 0 else out
 
 
 def _history(series: ComplexSeries, i: int):
     # node i's first entries of the tables: its s-nodes, the x-independent
     # factor of the kernel at each, C_j = g(s_j) ψ(0, t_i − s_j), and the
-    # linear weights of its panels
-    s, g, wl, wr = series._kernel
-    return s[: i + 1], g[: i + 1] * series.values[i::-1], wl[:i], wr[:i]
+    # linear weights and phase rates of its panels
+    s, g, wl, wr, rate = series._kernel
+    return s[: i + 1], g[: i + 1] * series.values[i::-1], wl[:i], wr[:i], rate[: i - 1]
 
 
-def _psi_off_origin(series: ComplexSeries, x: np.ndarray, t: float, i: int) -> np.ndarray:
-    # ψ(x, t) at node i ≥ 1 for x ≠ 0, in chunks of x sorted by |x|
+def _psi_off_origin(series: ComplexSeries, x, t: float, i: int):
+    # ψ(x, t) at node i ≥ 1 for x ≠ 0: a 0-d array for one float64 x, else
+    # a 1-D array.  Far from the well A = mx²/(2ℏ) and the Fresnel terms
+    # overflow: the caller raises on the non-finite value, which is never
+    # warned about.  The chunk's sum stays inline: as a function it freed
+    # every temporary at once, the allocator gave the heap top back, and
+    # the next chunk faulted it in again (801 x at N = 8000 took 15% longer)
     params = series.params
     h = series.grid.h
     hbar, m, F = params.hbar, params.mass, params.field
+    s, C, wl, wr, rate = _history(series, i)
+    lam = _coupling(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = m * x * x / (2.0 * hbar)
+        eps = F * x / (2.0 * hbar)
+        # panel 0 (where T₁ = T₂ = 0) is always integrated exactly; panel
+        # k ≥ 1 when its phase advance A·h/(s_k s_{k+1}) exceeds the switch.
+        # That advance falls with k, so the exact panels are 0 … K − 1
+        K = 1 + np.searchsorted(-rate, -_PHASE_SWITCH / A)
+        out = np.asarray(_volkov_phi(x, t, params))
+        for idx, Ac, ec, Kc, k_lo, k_hi in _chunks(A, eps, K, i):
+            # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
+            Q = C[k_lo:] * np.exp(1j * (ec * s[k_lo:] + Ac / s[k_lo:]))
+            smooth = Q[..., :-1] * wl[k_lo:] + Q[..., 1:] * wr[k_lo:]
 
-    # x-independent: the s-nodes, C_j, the linear panel weights and each
-    # panel's phase rate h/(s_k s_{k+1})
-    s, C, wl, wr = _history(series, i)
-    rate = h / (s[1:-1] * s[2:])
+            # exact panels 0 … K − 1 from T₁, T₂ at nodes 1 … K (zero at node
+            # 0), differenced in place into T(s_{k+1}) − T(s_k)
+            P = C[: k_hi + 1] * np.exp(1j * ec * s[: k_hi + 1])
+            dT1, dT2 = _fresnel_T(Ac / s[1 : k_hi + 1])
+            dT1[..., 1:] -= dT1[..., :-1]
+            dT2[..., 1:] -= dT2[..., :-1]
+            J0 = np.sqrt(Ac) * dT1
+            J1 = Ac**1.5 * dT2
+            M1 = (J1 - s[:k_hi] * J0) / h
+            exact = P[..., :k_hi] * (J0 - M1) + P[..., 1 : k_hi + 1] * M1
 
-    A = m * x * x / (2.0 * hbar)
-    eps = F * x / (2.0 * hbar)
-    # panel 0 (where T₁ = T₂ = 0) is always integrated exactly; panel k ≥ 1
-    # when its phase advance A·h/(s_k s_{k+1}) exceeds the switch.  That
-    # advance falls with k, so the exact panels are 0 … K − 1
-    K = 1 + np.searchsorted(-rate, -_PHASE_SWITCH / A)
+            if k_lo < k_hi:  # rows of the chunk differ in K
+                smooth[np.arange(k_lo, i) < Kc] = 0.0
+                exact[np.arange(k_hi) >= Kc] = 0.0
+            total = math.sqrt(h) * smooth.sum(axis=-1) + exact.sum(axis=-1)
+            out[idx] += lam * total
+    return out
 
-    out = np.empty(x.shape, dtype=np.complex128)
+
+def _chunks(A, eps, K, i: int):
+    # (index into x, A, ε, K, min K, max K) per chunk of x.  One x is one
+    # chunk of scalars.  An array runs in (n, 1) columns of x sorted by |x|,
+    # n·(i + 1) ≤ _CHUNK_ELEMS, so that rows of a chunk differ little in K
+    if np.ndim(A) == 0:
+        yield (), A, eps, K, K, K
+        return
     order = np.argsort(A, kind="stable")
     chunk = max(1, _CHUNK_ELEMS // (i + 1))
-    for lo in range(0, x.size, chunk):
+    for lo in range(0, A.size, chunk):
         idx = order[lo : lo + chunk]
-        Ac, Kc, ec = A[idx, None], K[idx, None], eps[idx, None]
-        k_lo, k_hi = Kc[0, 0], Kc[-1, 0]
-
-        # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
-        Q = C[k_lo:] * np.exp(1j * (ec * s[k_lo:] + Ac / s[k_lo:]))
-        smooth = Q[:, :-1] * wl[k_lo:] + Q[:, 1:] * wr[k_lo:]
-
-        # exact panels 0 … K − 1 from T₁, T₂ at nodes 1 … K (zero at node 0),
-        # differenced in place into T(s_{k+1}) − T(s_k)
-        P = C[: k_hi + 1] * np.exp(1j * ec * s[: k_hi + 1])
-        dT1, dT2 = _fresnel_T(Ac / s[1 : k_hi + 1])
-        dT1[:, 1:] -= dT1[:, :-1]
-        dT2[:, 1:] -= dT2[:, :-1]
-        J0 = np.sqrt(Ac) * dT1
-        J1 = Ac**1.5 * dT2
-        M1 = (J1 - s[:k_hi] * J0) / h
-        exact = P[:, :k_hi] * (J0 - M1) + P[:, 1 : k_hi + 1] * M1
-
-        if k_lo < k_hi:  # rows of the chunk differ in K
-            smooth[np.arange(k_lo, i) < Kc] = 0.0
-            exact[np.arange(k_hi) >= Kc] = 0.0
-        total = math.sqrt(h) * smooth.sum(axis=1) + exact.sum(axis=1)
-        out[idx] = _volkov_phi(x[idx], t, params) + _coupling(params) * total
-    return out
+        Kc = K[idx, None]
+        yield idx, A[idx, None], eps[idx, None], Kc, Kc[0, 0], Kc[-1, 0]
 
 
 def _chirp_tail(p, alpha, a):
@@ -503,6 +532,69 @@ def _bound_volkov(params: PhysParams, t: float) -> complex:
     )
 
 
+class _OverlapTables:
+    """The x-integrated pieces of the overlap that depend on neither t nor
+    the series values, for panels 0 … n − 1 of one grid and field.
+
+    Smooth panel k ≥ 1 keeps S(β_j, α_j; x_k) = H(β_j, α_j; 0) − H(β_j, α_j;
+    x_k) at its nodes j = k (``left``) and j = k + 1 (``right``).  Exact
+    panel k keeps its 8-point rule in s (in √s on panel 0): the weights
+    ``wq`` with the Abel factor, the interpolation fractions ``lin`` and
+    H(β_j, α(s); x_k) at j = k (``hl``) and j = k + 1 (``hr``).  Every row
+    is elementwise in its panel, so `upto` computes only the rows not built
+    yet and node i reads the first i rows, bitwise what it would build alone.
+    """
+
+    def __init__(self, grid: TimeGrid, params: PhysParams):
+        self.grid, self.params = grid, params
+        self.n = 0
+        self.h0 = np.empty(0, dtype=np.complex128)  # H(β_j, α_j; 0), nodes 1 … n
+        self.rows = ()  # wq, lin, hl, hr, left, right
+
+    def upto(self, i: int):
+        """wq, lin, hl, hr of panels 0 … i − 1 and left, right of panels
+        1 … i − 1, extended first if node i is beyond the tables."""
+        if i > self.n:
+            self._extend(i)
+        wq, lin, hl, hr, left, right = self.rows
+        return wq[:i], lin[:i], hl[:i], hr[:i], left[: i - 1], right[: i - 1]
+
+    def _extend(self, n: int):
+        # the rows of panels n0 … n − 1, from their nodes n0 … n
+        n0, h, p = self.n, self.grid.h, self.params
+        hbar, m, B = p.hbar, p.mass, p.B
+        s = np.arange(n0, n + 1) * h
+        beta = p.field * s / (2.0 * hbar)
+        # panel k is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
+        # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
+        xk = np.sqrt(2.0 * hbar * _PHASE_SWITCH * s[:-1] * s[1:] / (m * h))
+
+        # smooth panels are k ≥ 1, so the first extension starts a node late
+        lo = 1 if n0 == 0 else 0
+        alpha = m / (2.0 * hbar * s[lo:])
+        self.h0 = np.r_[self.h0, _bound_chirp(B, beta[1:], alpha[1 - lo :], 0.0)]
+        left = self.h0[n0 + lo - 1 : n - 1] - _bound_chirp(B, beta[lo:-1], alpha[:-1], xk[lo:])
+        right = self.h0[n0 + lo : n] - _bound_chirp(B, beta[lo + 1 :], alpha[1:], xk[lo:])
+
+        g = 0.5 * (1.0 + _GL8_X)
+        sk = s[:-1, None]
+        sq = sk + h * g
+        wq = 0.5 * h * _GL8_W / np.sqrt(sq)
+        if n0 == 0:  # s = u² on panel 0
+            sq[0] = h * g**2
+            wq[0] = math.sqrt(h) * _GL8_W
+        aq = m / (2.0 * hbar * sq)
+        lin = (sq - sk) / h
+        hl = _bound_chirp(B, beta[:-1, None], aq, xk[:, None])
+        hr = _bound_chirp(B, beta[1:, None], aq, xk[:, None])
+
+        new = (wq, lin, hl, hr, left, right)
+        self.rows = [np.concatenate(pair) for pair in zip(self.rows, new)] if n0 else new
+        for a in self.rows:
+            a.flags.writeable = False
+        self.n = n
+
+
 def bound_overlap(series: ComplexSeries, t: float):
     """⟨ψ_b|ψ_F(t)⟩ and the ionization probability P(t) = 1 − |⟨ψ_b|ψ_F(t)⟩|²,
     with ψ_F(·,t) the reconstruction of `reconstruct_psi_x` from any series.
@@ -521,34 +613,15 @@ def bound_overlap(series: ComplexSeries, t: float):
     i = series.grid.index_of(t)
     if i == 0:
         return 1.0 + 0.0j, 0.0
-    hbar, m, F, B = params.hbar, params.mass, params.field, params.B
     h = series.grid.h
-
-    s, C, wl, wr = _history(series, i)
-    beta = F * s / (2.0 * hbar)
-    # panel k ≥ 1 is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
-    # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
-    xk = np.r_[0.0, np.sqrt(2.0 * hbar * _PHASE_SWITCH * s[1:-1] * s[2:] / (m * h))]
-
-    # smooth parts: S(β_j, α_j; x_k) = H(β_j, α_j; 0) − H(β_j, α_j; x_k) at
-    # the nodes j = k, k + 1 of panels k = 1 … i − 1
-    alpha = m / (2.0 * hbar * s[1:])
-    H0 = _bound_chirp(B, beta[1:], alpha, 0.0)
-    left = H0[:-1] - _bound_chirp(B, beta[1:-1], alpha[:-1], xk[1:])
-    right = H0[1:] - _bound_chirp(B, beta[2:], alpha[1:], xk[1:])
+    _, C, wl, wr, _ = _history(series, i)
+    wq, lin, hl, hr, left, right = series._overlap.upto(i)
+    # smooth parts: S(β_j, α_j; x_k) at the nodes j = k, k + 1 of panels
+    # k = 1 … i − 1, times the linear weights
     smooth = np.sum(wl[1:] * C[1:-1] * left + wr[1:] * C[2:] * right)
-
     # exact parts: ∫ s^{−1/2}(linear interpolant of C_j H(β_j, α(s); x_k)) ds
-    # per panel, with s = u² on panel 0
-    g = 0.5 * (1.0 + _GL8_X)
-    sq = np.r_[h * g[None, :] ** 2, s[1:-1, None] + h * g]
-    wq = np.r_[math.sqrt(h) * _GL8_W[None, :], 0.5 * h * _GL8_W / np.sqrt(sq[1:])]
-    aq = m / (2.0 * hbar * sq)
-    lin = (sq - s[:-1, None]) / h
-    exact = np.sum(
-        wq * ((1.0 - lin) * C[:-1, None] * _bound_chirp(B, beta[:-1, None], aq, xk[:, None])
-              + lin * C[1:, None] * _bound_chirp(B, beta[1:, None], aq, xk[:, None]))
-    )
+    # per panel
+    exact = np.sum(wq * ((1.0 - lin) * C[:-1, None] * hl + lin * C[1:, None] * hr))
 
     overlap = _bound_volkov(params, t) + _coupling(params) * (math.sqrt(h) * smooth + exact)
     if not np.isfinite(overlap):

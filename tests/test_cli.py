@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deltawell import cli, scenario
+from deltawell import cli, identities, scenario
 from deltawell.cli import main
 from deltawell.identities import IdentityReport
 from deltawell.scenario import (
@@ -157,6 +157,23 @@ def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
     )
     assert main(["identity-check", "airy_erf", "--points", "0.3"]) == 2
     assert "1 unflagged row(s)" in capsys.readouterr().err
+
+
+def test_identity_check_airy_fourier_gate_sees_a_1e_9_error(monkeypatch, capsys):
+    # the check's own error is below 2.1e-14 on |η| ≤ 5 (8 001 η), so its
+    # gate is abs 1e-12; a tail off by 1e-9 is a broken check and exits 2
+    real = identities._airy_fourier_tail
+
+    def off(eta):
+        c, tail = real(eta)
+        return c, tail + 1e-9
+
+    monkeypatch.setattr(identities, "_airy_fourier_tail", off)
+    assert main(["identity-check", "airy_fourier"]) == 2
+    assert "4 unflagged row(s) beyond tolerance 1e-12 (abs)" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["identity-check", "airy_fourier"]) == 0
+    capsys.readouterr()
 
 
 def test_identity_check_calls_the_module_binding(monkeypatch, capsys):

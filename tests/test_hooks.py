@@ -12,7 +12,9 @@ import sys
 from pathlib import Path
 
 import deltawell
+from deltawell import volterra
 from deltawell.cli import build_parser
+from deltawell.params import default_units
 from deltawell.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +53,38 @@ def test_benchmark_minimal_jobs_pass_their_checks(tmp_path):
             tmp.mkdir()
             problems, _ = workload.check(job, workload.run(job, tmp))
             assert problems == [], (name, job.spec)
+
+
+def test_tracer_counts_repeat_over_fresh_solves():
+    # the benchmark's --trace 1 run traces its deck twice and fails if any
+    # count differs, so a cache that outlives a series (a module-level one)
+    # must not skip a traced call in the second pass.  An ionization_curve
+    # job in small: P at t = 1, 2 and ψ(x, 4) at two x, twice on fresh solves
+    tracing = _load_perfbench("tracing")
+    for name in tracing.INSTRUMENTED:
+        importlib.import_module(f"deltawell.{name.split('.')[0]}")
+    tracer = tracing.Tracer()
+    summaries = []
+    tracer.install()
+    try:
+        for _ in range(2):
+            tracer.reset()
+            tracer.active = True
+            sol = volterra.solve_psi0(default_units(1.0), volterra.TimeGrid(4.0, 400))
+            for t in (1.0, 2.0):
+                volterra.bound_overlap(sol, t)
+            for x in (-1.0, 2.0):
+                volterra.reconstruct_psi_x(sol, x, 4.0)
+            tracer.active = False
+            summaries.append(tracing.summarize(tracer.spans))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    first, second = summaries
+    keys = tracing.count_keys(first)
+    assert {k: first[k] for k in keys} == {k: second[k] for k in keys}
+    assert first["volterra.bound_overlap.calls"] == 2
+    assert first["volterra.reconstruct_psi_x.calls"] == 2
 
 
 def test_package_exports_exist():
