@@ -70,6 +70,10 @@ class ScenarioConfig:
     rule: str = "linear"
 
     def validate(self):
+        for name in ("f", "hbar", "mass", "v0", "t_max", "c", "gamma", "delta"):
+            v = getattr(self, name)
+            if isinstance(v, bool):  # JSON true would run as the number 1
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if not (self.f >= 0 and math.isfinite(self.f)):
             raise ValueError(f"f must be finite and >= 0, got {self.f}")
         for name in ("hbar", "mass", "v0", "t_max"):

@@ -32,10 +32,10 @@ interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is integrated
 exactly through Fresnel/erfc closed forms), with the terminal
 panel always treated exactly.  The phase advance falls along s, so the
 exact panels are the first K(x).  The x-independent tables (nodes, g(s),
-panel weights and phase rates) are cached on the series.  An array of x
-runs in chunks sorted by |x|; one x is a chunk of scalars in the same
-loop, so a scalar call does no sorting, gathering or masking.  Inner
-loops call the unchecked cores of φ_F and erfcx.
+panel weights and phase rates) are cached on the series.  One x runs on
+numpy scalars and an array of x is evaluated x by x, so an array gives
+bitwise what one call per x gives.  Inner loops call the unchecked cores
+of φ_F and erfcx.
 
 The bound-state overlap ⟨ψ_b|ψ(t)⟩ is the x-integral of that same
 reconstruction, taken without evaluating ψ(x,t).  Each panel's piece is
@@ -104,7 +104,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of a node time; raises if t is not (close to) a node."""
-        i = int(round(t / self.h))
+        q = float(t) / self.h
+        i = round(q) if math.isfinite(q) else -1
         if i < 0 or i > self.n_steps or abs(t - i * self.h) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not a node of {self}")
         return i
@@ -345,7 +346,6 @@ def solve_psi0(params: PhysParams, grid: TimeGrid, rule: str = "linear") -> Volt
 _PHASE_SWITCH = 0.05  # rad per panel: absorb-vs-exact handling of e^{iA/s}
 _SQRT_PI_C = math.sqrt(math.pi) * np.exp(0.25j * math.pi)
 _EXP_M_IPI4 = np.exp(-0.25j * math.pi)
-_CHUNK_ELEMS = 1 << 16  # (x, s-node) entries per chunk: 1 MiB of complex128
 _X_ORIGIN = 1e-20  # |x|/√(2ℏh/m) below which ψ(x,t) is taken as ψ(0,t)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)  # s-rule of the overlap's exact panels
 
@@ -369,9 +369,9 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     the endpoint oscillation of e^{imx²/(2ℏs)} is handled by exact
     oscillatory moments on every panel whose phase advance exceeds the
     switch threshold.  A scalar x gives a complex, an array a complex array
-    of its shape; x must be finite.  An |x| within _X_ORIGIN·√(2ℏh/m) of
-    the well gives ψ(0,t).  A non-finite value raises `ConvergenceError`,
-    naming the first such x."""
+    of its shape, evaluated x by x; x must be finite.  An |x| within
+    _X_ORIGIN·√(2ℏh/m) of the well gives ψ(0,t).  A non-finite value raises
+    `ConvergenceError`, naming the first such x."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
@@ -384,12 +384,11 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     origin = np.abs(x) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * series.grid.h / params.mass)
     if i == 0:
         out = np.where(origin, series.values[0], bound_state(x, params))
-    elif x.ndim == 0:
-        out = series.values[i] if origin else _psi_off_origin(series, x[()], t, i)
     else:
-        flat, off = x.reshape(-1), ~origin.reshape(-1)
+        flat = x.reshape(-1)
         out = np.full(flat.shape, series.values[i])
-        out[off] = _psi_off_origin(series, flat[off], t, i)
+        for k in np.flatnonzero(~origin.reshape(-1)):
+            out[k] = _psi_off_origin(series, flat[k], t, i)
         out = out.reshape(x.shape)
     finite = np.isfinite(out)
     if not finite.all():
@@ -407,17 +406,13 @@ def _history(series: ComplexSeries, i: int):
 
 
 def _psi_off_origin(series: ComplexSeries, x, t: float, i: int):
-    # ψ(x, t) at node i ≥ 1 for x ≠ 0: a 0-d array for one float64 x, else
-    # a 1-D array.  Far from the well A = mx²/(2ℏ) and the Fresnel terms
-    # overflow: the caller raises on the non-finite value, which is never
-    # warned about.  The chunk's sum stays inline: as a function it freed
-    # every temporary at once, the allocator gave the heap top back, and
-    # the next chunk faulted it in again (801 x at N = 8000 took 15% longer)
+    # ψ(x, t) at node i ≥ 1 for one float64 x ≠ 0.  Far from the well
+    # A = mx²/(2ℏ) and the Fresnel terms overflow: the caller raises on the
+    # non-finite value, which is never warned about
     params = series.params
     h = series.grid.h
     hbar, m, F = params.hbar, params.mass, params.field
     s, C, wl, wr, rate = _history(series, i)
-    lam = _coupling(params)
     with np.errstate(over="ignore", invalid="ignore"):
         A = m * x * x / (2.0 * hbar)
         eps = F * x / (2.0 * hbar)
@@ -425,44 +420,24 @@ def _psi_off_origin(series: ComplexSeries, x, t: float, i: int):
         # k ≥ 1 when its phase advance A·h/(s_k s_{k+1}) exceeds the switch.
         # That advance falls with k, so the exact panels are 0 … K − 1
         K = 1 + np.searchsorted(-rate, -_PHASE_SWITCH / A)
-        out = np.asarray(_volkov_phi(x, t, params))
-        for idx, Ac, ec, Kc, k_lo, k_hi in _chunks(A, eps, K, i):
-            # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
-            Q = C[k_lo:] * np.exp(1j * (ec * s[k_lo:] + Ac / s[k_lo:]))
-            smooth = Q[..., :-1] * wl[k_lo:] + Q[..., 1:] * wr[k_lo:]
 
-            # exact panels 0 … K − 1 from T₁, T₂ at nodes 1 … K (zero at node
-            # 0), differenced in place into T(s_{k+1}) − T(s_k)
-            P = C[: k_hi + 1] * np.exp(1j * ec * s[: k_hi + 1])
-            dT1, dT2 = _fresnel_T(Ac / s[1 : k_hi + 1])
-            dT1[..., 1:] -= dT1[..., :-1]
-            dT2[..., 1:] -= dT2[..., :-1]
-            J0 = np.sqrt(Ac) * dT1
-            J1 = Ac**1.5 * dT2
-            M1 = (J1 - s[:k_hi] * J0) / h
-            exact = P[..., :k_hi] * (J0 - M1) + P[..., 1 : k_hi + 1] * M1
+        # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
+        Q = C[K:] * np.exp(1j * (eps * s[K:] + A / s[K:]))
+        smooth = Q[:-1] * wl[K:] + Q[1:] * wr[K:]
 
-            if k_lo < k_hi:  # rows of the chunk differ in K
-                smooth[np.arange(k_lo, i) < Kc] = 0.0
-                exact[np.arange(k_hi) >= Kc] = 0.0
-            total = math.sqrt(h) * smooth.sum(axis=-1) + exact.sum(axis=-1)
-            out[idx] += lam * total
-    return out
+        # exact panels 0 … K − 1 from T₁, T₂ at nodes 1 … K (zero at node
+        # 0), differenced in place into T(s_{k+1}) − T(s_k)
+        P = C[: K + 1] * np.exp(1j * eps * s[: K + 1])
+        dT1, dT2 = _fresnel_T(A / s[1 : K + 1])
+        dT1[1:] -= dT1[:-1]
+        dT2[1:] -= dT2[:-1]
+        J0 = np.sqrt(A) * dT1
+        J1 = A**1.5 * dT2
+        M1 = (J1 - s[:K] * J0) / h
+        exact = P[:K] * (J0 - M1) + P[1 : K + 1] * M1
 
-
-def _chunks(A, eps, K, i: int):
-    # (index into x, A, ε, K, min K, max K) per chunk of x.  One x is one
-    # chunk of scalars.  An array runs in (n, 1) columns of x sorted by |x|,
-    # n·(i + 1) ≤ _CHUNK_ELEMS, so that rows of a chunk differ little in K
-    if np.ndim(A) == 0:
-        yield (), A, eps, K, K, K
-        return
-    order = np.argsort(A, kind="stable")
-    chunk = max(1, _CHUNK_ELEMS // (i + 1))
-    for lo in range(0, A.size, chunk):
-        idx = order[lo : lo + chunk]
-        Kc = K[idx, None]
-        yield idx, A[idx, None], eps[idx, None], Kc, Kc[0, 0], Kc[-1, 0]
+        total = math.sqrt(h) * smooth.sum() + exact.sum()
+        return _volkov_phi(x, t, params) + _coupling(params) * total
 
 
 def _chirp_tail(p, alpha, a):

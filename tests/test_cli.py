@@ -84,9 +84,11 @@ def test_json_format(tmp_path):
 def test_usage_errors_exit_1(tmp_path, capsys):
     not_an_object = tmp_path / "five.json"
     not_an_object.write_text("5")
-    # out and format are flags only, not scenario fields
+    # out and format are flags only, not scenario fields; JSON true is a
+    # Python bool, which would otherwise run as the number 1
     docs = ({"n_steps": 100.5}, {"rule": "cubic"}, {"hbar": -1}, {"mass": 0},
-            {"out": str(tmp_path / "x.csv")}, {"format": "json"})
+            {"out": str(tmp_path / "x.csv")}, {"format": "json"},
+            *({name: True} for name in ("f", "hbar", "mass", "v0", "t_max", "c", "gamma", "delta")))
     bad_docs = [tmp_path / f"bad{i}.json" for i in range(len(docs))]
     for path, doc in zip(bad_docs, docs):
         path.write_text(json.dumps(doc))

@@ -59,7 +59,9 @@ def test_tracer_counts_repeat_over_fresh_solves():
     # the benchmark's --trace 1 run traces its deck twice and fails if any
     # count differs, so a cache that outlives a series (a module-level one)
     # must not skip a traced call in the second pass.  An ionization_curve
-    # job in small: P at t = 1, 2 and ψ(x, 4) at two x, twice on fresh solves
+    # job in small: P at t = 1, 2, ψ(x, 4) at two x and once at an array of
+    # three x, twice on fresh solves; the array is one traced call, as its
+    # x-by-x loop goes through the private per-x function
     tracing = _load_perfbench("tracing")
     for name in tracing.INSTRUMENTED:
         importlib.import_module(f"deltawell.{name.split('.')[0]}")
@@ -75,6 +77,7 @@ def test_tracer_counts_repeat_over_fresh_solves():
                 volterra.bound_overlap(sol, t)
             for x in (-1.0, 2.0):
                 volterra.reconstruct_psi_x(sol, x, 4.0)
+            volterra.reconstruct_psi_x(sol, [-1.0, 0.0, 2.0], 4.0)
             tracer.active = False
             summaries.append(tracing.summarize(tracer.spans))
     finally:
@@ -84,7 +87,7 @@ def test_tracer_counts_repeat_over_fresh_solves():
     keys = tracing.count_keys(first)
     assert {k: first[k] for k in keys} == {k: second[k] for k in keys}
     assert first["volterra.bound_overlap.calls"] == 2
-    assert first["volterra.reconstruct_psi_x.calls"] == 2
+    assert first["volterra.reconstruct_psi_x.calls"] == 3
 
 
 def test_package_exports_exist():

@@ -7,6 +7,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import IntegrationWarning, quad, simpson
 
 from deltawell import volterra
@@ -339,8 +341,8 @@ def test_closed_form_reconstructed_norm():
 
 
 def test_reconstruct_array_matches_scalar_calls():
-    # one call for a 2-D array of x (zeros included, more x than one chunk)
-    # against one call per x, at the t = 0 node, the first node and later
+    # one call for a 2-D array of x (zeros included) against one call per
+    # x, bitwise, at the t = 0 node, the first node and later
     p = default_units(1.0)
     sol = solve_psi0(p, TimeGrid(4.0, 400))
     x = np.r_[np.linspace(-20.0, 40.0, 500), 0.0, 0.0].reshape(2, 251)
@@ -348,9 +350,47 @@ def test_reconstruct_array_matches_scalar_calls():
         got = reconstruct_psi_x(sol, x, t)
         want = np.array([reconstruct_psi_x(sol, float(v), t) for v in x.ravel()])
         assert got.shape == x.shape and got.dtype == np.complex128
-        assert np.abs(got.ravel() - want).max() <= 1e-14 * np.abs(want).max(), t
+        assert np.array_equal(got.ravel(), want), t
     assert type(reconstruct_psi_x(sol, 1.5, 4.0)) is complex
     assert reconstruct_psi_x(sol, np.zeros(3), 0.0).tolist() == [sol.psi0[0]] * 3
+
+
+@functools.cache
+def _small_solve():
+    return solve_psi0(default_units(1.0), TimeGrid(4.0, 200))
+
+
+# x for the property below: zeros, x within the origin radius of the grid
+# above (1e-20·√(2ℏh/m) = 2e-21), and x on the wave's support
+_X_ELEMENTS = st.one_of(
+    st.just(0.0), st.floats(-2e-21, 2e-21), st.floats(-30.0, 50.0, allow_subnormal=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(x=np.array([1.5, 0.0, 1.5, -1e-21, 1.5]), t=4.0)
+@example(x=np.array([[-3.0, -3.0], [5e-324, 12.0]]), t=0.02)
+@given(
+    x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), elements=_X_ELEMENTS),
+    t=st.sampled_from([0.0, 0.02, 4.0]),
+)
+def test_reconstruct_array_is_its_one_x_calls(x, t):
+    # any array of x, repeats included, at t = 0, h and t_max: the shape and
+    # dtype of x's complex counterpart and, bitwise, one call per x
+    sol = _small_solve()
+    got = reconstruct_psi_x(sol, x, t)
+    want = [reconstruct_psi_x(sol, float(v), t) for v in x.ravel()]
+    assert got.shape == x.shape and got.dtype == np.complex128
+    assert np.array_equal(got.ravel(), np.array(want, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_t_is_not_a_node(t):
+    sol = solve_psi0(default_units(1.0), TimeGrid(1.0, 50))
+    for call in (sol.grid.index_of, functools.partial(bound_overlap, sol),
+                 functools.partial(reconstruct_psi_x, sol, 0.5)):
+        with pytest.raises(ValueError, match=r"t=-?(inf|nan) is not a node of TimeGrid"):
+            call(t)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
