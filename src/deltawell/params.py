@@ -35,12 +35,14 @@ class PhysParams:
 def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysParams:
     """Validate inputs and compute B, E_b and f.
 
-    Raises ValueError for non-finite inputs, non-positive ℏ/m/V₀, a
-    negative field (the field direction is fixed by convention), or inputs
-    whose B, E_b or f overflow or underflow.
+    Raises ValueError for a boolean or non-finite input, non-positive
+    ℏ/m/V₀, a negative field (the field direction is fixed by convention),
+    or inputs whose B, E_b or f overflow or underflow.
     """
     vals = dict(hbar=hbar, mass=mass, v0=v0, field=field)
     for name, v in vals.items():
+        if isinstance(v, bool):
+            raise ValueError(f"{name} must be a number, got {v!r}")
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     if hbar <= 0 or mass <= 0 or v0 <= 0:

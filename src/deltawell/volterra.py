@@ -46,10 +46,10 @@ s-integral, taken by 8-point Gauss–Legendre per panel.  ⟨ψ_b|φ_F⟩ is a
 closed form in the Faddeeva function.  Everything but ψ(0,·) and
 ⟨ψ_b|φ_F⟩ depends on neither t nor the series values: the smooth panels'
 chirp integrals and the exact panels' rule weights, interpolation
-fractions and chirp integrals.  They are tables on the series, built by
-the first overlap up to its node and extended by the rows a later,
-larger t needs; node i reads the first i rows.  So P at t₁ < … < t_n
-builds the rows of t_n once and adds one weighted sum per t.
+fractions and chirp integrals.  They are read-only tables on the series,
+built for every panel of the grid by the first overlap; node i reads the
+first i rows.  So P at any number of t builds the tables once and adds
+one weighted sum per t.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if isinstance(self.t_max, bool):
+            raise ValueError(f"t_max must be a number, got {self.t_max!r}")
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
@@ -147,9 +149,9 @@ class ComplexSeries:
 
     @cached_property
     def _overlap(self):
-        # the overlap's panel tables, which depend on neither t nor the
-        # values, built up to the largest node asked for so far
-        return _OverlapTables(self.grid, self.params)
+        # the overlap's read-only panel tables over the whole grid, which
+        # depend on neither t nor the values, built on first use
+        return _overlap_tables(self.grid, self.params)
 
 
 @dataclass(frozen=True)
@@ -507,67 +509,46 @@ def _bound_volkov(params: PhysParams, t: float) -> complex:
     )
 
 
-class _OverlapTables:
+def _overlap_tables(grid: TimeGrid, params: PhysParams):
     """The x-integrated pieces of the overlap that depend on neither t nor
-    the series values, for panels 0 … n − 1 of one grid and field.
+    the series values, for panels 0 … N − 1 of one grid and field.
 
     Smooth panel k ≥ 1 keeps S(β_j, α_j; x_k) = H(β_j, α_j; 0) − H(β_j, α_j;
     x_k) at its nodes j = k (``left``) and j = k + 1 (``right``).  Exact
     panel k keeps its 8-point rule in s (in √s on panel 0): the weights
     ``wq`` with the Abel factor, the interpolation fractions ``lin`` and
     H(β_j, α(s); x_k) at j = k (``hl``) and j = k + 1 (``hr``).  Every row
-    is elementwise in its panel, so `upto` computes only the rows not built
-    yet and node i reads the first i rows, bitwise what it would build alone.
+    is elementwise in its panel, so the first i rows, which node i reads,
+    are bitwise the tables of the grid cut at node i.
     """
+    h, hbar, m, B = grid.h, params.hbar, params.mass, params.B
+    s = grid.nodes
+    beta = params.field * s / (2.0 * hbar)
+    # panel k is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
+    # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
+    xk = np.sqrt(2.0 * hbar * _PHASE_SWITCH * s[:-1] * s[1:] / (m * h))
 
-    def __init__(self, grid: TimeGrid, params: PhysParams):
-        self.grid, self.params = grid, params
-        self.n = 0
-        self.h0 = np.empty(0, dtype=np.complex128)  # H(β_j, α_j; 0), nodes 1 … n
-        self.rows = ()  # wq, lin, hl, hr, left, right
+    # smooth panels k ≥ 1, from H(β_j, α_j; 0) at nodes j = 1 … N
+    alpha = m / (2.0 * hbar * s[1:])
+    h0 = _bound_chirp(B, beta[1:], alpha, 0.0)
+    left = h0[:-1] - _bound_chirp(B, beta[1:-1], alpha[:-1], xk[1:])
+    right = h0[1:] - _bound_chirp(B, beta[2:], alpha[1:], xk[1:])
 
-    def upto(self, i: int):
-        """wq, lin, hl, hr of panels 0 … i − 1 and left, right of panels
-        1 … i − 1, extended first if node i is beyond the tables."""
-        if i > self.n:
-            self._extend(i)
-        wq, lin, hl, hr, left, right = self.rows
-        return wq[:i], lin[:i], hl[:i], hr[:i], left[: i - 1], right[: i - 1]
+    g = 0.5 * (1.0 + _GL8_X)
+    sk = s[:-1, None]
+    sq = sk + h * g
+    wq = 0.5 * h * _GL8_W / np.sqrt(sq)
+    sq[0] = h * g**2  # s = u² on panel 0
+    wq[0] = math.sqrt(h) * _GL8_W
+    aq = m / (2.0 * hbar * sq)
+    lin = (sq - sk) / h
+    hl = _bound_chirp(B, beta[:-1, None], aq, xk[:, None])
+    hr = _bound_chirp(B, beta[1:, None], aq, xk[:, None])
 
-    def _extend(self, n: int):
-        # the rows of panels n0 … n − 1, from their nodes n0 … n
-        n0, h, p = self.n, self.grid.h, self.params
-        hbar, m, B = p.hbar, p.mass, p.B
-        s = np.arange(n0, n + 1) * h
-        beta = p.field * s / (2.0 * hbar)
-        # panel k is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
-        # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
-        xk = np.sqrt(2.0 * hbar * _PHASE_SWITCH * s[:-1] * s[1:] / (m * h))
-
-        # smooth panels are k ≥ 1, so the first extension starts a node late
-        lo = 1 if n0 == 0 else 0
-        alpha = m / (2.0 * hbar * s[lo:])
-        self.h0 = np.r_[self.h0, _bound_chirp(B, beta[1:], alpha[1 - lo :], 0.0)]
-        left = self.h0[n0 + lo - 1 : n - 1] - _bound_chirp(B, beta[lo:-1], alpha[:-1], xk[lo:])
-        right = self.h0[n0 + lo : n] - _bound_chirp(B, beta[lo + 1 :], alpha[1:], xk[lo:])
-
-        g = 0.5 * (1.0 + _GL8_X)
-        sk = s[:-1, None]
-        sq = sk + h * g
-        wq = 0.5 * h * _GL8_W / np.sqrt(sq)
-        if n0 == 0:  # s = u² on panel 0
-            sq[0] = h * g**2
-            wq[0] = math.sqrt(h) * _GL8_W
-        aq = m / (2.0 * hbar * sq)
-        lin = (sq - sk) / h
-        hl = _bound_chirp(B, beta[:-1, None], aq, xk[:, None])
-        hr = _bound_chirp(B, beta[1:, None], aq, xk[:, None])
-
-        new = (wq, lin, hl, hr, left, right)
-        self.rows = [np.concatenate(pair) for pair in zip(self.rows, new)] if n0 else new
-        for a in self.rows:
-            a.flags.writeable = False
-        self.n = n
+    tables = (wq, lin, hl, hr, left, right)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def bound_overlap(series: ComplexSeries, t: float):
@@ -590,7 +571,9 @@ def bound_overlap(series: ComplexSeries, t: float):
         return 1.0 + 0.0j, 0.0
     h = series.grid.h
     _, C, wl, wr, _ = _history(series, i)
-    wq, lin, hl, hr, left, right = series._overlap.upto(i)
+    tables = series._overlap
+    wq, lin, hl, hr = (a[:i] for a in tables[:4])
+    left, right = (a[: i - 1] for a in tables[4:])
     # smooth parts: S(β_j, α_j; x_k) at the nodes j = k, k + 1 of panels
     # k = 1 … i − 1, times the linear weights
     smooth = np.sum(wl[1:] * C[1:-1] * left + wr[1:] * C[2:] * right)
@@ -604,4 +587,4 @@ def bound_overlap(series: ComplexSeries, t: float):
     P = 1.0 - abs(overlap) ** 2
     if P < -1e-9:
         raise NumericsError(f"P = {P:.4g} < 0 at t={t:g}: the series does not conserve the norm")
-    return complex(overlap), P
+    return complex(overlap), float(P)

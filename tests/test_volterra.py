@@ -69,6 +69,13 @@ def test_grid_validation():
     assert TimeGrid(1.0, np.int64(10)).nodes[-1] == 1.0
 
 
+@pytest.mark.parametrize("t_max", [True, False])
+def test_grid_refuses_a_boolean_t_max(t_max):
+    # True would pass as t_max = 1
+    with pytest.raises(ValueError, match="t_max must be a number"):
+        TimeGrid(t_max, 10)
+
+
 def test_series_rejects_non_finite():
     g, p = TimeGrid(1.0, 2), default_units(0.0)
     with pytest.raises(ValueError):
@@ -411,6 +418,13 @@ def test_overlap_initial_state():
     assert prob == 0.0
 
 
+def test_overlap_types_are_the_same_at_every_node():
+    sol = solve_psi0(default_units(1.0), TimeGrid(1.0, 100))
+    for t in (0.0, 0.01, 1.0):
+        ov, prob = bound_overlap(sol, t)
+        assert type(ov) is complex and type(prob) is float, t
+
+
 def test_overlap_field_free_stationary():
     p = default_units(0.0)
     sol = solve_psi0(p, TimeGrid(10.0, 2000))
@@ -575,8 +589,8 @@ def _overlap_series():
 
 
 def test_overlap_tables_give_the_same_P_in_any_call_order():
-    # node i reads the first i rows of tables grown on demand; those rows
-    # are bitwise the rows that node i alone would build
+    # node i reads the first i rows of the whole grid's tables; those rows
+    # are the same whichever t asks first
     fresh = _overlap_series()
     times = (1.0, 2.0, 3.0, 4.0)
     alone = {t: bound_overlap(fresh(), t) for t in times}
@@ -589,8 +603,8 @@ def test_overlap_tables_give_the_same_P_in_any_call_order():
 def test_overlap_tables_compute_each_row_once(monkeypatch):
     # per panel: one H(β, α; 0) at its right node, H at both ends of the
     # exact panel's 8 nodes, and S at both nodes of a smooth panel (panels
-    # k ≥ 1).  Grown over t = 1 … 4 in either order, the tables compute
-    # the rows of the largest node, N = 400, once each
+    # k ≥ 1).  In any call order, t = 1 alone included, the first overlap
+    # computes the rows of the whole grid, N = 400, once each
     counts = {}
     chirp = volterra._bound_chirp
 
@@ -603,29 +617,53 @@ def test_overlap_tables_compute_each_row_once(monkeypatch):
     monkeypatch.setattr(volterra, "_bound_chirp", counting)
     fresh = _overlap_series()
     n = 400
-    for order in ((1.0, 2.0, 3.0, 4.0), (4.0, 1.0, 3.0, 2.0), (4.0,)):
+    for order in ((1.0, 2.0, 3.0, 4.0), (4.0, 1.0, 3.0, 2.0), (4.0,), (1.0,)):
         counts.clear()
         series = fresh()
         for t in order:
             bound_overlap(series, t)
         assert counts == {"h0": n, "smooth": 2 * (n - 1), "exact": 2 * n}, order
-    counts.clear()
-    bound_overlap(fresh(), 1.0)
-    assert counts == {"h0": n // 4, "smooth": 2 * (n // 4 - 1), "exact": 2 * (n // 4)}
 
 
 def test_overlap_tables_are_read_only_and_per_series():
     fresh = _overlap_series()
     series, other = fresh(), fresh()
-    bound_overlap(series, 2.0)
+    bound_overlap(series, 1.0)
     tables = series._overlap
-    assert tables.n == 200 and all(len(a) == 200 - (a.ndim == 1) for a in tables.rows)
-    for a in tables.rows:
+    # wq, lin, hl, hr for panels 0 … N − 1, left and right for 1 … N − 1
+    assert type(tables) is tuple and [len(a) for a in tables] == [400] * 4 + [399] * 2
+    for a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     # the same grid and params build their own tables, not a shared cache
     bound_overlap(other, 1.0)
-    assert other._overlap is not tables and other._overlap.n == 100 and tables.n == 200
+    assert other._overlap is not tables
+    assert all(a is not b for a, b in zip(other._overlap, tables))
+
+
+@functools.cache
+def _dyadic_series(f):
+    # h = 1/64, so TimeGrid(i/64, i) has exactly the first i + 1 nodes
+    return solve_psi0(default_units(f), TimeGrid(4.0, 256))
+
+
+@settings(max_examples=30, deadline=None)
+@example(f=1.0, i=1, x=[0.0, 1e-3, -2.0, 30.0])
+@example(f=2.0, i=256, x=[-20.0, 0.5])
+@given(
+    f=st.sampled_from([0.5, 1.0, 2.0]),
+    i=st.integers(1, 256),
+    x=st.lists(st.floats(-20.0, 40.0), min_size=1, max_size=6),
+)
+def test_node_reads_only_its_first_rows(f, i, x):
+    # the series cut at node i, whose tables end there, gives bitwise the
+    # P and ψ(x, t) of node i of the whole series
+    full = _dyadic_series(f)
+    t = i / 64
+    cut = ComplexSeries(TimeGrid(t, i), full.values[: i + 1], full.params)
+    assert cut.grid.nodes[-1] == full.grid.nodes[i]
+    assert bound_overlap(cut, t) == bound_overlap(full, t)
+    assert np.array_equal(reconstruct_psi_x(cut, x, t), reconstruct_psi_x(full, x, t))
 
 
 @pytest.mark.parametrize(
