@@ -22,8 +22,11 @@ max(u, |b|u², |a|u⁶) (within a factor 3 of the phase bound), gives G at
 the panel edges by a cumulative sum;
 each node adds one 12-point rule on its partial panel.  The panels depend
 on (a, b) alone, so a node's value does not depend on the rest of the
-grid.  This quadrature is Y's one evaluation rule; the tests check it
-against the paper's ₁F₁ series, summed in mpmath.
+grid.  The same pass takes many (a, b) as rows, each on its own panel
+edges, padded at the end to the longest row: ``y_integral`` evaluates a
+grid of (ξ₁, ξ₂) at s = 1 that way.  This quadrature is Y's one
+evaluation rule; the tests check it against the paper's ₁F₁ series,
+summed in mpmath.
 """
 
 from __future__ import annotations
@@ -130,100 +133,140 @@ class YArgs:
 _Y_PHASE_STEP = 1.5  # step of _g_phase per panel in the first pass of G
 _Y_MAX_PANELS = 32_768  # cap on the panels of one pass of G
 _Y_CHUNK = 4096  # intervals per rule evaluation in _g_panels
+_Y_ROWS = 256  # nodes (ξ₁, ξ₂) per G pass of y_integral, so its panel tables stay bounded
 
 
-def _g_phase(aa: float, bb: float, u):
+def _g_phase(aa, bb, u):
     # max(u, bb·u², aa·u⁶) with aa = |a|, bb = |b|: within a factor 3 of the
     # bound aa·u⁶ + bb·u² + u on the phase and the log-magnitude change of
     # the integrand of G over [0, u]
     return np.fmax(u, np.fmax(bb * u * u, aa * u**6))
 
 
-def _g_edges(aa: float, bb: float, n: int, step: float) -> np.ndarray:
-    # u_j solving _g_phase(u) = j·step, j = 0..n: the smallest root of the
-    # three single-term equations, a function of j alone, whatever n is
-    target = step * np.arange(n + 1)
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # |z| by hypot, rounded as abs() rounds a Python complex; np.abs rounds
+    # about a third of complex arrays' entries differently, which would
+    # move the panel edges and so every closed-form value in its last bits
+    return np.hypot(z.real, z.imag)
+
+
+def _g_edges(aa: np.ndarray, bb: np.ndarray, n: np.ndarray, step: float) -> np.ndarray:
+    # u_j solving _g_phase(u) = j·step, j = 0..n, for each row (aa, bb, n) of
+    # the columns aa, bb, n: the smallest root of the three single-term
+    # equations, a function of j alone, whatever n is.  A row with fewer
+    # panels than the longest repeats its last edge: empty panels at its end
+    target = step * np.minimum(np.arange(n.max() + 1), n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.fmin(target, np.fmin(np.sqrt(target / bb), (target / aa) ** (1.0 / 6.0)))
 
 
-def _g_panels(a: complex, b: complex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # ∫ e^{−au⁶ − bu²} du over each [lo, hi] by one 12-point rule, in place
-    # and in chunks of _Y_CHUNK intervals, so the temporaries stay bounded
-    # whatever the number of nodes
-    out = np.empty(np.size(lo), dtype=np.complex128)
-    for k in range(0, out.size, _Y_CHUNK):
-        u, w = gl_rule(lo[k : k + _Y_CHUNK], hi[k : k + _Y_CHUNK])
-        u *= u
-        x = -a * u
-        x *= u
-        x -= b
-        x *= u
-        np.exp(x, out=x)
-        x *= w
-        x.sum(axis=1, out=out[k : k + _Y_CHUNK])
+def _g_panels(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # ∫ e^{−a_r u⁶ − b_r u²} du over each [lo, hi] of row r by one 12-point
+    # rule, in place and in chunks of about _Y_CHUNK intervals, so the
+    # temporaries stay bounded whatever the number of rows and nodes
+    out = np.empty(lo.shape, dtype=np.complex128)
+    rows = max(1, _Y_CHUNK // lo.shape[1])
+    for r in range(0, lo.shape[0], rows):
+        ar, br = a[r : r + rows, None, None], b[r : r + rows, None, None]
+        for k in range(0, lo.shape[1], _Y_CHUNK):
+            part = np.s_[r : r + rows, k : k + _Y_CHUNK]
+            u, w = gl_rule(lo[part], hi[part])
+            u *= u
+            x = -ar * u
+            x *= u
+            x -= br
+            x *= u
+            np.exp(x, out=x)
+            x *= w
+            x.sum(axis=-1, out=out[part])
     return out
 
 
-def _g_pass(a: complex, b: complex, s: np.ndarray, step: float) -> np.ndarray:
-    # G at the nodes s: the panels between the edges of _g_edges summed up to
-    # each node's panel by one cumulative sum, plus its partial panel
-    aa, bb = abs(a), abs(b)
-    n = max(1, math.ceil(_g_phase(aa, bb, s.max()) / step))
+def _row_searchsorted(edges: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # np.searchsorted(edges[r], s, side="right") − 1 for every row r, as one
+    # call: complex numbers sort lexicographically, so r + i·edge is sorted
+    # row after row, and the keys are exact
+    rows = np.arange(edges.shape[0])[:, None]
+    pos = np.searchsorted((rows + 1j * edges).ravel(), rows + 1j * s, side="right")
+    return pos - rows * edges.shape[1] - 1
+
+
+def _g_pass(a: np.ndarray, b: np.ndarray, s: np.ndarray, step: float) -> np.ndarray:
+    # G at the nodes s for each row (a, b), shape (rows, nodes): each row's
+    # panels between the edges of _g_edges summed up to a node's panel by one
+    # cumulative sum, plus its partial panel
+    aa, bb = _modulus(a)[:, None], _modulus(b)[:, None]
+    n = np.maximum(1, np.ceil(_g_phase(aa, bb, s.max()) / step).astype(int))
     edges = _g_edges(aa, bb, n, step)
-    G_edges = np.r_[0.0, np.cumsum(_g_panels(a, b, edges[:-1], edges[1:]))]
-    j = np.searchsorted(edges, s, side="right") - 1
-    return G_edges[j] + _g_panels(a, b, edges[j], s)
+    G_edges = np.zeros(edges.shape, dtype=np.complex128)
+    np.cumsum(_g_panels(a, b, edges[:, :-1], edges[:, 1:]), axis=1, out=G_edges[:, 1:])
+    j = _row_searchsorted(edges, s)
+    lo = np.take_along_axis(edges, j, axis=1)
+    return np.take_along_axis(G_edges, j, axis=1) + _g_panels(a, b, lo, np.broadcast_to(s, lo.shape))
 
 
-def _g_integral(a: complex, b: complex, s: np.ndarray) -> np.ndarray:
-    """G(s) = ∫₀^s e^{−au⁶ − bu²} du at the nodes s ≥ 0.
+def _g_integral(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G(s) = ∫₀^s e^{−au⁶ − bu²} du for each row (a, b) of the complex
+    1-D arrays a, b at each node of the 1-D s ≥ 0; shape (rows, nodes).
 
     Panel edges lie at equal steps of max(u, |b|u², |a|u⁶), 1.5 to start,
-    so they depend on (a, b) and the step only: a node's value does not
-    depend on the other nodes of the call.  Each pass is
-    checked against one with half the step; a node is accepted once the two
-    agree to 1e-12 relative, plus a floor for the roundoff on the integrand
-    peak e^{max(0,−Re a)s⁶ + max(0,−Re b)s²}.
+    so they depend on (a, b) and the step only: a row's values do not
+    depend on the other rows of the call, nor a node's on the other nodes.
+    Each pass is checked against one with half the step; a value is
+    accepted once the two agree to 1e-12 relative, plus a floor for the
+    roundoff on the integrand peak e^{max(0,−Re a)s⁶ + max(0,−Re b)s²}, and
+    only the rows and nodes still open take the next pass.
     """
-    log_peak = max(0.0, -a.real) * s**6 + max(0.0, -b.real) * s * s
-    phase = _g_phase(abs(a), abs(b), s.max())
+    log_peak = np.maximum(0.0, -a.real)[:, None] * s**6 + np.maximum(0.0, -b.real)[:, None] * s * s
+    out = np.empty(log_peak.shape, dtype=np.complex128)
+    if not out.size:
+        return out
+    phase = _g_phase(_modulus(a), _modulus(b), s.max())
     # compared so that a non-finite bound fails too
-    if not (log_peak.max() <= 700.0 and phase <= 0.5 * _Y_PHASE_STEP * _Y_MAX_PANELS):
+    if not (log_peak.max() <= 700.0 and phase.max() <= 0.5 * _Y_PHASE_STEP * _Y_MAX_PANELS):
         raise PrecisionLossError("Y integrand overflows or oscillates beyond the quadrature")
     floor = 1e-14 * s * np.exp(log_peak)
-    out = np.empty(s.shape, dtype=np.complex128)
-    idx = np.arange(s.size)
+    open_ = np.ones(out.shape, dtype=bool)
+    rows, cols = np.arange(a.size), np.arange(s.size)  # rows and nodes with an open value
     step = _Y_PHASE_STEP
     prev = _g_pass(a, b, s, step)
-    while phase <= 0.5 * step * _Y_MAX_PANELS:
+    while np.all(phase[rows] <= 0.5 * step * _Y_MAX_PANELS):
         step *= 0.5
-        cur = _g_pass(a, b, s[idx], step)
-        done = np.abs(cur - prev) <= 1e-12 * np.maximum(s[idx], np.abs(cur)) + floor[idx]
-        out[idx[done]] = cur[done]
-        idx, prev = idx[~done], cur[~done]
-        if not idx.size:
+        cur = _g_pass(a[rows], b[rows], s[cols], step)
+        sub = np.ix_(rows, cols)
+        done = np.abs(cur - prev) <= 1e-12 * np.maximum(s[cols], np.abs(cur)) + floor[sub]
+        done &= open_[sub]
+        i, k = np.nonzero(done)
+        out[rows[i], cols[k]] = cur[i, k]
+        open_[rows[i], cols[k]] = False
+        keep_r, keep_c = open_[sub].any(axis=1), open_[sub].any(axis=0)
+        rows, cols, prev = rows[keep_r], cols[keep_c], cur[np.ix_(keep_r, keep_c)]
+        if not rows.size:
             return out
-    raise PrecisionLossError(f"Y quadrature did not reach 1e-12 at a={a}, b={b}, s={s[idx[0]]}")
+    r, k = np.argwhere(open_)[0]
+    raise PrecisionLossError(f"Y quadrature did not reach 1e-12 at a={a[r]}, b={b[r]}, s={s[k]}")
 
 
 def y_integral(args: YArgs, method: str = "quadrature"):
     """Y = ∫₀¹ e^{−ξ₁z⁶ − ξ₂z²} dz by quadrature, the only rule.
 
     Takes scalar or array arguments and returns a complex or a complex
-    array: each node is G(1) with (a, b) = (ξ₁, ξ₂), one node at a time.
-    The closed forms do not call it; they take Y(t) = t^{−1/2}G(√t) for a
-    whole grid from one pass.  ``method`` accepts ``"quadrature"`` alone."""
+    array: every node (ξ₁, ξ₂) is a row of one G(1) pass with
+    (a, b) = (ξ₁, ξ₂), on its own panel edges and with its own convergence
+    test, so a node's value does not depend on the other nodes; the nodes
+    take one pass per block of 256.  The closed forms do not call it; they
+    take Y(t) = t^{−1/2}G(√t) for a whole time grid from one row.
+    ``method`` accepts ``"quadrature"`` alone."""
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     xi1, xi2 = np.broadcast_arrays(np.asarray(args.xi1, complex), np.asarray(args.xi2, complex))
     if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
         raise ValueError("y_integral: non-finite arguments")
-    one = np.ones(1)
-    Y = np.fromiter(
-        (_g_integral(x1, x2, one)[0] for x1, x2 in zip(xi1.flat, xi2.flat)),
-        dtype=np.complex128, count=xi1.size,
-    ).reshape(xi1.shape)
+    a, b = xi1.ravel(), xi2.ravel()
+    Y = np.empty(a.shape, dtype=np.complex128)
+    for k in range(0, a.size, _Y_ROWS):
+        Y[k : k + _Y_ROWS] = _g_integral(a[k : k + _Y_ROWS], b[k : k + _Y_ROWS], np.ones(1))[:, 0]
+    Y = Y.reshape(xi1.shape)
     return complex(Y) if Y.ndim == 0 else Y
 
 
@@ -240,8 +283,8 @@ def _decay_pair(params: PhysParams, t: np.ndarray, ansatz: DecayAnsatz) -> tuple
     # free of t; the √t of the prefactor cancels
     ab = YArgs.from_time(params, 1.0, E)
     prefY = math.sqrt(2.0 * hbar * B**3 / (math.pi * m)) * _EXP_IPI4 * _g_integral(
-        complex(ab.xi1), complex(ab.xi2), np.sqrt(t)
-    )
+        np.array([ab.xi1]), np.array([ab.xi2]), np.sqrt(t)
+    )[0]
     additive = phi + np.exp(-1j * E * t / hbar) * prefY
     # replacing √B e^{−iEτ} → ψ(0,τ) inside the integral term divides the
     # closed prefactor by √B (invisible in B = 1 units)

@@ -27,7 +27,12 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .identities import check_airy_fourier, check_airy_erf_identity, check_z6_identity
+from .identities import (
+    GridPointError,
+    check_airy_erf_identity,
+    check_airy_fourier,
+    check_z6_identity,
+)
 from .scenario import (
     ANSATZ_SOURCES,
     METHODS,
@@ -167,22 +172,23 @@ def _cmd_identity_check(args) -> int:
     selector = args.selector
     points = _IDENTITY_GRIDS[selector] if args.points is None else args.points.split(",")
     kind, tol = _IDENTITY_TOL[selector]
-    # looked up per call, so that a rebinding of the module names is seen
+    # looked up per call, so that a rebinding of the module names is seen;
+    # the whole grid is one call, which checks every point before it computes
     check = {
         "z6": check_z6_identity,
         "airy_fourier": check_airy_fourier,
         "airy_erf": check_airy_erf_identity,
     }[selector]
-    rows = []
+    values = []
     for token in points:
         try:
-            value = complex(token) if selector != "airy_fourier" else float(token)
+            values.append(complex(token) if selector != "airy_fourier" else float(token))
         except ValueError:
             raise UsageError(f"bad grid point {token!r}")
-        try:
-            rows.append(check(value))
-        except ValueError as exc:  # point outside the validated range
-            raise UsageError(f"grid point {token!r}: {exc}")
+    try:
+        rows = check(values)
+    except GridPointError as exc:  # point outside the validated range
+        raise UsageError(f"grid point {points[exc.index]!r}: {exc}")
     print("point,abs_err,rel_err,flags")
     failures = 0
     for token, r in zip(points, rows):

@@ -34,7 +34,19 @@ read one slice [lo, 16.05].  Every node is a cell midpoint plus one of
 12 fixed offsets, so an η costs one exp per cell and 12 for the offsets,
 the phase product and (σ+η²)⁻⁸ on the tail's nodes, and two real
 matrix–vector products against five η-free columns cached beside the
-table; a χ costs erf(χ√σ) on its nodes.
+table.  The ε-ladder's regulator rows e^{−εσ²} and its column √σ are
+cached beside the table too, so a χ costs erf(χ√σ) on its nodes, a few
+elementwise products and one (3 × nodes) matrix–vector product.
+
+Each check takes a scalar, which gives one report, or a 1-D grid, which
+gives a tuple of reports, one per point; a scalar is a grid of one, and
+a point's report does not depend on the rest of its grid.  A grid is
+checked against the validated range before any point is computed: the
+first point outside it raises GridPointError, a ValueError that carries
+its index.  The z⁶ grid takes its Y values in one quadrature pass and its
+₁F₁ values in one call; the Airy–Fourier and erf–Airy grids take their
+points one by one, as their work per point is elementwise over thousands
+of nodes of its own.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from .errors import ConvergenceError
 from .specfun import _airy_both, cerfc, gl_rule, hyp1f1_one
 
 __all__ = [
+    "GridPointError",
     "IdentityReport",
     "check_airy_fourier",
     "check_z6_identity",
@@ -156,14 +169,45 @@ def _fourier_columns():
     return _read_only(0.5 * (edges[1:] + edges[:-1]), offsets, w_ai.reshape(-1, 12), cols)
 
 
-def _lattice(k_hi: int, k_lo: int):
-    """The table's σ, w·Ai and w·Ai′ on the cells k_hi…k_lo − 1 below
-    σ = −30, i.e. on [−30 − 0.15·k_lo, −30 − 0.15·k_hi]."""
-    sig, w_ai, w_aip = _airy_table()[:3]
-    if 12 * (_CELLS_ABOVE + k_lo) > sig.size:  # never a shorter range
-        raise ValueError(f"bottom {k_lo} cells below sigma=-30 is below the table")
-    part = slice(12 * (_CELLS_ABOVE + k_hi), 12 * (_CELLS_ABOVE + k_lo))
-    return sig[part], w_ai[part], w_aip[part]
+@functools.cache
+def _ladder_columns():
+    """The χ-free factors of the ε-ladder on every table node: the regulator
+    rows e^{−εσ²}, ε = ε₀, ε₀/2, ε₀/4, as (3, nodes), and √σ on the
+    principal branch, i√|σ| on σ < 0."""
+    sig = _airy_table()[0]
+    eps = _ERF_EPS / 2.0 ** np.arange(3)
+    rows = np.exp(-np.multiply.outer(eps, sig * sig))
+    root = np.where(sig >= 0, np.sqrt(np.abs(sig)) + 0j, 1j * np.sqrt(np.abs(sig)))
+    return _read_only(rows, root)
+
+
+class GridPointError(ValueError):
+    """A grid point outside an identity's validated range; ``index`` is its
+    position in the grid."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _grid(points, dtype) -> tuple[np.ndarray, bool]:
+    """The points as a 1-D array, and whether they came as a scalar."""
+    x = np.asarray(points, dtype=dtype)
+    if x.ndim > 1:
+        raise ValueError(f"takes a scalar or a 1-D grid, got shape {x.shape}")
+    return np.atleast_1d(x), x.ndim == 0
+
+
+def _check_range(grid: np.ndarray, limit: float, name: str) -> None:
+    """GridPointError for the first point of the grid outside |·| ≤ limit,
+    a NaN point included."""
+    bad = ~(np.abs(grid) <= limit)
+    if bad.any():
+        raise GridPointError(int(np.argmax(bad)), f"validated only for |{name}| <= {limit:g}")
+
+
+def _one_or_all(results: list, scalar: bool):
+    return results[0] if scalar else tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -237,84 +281,115 @@ def _airy_fourier_tail(eta: float) -> tuple[float, complex]:
     return c, complex(total)
 
 
-def check_airy_fourier(eta: float) -> IdentityReport:
-    """∫ dσ Ai(σ) e^{iησ} = e^{−iη³/3}, for |η| ≤ 5."""
-    c, tail = _airy_fourier_tail(eta)
-    top = _CELLS_ABOVE + _tail_cells(eta)[0]
+def check_airy_fourier(eta):
+    """∫ dσ Ai(σ) e^{iησ} = e^{−iη³/3}, for |η| ≤ 5: one report for a
+    scalar η, a tuple of reports for a 1-D grid of η."""
+    grid, scalar = _grid(eta, np.float64)
+    _check_range(grid, _ETA_MAX, "eta")
     mids, offsets, w_ai, _ = _fourier_columns()
-    lhs = np.exp(1j * eta * mids[:top]) @ (w_ai[:top] @ np.exp(1j * eta * offsets)) + tail
-    rhs = np.exp(-1j * eta**3 / 3.0)
-    return IdentityReport.build(
-        "airy_fourier", lhs, rhs, regularization=f"cutoff sigma={c:g}, IBP tail"
-    )
+    reports = []
+    for eta in grid.tolist():
+        c, tail = _airy_fourier_tail(eta)
+        top = _CELLS_ABOVE + _tail_cells(eta)[0]
+        lhs = np.exp(1j * eta * mids[:top]) @ (w_ai[:top] @ np.exp(1j * eta * offsets)) + tail
+        rhs = np.exp(-1j * eta**3 / 3.0)
+        reports.append(IdentityReport.build(
+            "airy_fourier", lhs, rhs, regularization=f"cutoff sigma={c:g}, IBP tail"
+        ))
+    return _one_or_all(reports, scalar)
 
 
 # ---------------------------------------------------------------------------
 # z^6 identity
 # ---------------------------------------------------------------------------
 
-def z6_closed_form(xi1: complex) -> complex:
-    """Right-hand side e^{−ξ₁}{(6ξ₁/7)·₁F₁(1;13/6;ξ₁) + 1}."""
-    xi1 = complex(xi1)
-    return complex(np.exp(-xi1) * ((6.0 * xi1 / 7.0) * hyp1f1_one(13.0 / 6.0, xi1) + 1.0))
+def _z6_rhs(xi1: np.ndarray) -> list:
+    """e^{−ξ₁}{(6ξ₁/7)·₁F₁(1;13/6;ξ₁) + 1} for each ξ₁ of the 1-D grid,
+    from one ₁F₁ call."""
+    hyp = hyp1f1_one(13.0 / 6.0, xi1).tolist()
+    # in Python complex arithmetic, which divides by 7 where numpy would
+    # multiply by 1/7, a different rounding; so do the erf–Airy check's
+    # ξ₁ = χ⁶/3 and right side
+    return [complex(np.exp(-x) * ((6.0 * x / 7.0) * f + 1.0)) for x, f in zip(xi1.tolist(), hyp)]
 
 
-def check_z6_identity(xi1: complex) -> IdentityReport:
+def z6_closed_form(xi1):
+    """Right-hand side e^{−ξ₁}{(6ξ₁/7)·₁F₁(1;13/6;ξ₁) + 1}: a complex for a
+    scalar ξ₁, a tuple of them for a 1-D grid."""
+    grid, scalar = _grid(xi1, np.complex128)
+    return _one_or_all(_z6_rhs(grid), scalar)
+
+
+def check_z6_identity(xi1):
     """∫₀¹ e^{−ξ₁z⁶} dz, by the Y(t) quadrature at ξ₂ = 0, against its ₁F₁
-    closed form, |ξ₁| ≤ 50."""
-    xi1 = complex(xi1)
-    if not abs(xi1) <= _XI1_MAX:
-        raise ValueError("validated only for |xi1| <= 50")
-    return IdentityReport.build("z6", y_integral(YArgs(xi1, 0j)), z6_closed_form(xi1))
+    closed form, |ξ₁| ≤ 50: one report for a scalar ξ₁, a tuple of reports
+    for a 1-D grid, whose Y nodes take one quadrature pass."""
+    grid, scalar = _grid(xi1, np.complex128)
+    _check_range(grid, _XI1_MAX, "xi1")
+    lhs = y_integral(YArgs(grid, 0j))
+    return _one_or_all([IdentityReport.build("z6", l, r) for l, r in zip(lhs, _z6_rhs(grid))], scalar)
 
 
 # ---------------------------------------------------------------------------
 # erf-Airy identity (Gaussian-regularized)
 # ---------------------------------------------------------------------------
 
-def _erf_airy_ladder(chi: complex) -> np.ndarray:
+def _erf_airy_ladder(chi: np.ndarray) -> np.ndarray:
     """The regularized integrals ∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²} at
-    ε = ε₀, ε₀/2, ε₀/4, all on the table's cells from 16.05 down to the
-    bottom of the smallest ε."""
-    eps = _ERF_EPS / 2.0 ** np.arange(3)
-    sig, w_ai, _ = _lattice(-_CELLS_ABOVE, _ladder_cells(chi))
-    # erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the ratio
-    # is continuous through σ = 0 with value (2/√π)χ
-    root = np.where(sig >= 0, np.sqrt(np.abs(sig)) + 0j, 1j * np.sqrt(np.abs(sig)))
-    z = chi * root
-    small = np.abs(z) < 1e-8
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(small, (2.0 / math.sqrt(math.pi)) * chi, (1.0 - cerfc(z)) / root)
-        rungs = np.exp(-np.multiply.outer(eps, sig * sig)) @ (w_ai * ratio)
-    if not np.all(np.isfinite(rungs)):
-        raise ConvergenceError(f"erf-Airy ladder has a non-finite rung at chi={chi}")
+    ε = ε₀, ε₀/2, ε₀/4 for each χ of the 1-D array, shape (χ, 3), each on
+    the table's cells from 16.05 down to the bottom of the smallest ε at
+    its |χ|.  A χ costs one ``cerfc`` call on its own nodes: one call on the
+    nodes of a whole grid, megabytes long, ran slower than the calls per χ."""
+    rows, root = _ladder_columns()
+    w_ai = _airy_table()[1]
+    rungs = np.empty((chi.size, 3), dtype=np.complex128)
+    for i, c in enumerate(chi.tolist()):
+        k = 12 * (_CELLS_ABOVE + _ladder_cells(c))
+        if k > w_ai.size:  # never a shorter range
+            raise ValueError(f"the ladder's bottom at chi={c} is below the table")
+        # erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the ratio
+        # is continuous through σ = 0 with value (2/√π)χ
+        z = c * root[:k]
+        ratio = cerfc(z)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.subtract(1.0, ratio, out=ratio)
+            ratio /= root[:k]
+        ratio[np.abs(z) < 1e-8] = (2.0 / math.sqrt(math.pi)) * c
+        ratio *= w_ai[:k]
+        rungs[i] = rows[:, :k] @ ratio
+        if not np.all(np.isfinite(rungs[i])):
+            raise ConvergenceError(f"erf-Airy ladder has a non-finite rung at chi={c}")
     return rungs
 
 
-def check_airy_erf_identity(chi: complex) -> IdentityReport:
+def check_airy_erf_identity(chi):
     """∫ dσ/√σ Ai(σ) erf(χ√σ) = (2χ/√π)e^{−ξ₁}{(6ξ₁/7)₁F₁(1;13/6;ξ₁)+1},
     defined through the ε → 0 limit of the Gaussian-regularized integral,
-    for |χ| ≤ 1.  Over 96 phases of χ the worst unflagged relative error is
+    for |χ| ≤ 1: one report for a scalar χ, a tuple of reports for a 1-D
+    grid.  Over 96 phases of χ the worst unflagged relative error is
     3.8e-4 at |χ| = 1, 7.9e-4 at 1.1 and 0.11 at 1.2, past the ladder's 1e-3
     tolerance, so larger |χ| is refused."""
-    chi = complex(chi)
-    if not abs(chi) <= _CHI_MAX:
-        raise ValueError("validated only for |chi| <= 1")
-    xi1 = chi**6 / 3.0
-    if chi == 0:
-        return IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0")
-
-    ladder = [complex(v) for v in _erf_airy_ladder(chi)]
-    i1, i2, i3 = ladder
-    extrapolated = (8.0 * i3 - 6.0 * i2 + i1) / 3.0
-    flags = []
-    scale = max(abs(i3), 1e-12)
-    # growing rungs above the meaningful (1e-3·scale) level: inconclusive
-    if abs(i3 - i2) > 1.5 * abs(i2 - i1) and abs(i3 - i2) > 1e-3 * scale:
-        flags.append("ladder_divergent")
-
-    rhs = (2.0 * chi / math.sqrt(math.pi)) * z6_closed_form(xi1)
-    reg = f"eps ladder {_ERF_EPS:g}/{_ERF_EPS / 2:g}/{_ERF_EPS / 4:g}: " + ", ".join(
-        f"{v:.6g}" for v in ladder
-    )
-    return IdentityReport.build("airy_erf", extrapolated, rhs, regularization=reg, flags=flags)
+    grid, scalar = _grid(chi, np.complex128)
+    _check_range(grid, _CHI_MAX, "chi")
+    chis = grid.tolist()
+    nonzero = grid != 0
+    ladders = np.zeros((grid.size, 3), dtype=np.complex128)
+    ladders[nonzero] = _erf_airy_ladder(grid[nonzero])
+    reports = []
+    for chi, ladder, z6 in zip(chis, ladders.tolist(), _z6_rhs(np.array([c**6 / 3.0 for c in chis]))):
+        if chi == 0:
+            reports.append(IdentityReport.build("airy_erf", 0.0, 0.0, regularization="chi=0"))
+            continue
+        i1, i2, i3 = ladder
+        extrapolated = (8.0 * i3 - 6.0 * i2 + i1) / 3.0
+        flags = []
+        scale = max(abs(i3), 1e-12)
+        # growing rungs above the meaningful (1e-3·scale) level: inconclusive
+        if abs(i3 - i2) > 1.5 * abs(i2 - i1) and abs(i3 - i2) > 1e-3 * scale:
+            flags.append("ladder_divergent")
+        rhs = (2.0 * chi / math.sqrt(math.pi)) * z6
+        reg = f"eps ladder {_ERF_EPS:g}/{_ERF_EPS / 2:g}/{_ERF_EPS / 4:g}: " + ", ".join(
+            f"{v:.6g}" for v in ladder
+        )
+        reports.append(IdentityReport.build("airy_erf", extrapolated, rhs, regularization=reg, flags=flags))
+    return _one_or_all(reports, scalar)

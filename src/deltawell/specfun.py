@@ -14,8 +14,9 @@ own implementation; the rest is written here:
 * ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
   ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
   b of the paper's Y series and of the z⁶ closed form (which alone calls
-  it, at b = 13/6), by the exact integral representation (DLMF §13.4)
-  n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1).
+  it, at b = 13/6, on a whole grid of z), by the exact integral
+  representation (DLMF §13.4) n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1):
+  many b for one z, or one b for an array of z.
   Kept in-house: scipy's complex ``hyp1f1`` is off by 2.7e−10 at
   b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
@@ -164,18 +165,18 @@ def airy_ai_prime(s):
 # ---------------------------------------------------------------------------
 
 _HYP_MAX_PANELS = 32_768  # cap on the panels of the ₁F₁ integral
-_HYP_BLOCK = 1 << 21  # entries of one block of the ₁F₁ matrix product (16 MB)
+_HYP_BLOCK = 1 << 16  # terms of one block of the ₁F₁ sums (1 MB of complex)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 
 def gl_rule(lo, hi):
-    """Nodes and weights, shape (k, 12), of the 12-point Gauss–Legendre rule
-    on each interval [lo[k], hi[k]]."""
+    """Nodes and weights, shape lo.shape + (12,), of the 12-point
+    Gauss–Legendre rule on each interval [lo, hi] of the arrays lo, hi."""
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return mid[:, None] + half[:, None] * _GL_X[None, :], half[:, None] * _GL_W[None, :]
+    return mid[..., None] + half[..., None] * _GL_X, half[..., None] * _GL_W
 
 
 def gl_panels(lo: float, hi: float, n_panels: int):
@@ -186,6 +187,42 @@ def gl_panels(lo: float, hi: float, n_panels: int):
     return x.ravel(), w.ravel()
 
 
+def _hyp1f1_order(b: float) -> int:
+    # n = 6(b − 1), which must be a positive integer
+    n = 6.0 * (b - 1.0)
+    if not (math.isfinite(n) and n > 0.5 and abs(n - round(n)) <= 1e-9):
+        raise ValueError(f"hyp1f1 requires b - 1 to be a positive multiple of 1/6, got b={b}")
+    return round(n)
+
+
+def _hyp1f1_panels(b: float, n: int, z: np.ndarray) -> np.ndarray:
+    # panels for each z, fine enough for both the phase of e^{z(1−v⁶)} and the
+    # width 1/n of v^{n−1} at v = 1; compared with the cap before the cast,
+    # so a huge |z| raises rather than wrapping around
+    panels = np.maximum(8.0, np.floor((3.0 * np.abs(z) + n / 4.0) / math.pi) + 8.0)
+    if panels.size and panels.max() > _HYP_MAX_PANELS:
+        i = np.argmax(panels)
+        raise PrecisionLossError(f"hyp1f1 integral needs {panels[i]:.6g} panels at b={b}, z={z[i]}")
+    return panels.astype(int)
+
+
+def _hyp1f1_sums(n: np.ndarray, z: np.ndarray, panels: int) -> np.ndarray:
+    # n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv on `panels` equal panels for the orders n
+    # (m,) and the z (k,), shape (k, m): each entry is its own sum over the
+    # nodes, so it does not depend on the other orders or z of the call
+    v, w = gl_panels(0.0, 1.0, panels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = w * np.exp(np.multiply.outer(z, 1.0 - v**6))
+        return n * (e[:, None, :] * v ** (n[:, None] - 1)).sum(axis=-1)
+
+
+def _finite(out: np.ndarray, b: float, z: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise PrecisionLossError(f"hyp1f1 integral is not finite at b={b}, z={z[np.argmax(bad)]}")
+    return out
+
+
 def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     """[₁F₁(1; b0 + m; z) for m in 0..count−1], b0 − 1 a positive multiple
     of 1/6, count an integer ≥ 1 and z finite (ValueError otherwise).
@@ -194,41 +231,45 @@ def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1) a positive integer, whose
     integrand is entire: one set of 12-point Gauss–Legendre panels, fine
     enough for both the phase of e^{z(1−v⁶)} and the width 1/n of v^{n−1}
-    at v = 1, serves all members in one matrix product.  Raises
-    PrecisionLossError when more than 32 768 panels would be needed or the
-    result is not finite.
+    at v = 1, serves all members.  Raises PrecisionLossError when more
+    than 32 768 panels would be needed or the result is not finite.
     """
-    n0 = 6.0 * (b0 - 1.0)
-    if not (math.isfinite(n0) and n0 > 0.5 and abs(n0 - round(n0)) <= 1e-9):
-        raise ValueError(f"hyp1f1 requires b - 1 to be a positive multiple of 1/6, got b={b0}")
+    n0 = _hyp1f1_order(b0)
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"hyp1f1_one_family requires an integer count >= 1, got {count!r}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    z = np.array([complex(z)])
+    if not np.isfinite(z[0]):
         raise ValueError("hyp1f1: non-finite z")
-    n = round(n0) + 6 * np.arange(count)
-    panels = max(8, int((3.0 * abs(z) + n[-1] / 4.0) / math.pi) + 8)
-    if panels > _HYP_MAX_PANELS:
-        raise PrecisionLossError(f"hyp1f1 integral needs {panels} panels at b={b0 + count - 1}, z={z}")
-    v, w = gl_panels(0.0, 1.0, panels)
-    # members in blocks of at most _HYP_BLOCK powers v^{n−1}
-    blocks = np.array_split(n, -(-count * v.size // _HYP_BLOCK))
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = w * np.exp(z * (1.0 - v**6))
-        out = np.concatenate([m * (v ** (m[:, None] - 1) @ e) for m in blocks])
-    if not np.all(np.isfinite(out)):
-        raise PrecisionLossError(f"hyp1f1 integral is not finite at b={b0}, z={z}")
-    return out
+    n = n0 + 6 * np.arange(count)
+    panels = _hyp1f1_panels(b0 + count - 1, n[-1], z)[0]
+    # members in blocks of at most _HYP_BLOCK terms
+    blocks = np.array_split(n, -(-count * 12 * panels // _HYP_BLOCK))
+    return _finite(np.concatenate([_hyp1f1_sums(m, z, panels)[0] for m in blocks]), b0, z)
 
 
-def hyp1f1_one(b: float, z: complex) -> complex:
-    """₁F₁(1; b; z) for b − 1 a positive multiple of 1/6 and complex z;
-    relative error ≲ 5e−12 against mpmath for |z| ≤ 50 and b ≤ 1211/6,
-    largest where |₁F₁| is small next to the integrand.
+def hyp1f1_one(b: float, z):
+    """₁F₁(1; b; z) for b − 1 a positive multiple of 1/6 and finite complex
+    z, a scalar (complex result) or an array (complex array); relative
+    error ≲ 5e−12 against mpmath for |z| ≤ 50 and b ≤ 1211/6, largest where
+    |₁F₁| is small next to the integrand.
 
-    The m = 0 member of :func:`hyp1f1_one_family`.
+    The m = 0 member of :func:`hyp1f1_one_family` for each z: the z that
+    share a panel count take one pass, in blocks of at most _HYP_BLOCK
+    terms, and each value is the one the z gets alone.
     """
-    return complex(hyp1f1_one_family(b, 1, z)[0])
+    n = np.array([_hyp1f1_order(b)])
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("hyp1f1: non-finite z")
+    flat = z.ravel()
+    panels = _hyp1f1_panels(b, n[0], flat)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    for p in np.unique(panels):
+        group = np.flatnonzero(panels == p)
+        for part in np.array_split(group, -(-group.size * 12 * p // _HYP_BLOCK)):
+            out[part] = _hyp1f1_sums(n, flat[part], p)[:, 0]
+    out = _finite(out, b, flat).reshape(z.shape)
+    return complex(out) if z.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltawell.approx import (
     DecayAnsatz,
@@ -130,6 +131,39 @@ def test_y_quadrature_array_matches_scalar_calls():
     for ti, yi in zip(t, Y):
         want = y_integral(YArgs.from_time(p, ti, a.E), "quadrature")
         assert abs(yi - want) <= 1e-13 * abs(want), ti
+
+
+_XI = st.complex_numbers(max_magnitude=40.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.lists(st.tuples(_XI, _XI), min_size=1, max_size=5),
+    extra=st.lists(st.tuples(_XI, _XI), max_size=3),
+    data=st.data(),
+)
+def test_y_array_is_its_one_node_calls(nodes, extra, data):
+    # every node (ξ₁, ξ₂) has its own panel edges and convergence: its value
+    # is its one-node call's, in any order and beside any other nodes
+    xi1, xi2 = (np.array(v) for v in zip(*nodes))
+    Y = y_integral(YArgs(xi1, xi2))
+    assert Y.shape == (len(nodes),) and Y.tolist() == [y_integral(YArgs(*n)) for n in nodes]
+    order = data.draw(st.permutations(range(len(nodes) + len(extra))))
+    xi1, xi2 = (np.array(v)[order] for v in zip(*(nodes + extra)))
+    mixed = y_integral(YArgs(xi1, xi2))
+    assert [mixed[order.index(i)] for i in range(len(nodes))] == Y.tolist()
+
+
+def test_y_array_blocks_do_not_change_values():
+    # more nodes than one pass takes: a 2-D grid of 600 nodes against a
+    # slice that starts inside a block and against one-node calls
+    rng = np.random.default_rng(3)
+    xi1 = (rng.uniform(-5, 40, 600) + 1j * rng.uniform(-40, 40, 600)).reshape(20, 30)
+    Y = y_integral(YArgs(xi1, 2.0 - 1.0j))
+    assert Y.shape == (20, 30)
+    assert np.array_equal(Y.ravel()[100:], y_integral(YArgs(xi1.ravel()[100:], 2.0 - 1.0j)))
+    for k in (0, 255, 256, 599):
+        assert Y.ravel()[k] == y_integral(YArgs(xi1.ravel()[k], 2.0 - 1.0j))
 
 
 def test_y_args_from_time():

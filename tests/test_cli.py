@@ -146,6 +146,23 @@ def test_identity_check_empty_points_is_a_usage_error(capsys):
             assert "bad grid point ''" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("selector, good, bad", [
+    ("z6", ["0.1", "1+3j", "5j"], ["oops", "60", "nan", "1+"]),
+    ("airy_fourier", ["0", "1", "-2"], ["6", "1j", "inf", "x"]),
+    ("airy_erf", ["0", "0.3", "0.2j"], ["1.6", "nan", "2j", ""]),
+])
+def test_identity_check_names_a_bad_token_anywhere(selector, good, bad, capsys):
+    # every token is parsed and checked before any point is computed: a bad
+    # one in any position exits 1, names that token and prints no rows
+    for token in bad:
+        for k in range(len(good) + 1):
+            points = good[:k] + [token] + good[k:]
+            assert main(["identity-check", selector, "--points", ",".join(points)]) == 1
+            captured = capsys.readouterr()
+            assert not captured.out, (selector, points)
+            assert f"grid point {token!r}" in captured.err, (selector, points)
+
+
 def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
     # χ = 1.6 lies outside the validated |χ| ≤ 1 (its ladder has a NaN
     # rung) and is a usage error; a NaN row that reaches the table counts
@@ -155,7 +172,7 @@ def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
     nan = float("nan")
     monkeypatch.setattr(
         cli, "check_airy_erf_identity",
-        lambda chi: IdentityReport("airy_erf", nan, 0.0, nan, nan),
+        lambda chis: tuple(IdentityReport("airy_erf", nan, 0.0, nan, nan) for _ in chis),
     )
     assert main(["identity-check", "airy_erf", "--points", "0.3"]) == 2
     assert "1 unflagged row(s)" in capsys.readouterr().err
@@ -184,13 +201,13 @@ def test_identity_check_calls_the_module_binding(monkeypatch, capsys):
     calls = []
     real = cli.check_airy_fourier
 
-    def spy(eta):
-        calls.append(eta)
-        return real(eta)
+    def spy(etas):
+        calls.append(list(etas))
+        return real(etas)
 
     monkeypatch.setattr(cli, "check_airy_fourier", spy)
-    assert main(["identity-check", "airy_fourier", "--points", "0.5"]) == 0
-    assert calls == [0.5]
+    assert main(["identity-check", "airy_fourier", "--points", "0.5,-1"]) == 0
+    assert calls == [[0.5, -1.0]]
     capsys.readouterr()
 
 

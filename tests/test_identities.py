@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_airy_fourier_tail_table_ends_at_the_validated_range():
     with pytest.raises(ValueError, match="validated"):
         check_airy_erf_identity(1.01)
     with pytest.raises(ValueError, match="below the table"):
-        identities._erf_airy_ladder(2.4 + 0j)
+        identities._erf_airy_ladder(np.array([2.4 + 0j]))
 
 
 def _count_airy_calls(monkeypatch):
@@ -200,7 +201,7 @@ def test_airy_erf_complex_chi():
 def test_airy_erf_ladder_non_finite_rung_raises():
     # outside |χ| ≤ 1 the unchecked ladder has a non-finite rung at χ = 1.6
     with pytest.raises(ConvergenceError, match="non-finite rung"):
-        identities._erf_airy_ladder(1.6 + 0j)
+        identities._erf_airy_ladder(np.array([1.6 + 0j]))
 
 
 def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
@@ -216,14 +217,26 @@ def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
     monkeypatch.setattr(identities, "cerfc", spy)
     for chi in (0.05, 0.3, 0.8 + 0.5j):
         check_airy_erf_identity(chi)
-    # Ai comes from the table; erf is one array call per χ
+    check_airy_erf_identity(np.array([0.05, 0.0, 0.3, 0.8 + 0.5j]))
+    # Ai comes from the table; erf is one array call per nonzero χ, in a
+    # grid too (one call on a whole grid's nodes measured slower)
     assert not sizes and not airy_ai_calls
-    assert len(cerfc_calls) == 3 and min(cerfc_calls) > 1
+    assert len(cerfc_calls) == 6 and min(cerfc_calls) > 1
+
+
+def test_airy_erf_ladder_rows_built_once_per_process():
+    identities._ladder_columns.cache_clear()
+    for grid in (0.3, np.array([0.05, 0.2]), np.array([1.0, 0.8 + 0.5j, 0.1j])):
+        check_airy_erf_identity(grid)
+    info = identities._ladder_columns.cache_info()
+    assert (info.misses, info.hits) == (1, 2)  # one look-up per grid
+    rows, root = identities._ladder_columns()
+    assert not rows.flags.writeable and not root.flags.writeable
 
 
 @pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, 1.0 + 0.5j])
 def test_airy_erf_rungs_match_quad_oracle(chi):
-    rungs = identities._erf_airy_ladder(complex(chi))
+    rungs = identities._erf_airy_ladder(np.array([complex(chi)]))[0]
     for j, got in enumerate(rungs):
         want, scale = erf_airy_regularized(chi, 0.05 / 2**j)
         # 1e-10 relative, or the rounding floor of a double-precision sum
@@ -231,3 +244,86 @@ def test_airy_erf_rungs_match_quad_oracle(chi):
         # against 30-digit mpmath the rung is off by 1.8e-9 relative and
         # the quad oracle by 5.1e-9
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-14 * scale), j
+
+
+# ---------------------------------------------------------------------------
+# grids: one call per grid, each point as if alone
+# ---------------------------------------------------------------------------
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_SELECTORS = {
+    "z6": (check_z6_identity, st.complex_numbers(max_magnitude=50.0, **_FINITE)),
+    "airy_fourier": (check_airy_fourier, st.floats(-5.0, 5.0)),
+    "airy_erf": (
+        check_airy_erf_identity,
+        st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1.0, **_FINITE)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _SELECTORS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_grid_point_is_its_one_point_call(name, data):
+    # a point's report does not depend on the grid it is in: equal to its
+    # one-point call, in any order and beside any other points
+    check, point = _SELECTORS[name]
+    grid = data.draw(st.lists(point, min_size=1, max_size=4))
+    extra = data.draw(st.lists(point, max_size=3))
+    reports = check(np.array(grid))
+    assert isinstance(reports, tuple) and len(reports) == len(grid)
+    assert list(reports) == [check(p) for p in grid]
+    order = data.draw(st.permutations(range(len(grid) + len(extra))))
+    mixed = check(np.array(grid + extra)[order])
+    assert [mixed[order.index(i)] for i in range(len(grid))] == list(reports)
+
+
+def test_z6_closed_form_takes_a_grid():
+    xi1 = [0.1, 5j, 1 + 3j, 0.0]
+    got = z6_closed_form(np.array(xi1))
+    assert isinstance(got, tuple) and list(got) == [z6_closed_form(x) for x in xi1]
+    assert isinstance(z6_closed_form(2.0), complex)
+
+
+@pytest.mark.parametrize("check", [check_z6_identity, check_airy_fourier, check_airy_erf_identity])
+def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypatch):
+    # the first point outside the validated range is named by its index,
+    # before any point is computed
+    assert check(np.array([])) == ()
+    monkeypatch.setattr(identities, "y_integral", None)
+    monkeypatch.setattr(identities, "_airy_fourier_tail", None)
+    monkeypatch.setattr(identities, "_erf_airy_ladder", None)
+    with pytest.raises(identities.GridPointError, match="validated only") as err:
+        check(np.array([0.1, 0.2, 60.0, math.nan]))
+    assert err.value.index == 2
+    with pytest.raises(ValueError, match="1-D"):
+        check(np.zeros((2, 2)))
+
+
+# tracemalloc peaks of one 2 000-point grid drawn over the benchmark's
+# ranges, after the tables were built, measured: z6 2.14 MB, airy_fourier
+# 1.20 MB, airy_erf 2.74 MB.  The bound is 1.5 times the largest and about
+# 6% of the resident size of a process that runs the checks (64 MiB); a
+# grid whose Y rows or ₁F₁ terms are not taken in blocks needs 4.5 MB
+_GRID_PEAK_BOUND = 4 << 20
+
+
+@pytest.mark.parametrize("name", _SELECTORS)
+def test_large_grid_memory_stays_bounded(name):
+    rng = np.random.default_rng(11)
+    n = 2000
+    grid = {
+        "z6": rng.uniform(0.0, 5.0, n) + 1j * rng.uniform(-5.0, 5.0, n),
+        "airy_fourier": rng.uniform(-2.0, 2.0, n),
+        "airy_erf": rng.uniform(0.0, 0.3, n) + 0j,
+    }[name]
+    check = _SELECTORS[name][0]
+    check(grid[:1])  # the tables are per process, not per grid
+    tracemalloc.start()
+    try:
+        reports = check(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == n and not any(r.flags for r in reports)
+    assert peak <= _GRID_PEAK_BOUND, peak

@@ -1,9 +1,10 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -208,24 +209,59 @@ def test_hyp_domain_error():
 
 
 def test_hyp_accuracy_grid_vs_oracle(rng):
+    # each b's grid goes through the array form as well, which must give
+    # every z the value of its scalar call
     zs = list(rng.uniform(-50, 50, 40) + 1j * rng.uniform(-50, 50, 40))
     zs += [50.0j, -50.0j, 14.9j, 15.1j, 41.7j, -35.0 + 0.0j, 50.0 + 0.0j]
+    zs = [complex(z) for z in zs if abs(z) <= 50]
     # 7/6 + 100 and 11/6 + 200: large-b members, where v^{n−1} is 1/n wide at v = 1
     for b in (7.0 / 6.0, 3.0 / 2.0, 11.0 / 6.0, 13.0 / 6.0, 17.0 / 6.0, 37.0 / 6.0, 61.0,
               7.0 / 6.0 + 100.0, 11.0 / 6.0 + 200.0):
-        for z in zs:
-            if abs(z) > 50:
-                continue
-            ref = complex(mpmath.hyp1f1(1, b, complex(z)))
-            got = hyp1f1_one(b, complex(z))
+        grid = hyp1f1_one(b, np.array(zs))
+        for z, got_grid in zip(zs, grid):
+            ref = complex(mpmath.hyp1f1(1, b, z))
+            got = hyp1f1_one(b, z)
+            assert got_grid == got, (b, z)
             assert abs(got - ref) / max(abs(ref), 1e-300) < 1e-11, (b, z)
     # large negative real parts
-    for b, z in (
+    cases = (
         (7.0 / 6.0, -20.0), (7.0 / 6.0, -40.0), (13.0 / 6.0, -30.0 + 5.0j),
         (7.0 / 6.0, -13.046 - 47.48j), (13.0 / 6.0, -11.237 + 43.342j),
-    ):
+    )
+    for b, z in cases:
         ref = complex(mpmath.hyp1f1(1, b, z))
-        assert abs(hyp1f1_one(b, z) - ref) / abs(ref) < 1e-11, (b, z)
+        got = hyp1f1_one(b, np.array([z, 0.5j]))[0]
+        assert got == hyp1f1_one(b, z)
+        assert abs(got - ref) / abs(ref) < 1e-11, (b, z)
+
+
+_HYP_Z = st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.sampled_from([7.0 / 6.0, 3.0 / 2.0, 13.0 / 6.0, 37.0 / 6.0]),
+    z=st.lists(_HYP_Z, min_size=1, max_size=6),
+    extra=st.lists(_HYP_Z, max_size=4),
+    data=st.data(),
+)
+def test_hyp_array_is_its_scalar_calls(b, z, extra, data):
+    # a z's value does not depend on the other z of the call: equal to its
+    # scalar call, in any order and beside any other z
+    got = hyp1f1_one(b, np.array(z))
+    assert got.shape == (len(z),) and got.dtype == np.complex128
+    assert got.tolist() == [hyp1f1_one(b, x) for x in z]
+    order = data.draw(st.permutations(range(len(z) + len(extra))))
+    mixed = hyp1f1_one(b, np.array(z + extra)[order])
+    assert [mixed[order.index(i)] for i in range(len(z))] == got.tolist()
+
+
+def test_hyp_array_keeps_its_shape():
+    z = np.array([[1.0, 5.0j, -3.0 + 2.0j], [0.0, 30.0, -40.0j]])
+    got = hyp1f1_one(13.0 / 6.0, z)
+    assert got.shape == z.shape
+    assert got.ravel().tolist() == [hyp1f1_one(13.0 / 6.0, x) for x in z.ravel().tolist()]
+    assert hyp1f1_one(13.0 / 6.0, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -245,6 +281,11 @@ def test_hyp_unconverged_series_raises(z):
     # its cap: no value comes back rather than gigabytes being allocated
     with pytest.raises(PrecisionLossError, match="panels"):
         hyp1f1_one(100001.0 + 1.0 / 6.0, z)
+    # in an array, the z past the cap fails the call and is named, a
+    # panel count beyond the integer range included
+    for big in (z, 1e300):
+        with pytest.raises(PrecisionLossError, match="panels at b=.*z=" + re.escape(f"({big:g}")):
+            hyp1f1_one(7.0 / 6.0, np.array([1.0, big, 2.0]))
 
 
 @pytest.mark.parametrize("b, z", [(7.0 / 6.0, 800.0), (13.0 / 6.0, 710.0)])
@@ -252,6 +293,8 @@ def test_hyp_overflow_raises(b, z):
     # e^z overflows the double range: an error, not NaN
     with pytest.raises(PrecisionLossError, match="not finite"):
         hyp1f1_one(b, z)
+    with pytest.raises(PrecisionLossError, match="not finite at b=.*z=" + re.escape(f"({z:g}")):
+        hyp1f1_one(b, np.array([1.0, z]))
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)])
@@ -276,6 +319,7 @@ def test_hyp_family_rejects_non_integer_count(count):
 def test_hyp_family_matches_scalar():
     z = 23.0j - 4.0
     fam = hyp1f1_one_family(7.0 / 6.0, 25, z)
+    assert hyp1f1_one_family(7.0 / 6.0, 1, z)[0] == hyp1f1_one(7.0 / 6.0, z)
     for m in (0, 3, 11, 24):
         ref = complex(mpmath.hyp1f1(1, 7.0 / 6.0 + m, z))
         assert abs(fam[m] - ref) / abs(ref) < 1e-10
