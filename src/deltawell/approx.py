@@ -182,69 +182,71 @@ def _g_panels(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     return out
 
 
-def _row_searchsorted(edges: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # np.searchsorted(edges[r], s, side="right") − 1 for every row r, as one
-    # call: complex numbers sort lexicographically, so r + i·edge is sorted
-    # row after row, and the keys are exact
-    rows = np.arange(edges.shape[0])[:, None]
-    pos = np.searchsorted((rows + 1j * edges).ravel(), rows + 1j * s, side="right")
-    return pos - rows * edges.shape[1] - 1
-
-
-def _g_pass(a: np.ndarray, b: np.ndarray, s: np.ndarray, step: float) -> np.ndarray:
-    # G at the nodes s for each row (a, b), shape (rows, nodes): each row's
-    # panels between the edges of _g_edges summed up to a node's panel by one
-    # cumulative sum, plus its partial panel
-    aa, bb = _modulus(a)[:, None], _modulus(b)[:, None]
-    n = np.maximum(1, np.ceil(_g_phase(aa, bb, s.max()) / step).astype(int))
+def _g_pass(a, b, aa, bb, s: np.ndarray, step: float) -> np.ndarray:
+    # G at the nodes s, an array (rows, nodes per row), for each row (a, b)
+    # of the 1-D a, b, with aa = |a|, bb = |b|: each row's panels between
+    # the edges of _g_edges summed up to a node's panel by one cumulative
+    # sum, plus its partial panel
+    aa, bb = aa[:, None], bb[:, None]
+    n = np.maximum(1, np.ceil(_g_phase(aa, bb, s.max(axis=1, keepdims=True)) / step).astype(int))
     edges = _g_edges(aa, bb, n, step)
     G_edges = np.zeros(edges.shape, dtype=np.complex128)
     np.cumsum(_g_panels(a, b, edges[:, :-1], edges[:, 1:]), axis=1, out=G_edges[:, 1:])
-    j = _row_searchsorted(edges, s)
-    lo = np.take_along_axis(edges, j, axis=1)
-    return np.take_along_axis(G_edges, j, axis=1) + _g_panels(a, b, lo, np.broadcast_to(s, lo.shape))
+    # each node's panel j, its row's last edge at or below it: the nodes of
+    # a shared row search its edges, and a row of one node counts them
+    if edges.shape[0] == 1:
+        j = np.searchsorted(edges[0], s, side="right") - 1
+    else:
+        j = np.count_nonzero(edges <= s, axis=1, keepdims=True) - 1
+    j += edges.shape[1] * np.arange(edges.shape[0])[:, None]  # flat index
+    lo = edges.ravel()[j]
+    return G_edges.ravel()[j] + _g_panels(a, b, lo, s)
 
 
 def _g_integral(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """G(s) = ∫₀^s e^{−au⁶ − bu²} du for each row (a, b) of the complex
-    1-D arrays a, b at each node of the 1-D s ≥ 0; shape (rows, nodes).
+    """G(s) = ∫₀^s e^{−au⁶ − bu²} du at the nodes s ≥ 0 of a 1-D array,
+    with the complex 1-D a, b holding one (a, b) for every node or one
+    (a, b) per node.
 
     Panel edges lie at equal steps of max(u, |b|u², |a|u⁶), 1.5 to start,
-    so they depend on (a, b) and the step only: a row's values do not
-    depend on the other rows of the call, nor a node's on the other nodes.
-    Each pass is checked against one with half the step; a value is
-    accepted once the two agree to 1e-12 relative, plus a floor for the
-    roundoff on the integrand peak e^{max(0,−Re a)s⁶ + max(0,−Re b)s²}, and
-    only the rows and nodes still open take the next pass.
+    so they depend on (a, b) and the step only: a node's value does not
+    depend on the other nodes of the call.  A shared (a, b) takes one row
+    of panels for all its nodes; per-node (a, b) take a row each, padded
+    at the end to the longest.  Each pass is checked against one with half
+    the step; a node is accepted once the two agree to 1e-12 relative,
+    plus a floor for the roundoff on the integrand peak
+    e^{max(0,−Re a)s⁶ + max(0,−Re b)s²}, and only the open nodes take the
+    next pass.
     """
-    log_peak = np.maximum(0.0, -a.real)[:, None] * s**6 + np.maximum(0.0, -b.real)[:, None] * s * s
-    out = np.empty(log_peak.shape, dtype=np.complex128)
+    log_peak = np.maximum(0.0, -a.real) * s**6 + np.maximum(0.0, -b.real) * s * s
+    out = np.empty(s.shape, dtype=np.complex128)
     if not out.size:
         return out
-    phase = _g_phase(_modulus(a), _modulus(b), s.max())
+    aa, bb = _modulus(a), _modulus(b)
+    phase = _g_phase(aa, bb, s.reshape(a.size, -1).max(axis=1))
     # compared so that a non-finite bound fails too
     if not (log_peak.max() <= 700.0 and phase.max() <= 0.5 * _Y_PHASE_STEP * _Y_MAX_PANELS):
         raise PrecisionLossError("Y integrand overflows or oscillates beyond the quadrature")
     floor = 1e-14 * s * np.exp(log_peak)
-    open_ = np.ones(out.shape, dtype=bool)
-    rows, cols = np.arange(a.size), np.arange(s.size)  # rows and nodes with an open value
+    idx = np.arange(s.size)
+
+    def at_open(x):  # a per-node array at the open nodes; a shared one as it is
+        return x if x.size == 1 else x[idx]
+
     step = _Y_PHASE_STEP
-    prev = _g_pass(a, b, s, step)
-    while np.all(phase[rows] <= 0.5 * step * _Y_MAX_PANELS):
+    prev = _g_pass(a, b, aa, bb, s.reshape(a.size, -1), step).ravel()
+    while np.all(at_open(phase) <= 0.5 * step * _Y_MAX_PANELS):
         step *= 0.5
-        cur = _g_pass(a[rows], b[rows], s[cols], step)
-        sub = np.ix_(rows, cols)
-        done = np.abs(cur - prev) <= 1e-12 * np.maximum(s[cols], np.abs(cur)) + floor[sub]
-        done &= open_[sub]
-        i, k = np.nonzero(done)
-        out[rows[i], cols[k]] = cur[i, k]
-        open_[rows[i], cols[k]] = False
-        keep_r, keep_c = open_[sub].any(axis=1), open_[sub].any(axis=0)
-        rows, cols, prev = rows[keep_r], cols[keep_c], cur[np.ix_(keep_r, keep_c)]
-        if not rows.size:
+        rows = at_open(a).size
+        cur = _g_pass(*map(at_open, (a, b, aa, bb)), s[idx].reshape(rows, -1), step).ravel()
+        done = np.abs(cur - prev) <= 1e-12 * np.maximum(s[idx], np.abs(cur)) + floor[idx]
+        out[idx[done]] = cur[done]
+        idx, prev = idx[~done], cur[~done]
+        if not idx.size:
             return out
-    r, k = np.argwhere(open_)[0]
-    raise PrecisionLossError(f"Y quadrature did not reach 1e-12 at a={a[r]}, b={b[r]}, s={s[k]}")
+    raise PrecisionLossError(
+        f"Y quadrature did not reach 1e-12 at a={at_open(a)[0]}, b={at_open(b)[0]}, s={s[idx[0]]}"
+    )
 
 
 def y_integral(args: YArgs, method: str = "quadrature"):
@@ -265,7 +267,8 @@ def y_integral(args: YArgs, method: str = "quadrature"):
     a, b = xi1.ravel(), xi2.ravel()
     Y = np.empty(a.shape, dtype=np.complex128)
     for k in range(0, a.size, _Y_ROWS):
-        Y[k : k + _Y_ROWS] = _g_integral(a[k : k + _Y_ROWS], b[k : k + _Y_ROWS], np.ones(1))[:, 0]
+        part = slice(k, k + _Y_ROWS)
+        Y[part] = _g_integral(a[part], b[part], np.ones(a[part].size))
     Y = Y.reshape(xi1.shape)
     return complex(Y) if Y.ndim == 0 else Y
 
@@ -284,7 +287,7 @@ def _decay_pair(params: PhysParams, t: np.ndarray, ansatz: DecayAnsatz) -> tuple
     ab = YArgs.from_time(params, 1.0, E)
     prefY = math.sqrt(2.0 * hbar * B**3 / (math.pi * m)) * _EXP_IPI4 * _g_integral(
         np.array([ab.xi1]), np.array([ab.xi2]), np.sqrt(t)
-    )[0]
+    )
     additive = phi + np.exp(-1j * E * t / hbar) * prefY
     # replacing √B e^{−iEτ} → ψ(0,τ) inside the integral term divides the
     # closed prefactor by √B (invisible in B = 1 units)

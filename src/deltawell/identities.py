@@ -176,8 +176,14 @@ def _ladder_columns():
     principal branch, i√|σ| on σ < 0."""
     sig = _airy_table()[0]
     eps = _ERF_EPS / 2.0 ** np.arange(3)
-    rows = np.exp(-np.multiply.outer(eps, sig * sig))
-    root = np.where(sig >= 0, np.sqrt(np.abs(sig)) + 0j, 1j * np.sqrt(np.abs(sig)))
+    # built in place: a freed table-sized temporary raises the C
+    # allocator's mmap threshold, and the process then kept about 1 MB more
+    # resident for good
+    rows = np.multiply.outer(eps, sig * sig)
+    np.negative(rows, out=rows)
+    np.exp(rows, out=rows)
+    root = np.sqrt(np.abs(sig)) + 0j
+    root[sig < 0] *= 1j
     return _read_only(rows, root)
 
 
