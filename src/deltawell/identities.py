@@ -89,6 +89,35 @@ class IdentityReport:
         return cls(name, lhs, rhs, abs_err, rel_err, regularization, tuple(flags))
 
 
+class GridPointError(ValueError):
+    """A grid point outside an identity's validated range; ``index`` is its
+    position in the grid."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _grid(points, dtype) -> tuple[np.ndarray, bool]:
+    """The points as a 1-D array, and whether they came as a scalar."""
+    x = np.asarray(points, dtype=dtype)
+    if x.ndim > 1:
+        raise ValueError(f"takes a scalar or a 1-D grid, got shape {x.shape}")
+    return np.atleast_1d(x), x.ndim == 0
+
+
+def _check_range(grid: np.ndarray, limit: float, name: str) -> None:
+    """GridPointError for the first point of the grid outside |·| ≤ limit,
+    a NaN point included."""
+    bad = ~(np.abs(grid) <= limit)
+    if bad.any():
+        raise GridPointError(int(np.argmax(bad)), f"validated only for |{name}| <= {limit:g}")
+
+
+def _one_or_all(results: list, scalar: bool):
+    return results[0] if scalar else tuple(results)
+
+
 # ---------------------------------------------------------------------------
 # Airy values on one lattice
 # ---------------------------------------------------------------------------
@@ -185,35 +214,6 @@ def _ladder_columns():
     root = np.sqrt(np.abs(sig)) + 0j
     root[sig < 0] *= 1j
     return _read_only(rows, root)
-
-
-class GridPointError(ValueError):
-    """A grid point outside an identity's validated range; ``index`` is its
-    position in the grid."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
-def _grid(points, dtype) -> tuple[np.ndarray, bool]:
-    """The points as a 1-D array, and whether they came as a scalar."""
-    x = np.asarray(points, dtype=dtype)
-    if x.ndim > 1:
-        raise ValueError(f"takes a scalar or a 1-D grid, got shape {x.shape}")
-    return np.atleast_1d(x), x.ndim == 0
-
-
-def _check_range(grid: np.ndarray, limit: float, name: str) -> None:
-    """GridPointError for the first point of the grid outside |·| ≤ limit,
-    a NaN point included."""
-    bad = ~(np.abs(grid) <= limit)
-    if bad.any():
-        raise GridPointError(int(np.argmax(bad)), f"validated only for |{name}| <= {limit:g}")
-
-
-def _one_or_all(results: list, scalar: bool):
-    return results[0] if scalar else tuple(results)
 
 
 # ---------------------------------------------------------------------------

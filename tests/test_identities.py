@@ -302,9 +302,10 @@ def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypa
 
 # tracemalloc peaks of one 2 000-point grid drawn over the benchmark's
 # ranges, after the tables were built, measured: z6 2.14 MB, airy_fourier
-# 1.20 MB, airy_erf 2.74 MB.  The bound is 1.5 times the largest and about
-# 6% of the resident size of a process that runs the checks (64 MiB); a
-# grid whose Y rows or ₁F₁ terms are not taken in blocks needs 4.5 MB
+# 1.20 MB, airy_erf 2.84 MB.  The bound is about 1.5 times the largest and
+# 6% of the resident size of a process that runs the checks (64 MiB).
+# Without the blocks of 256 Y rows the z6 grid peaked at 4.53 MB, and
+# without the ₁F₁ blocks the erf–Airy grid at 6.95 MB
 _GRID_PEAK_BOUND = 4 << 20
 
 
