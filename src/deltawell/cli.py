@@ -22,6 +22,7 @@ fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -233,10 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one per process: building it takes about 55 add_argument calls, and
+    # parse_args keeps no state in it from one call to the next
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         return exc.code

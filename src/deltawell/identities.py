@@ -25,18 +25,26 @@ Gaussian-regularized integral (regulator e^{−εσ²}, ladder ε₀, ε₀/2,
 divergent case is flagged rather than trusted; a non-finite rung raises
 ConvergenceError.
 
-Ai and Ai′ on every quadrature node and cell edge come from one table
-per process: the 12-point Gauss–Legendre nodes of each cell of a fixed
-0.15 lattice, from σ = 16.05 down to the lowest bottom the validated
-ranges reach.  The Airy–Fourier check reads its direct part [c, 16.05],
-its tail [lo, c] and Ai(c), Ai′(c) from the table, and the three ε rungs
-read one slice [lo, 16.05].  Every node is a cell midpoint plus one of
-12 fixed offsets, so an η costs one exp per cell and 12 for the offsets,
-the phase product and (σ+η²)⁻⁸ on the tail's nodes, and two real
-matrix–vector products against five η-free columns cached beside the
-table.  The ε-ladder's regulator rows e^{−εσ²} and its column √σ are
-cached beside the table too, so a χ costs erf(χ√σ) on its nodes, a few
-elementwise products and one (3 × nodes) matrix–vector product.
+Ai and Ai′ come from two tables per process, one per lattice, each built
+by one ``_airy_both`` call: the 12-point Gauss–Legendre nodes of fixed
+cells.  The Airy–Fourier lattice has cells of 0.15 from σ = 16.05 down
+to the tail's bottom at |η| = 5 (−120.15), 10 896 nodes, and holds Ai, Ai′
+at its cell edges too, where the cutoff c lies.  The check reads its
+direct part [c, 16.05], its tail [lo, c] and Ai(c), Ai′(c) from it.  The
+tail takes 8 passes of integration by parts, so its remainder falls like
+|σ|^{−12.25} and stops at lo ≤ 1.5c: 1 200–3 204 nodes per η.  Every node
+is a cell midpoint plus one of 12 fixed offsets, so an η costs one exp
+per cell and 12 for the offsets, the phase product and (σ+η²)⁻¹⁶ on the
+tail's nodes, and one real (2 × nodes) × (nodes × 9) product against
+nine η-free columns cached beside the table.  The passes' coefficient
+algebra runs on the whole grid at once.  The ε-ladder's lattice has
+cells of 0.3 from σ = 16.2 down to its bottom at |χ| = 1 (−148.9), 6 612
+nodes; the ladder's integrand has no e^{iησ} factor, and on these cells
+its rungs stay within 2e-9 relative of the quad oracle, where the
+rounding of its cancelling cells allows 1.2e-8.  Its rows
+w·Ai·e^{−εσ²} and its column √σ are cached, so a χ costs erf(χ√σ) on its
+nodes, a few elementwise products and one (3 × nodes) × (nodes × 2) real
+product.
 
 Each check takes a scalar, which gives one report, or a 1-D grid, which
 gives a tuple of reports, one per point; a scalar is a grid of one, and
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +108,22 @@ class GridPointError(ValueError):
 
 
 def _grid(points, dtype) -> tuple[np.ndarray, bool]:
-    """The points as a 1-D array, and whether they came as a scalar."""
+    """The points as a 1-D array, and whether they came as a scalar.  A
+    boolean or non-numeric point, and a complex one in a real grid, is a
+    ValueError: numpy would take True as 1, parse a numeric string and drop
+    an imaginary part with only a warning."""
+    kind, number = ("real", numbers.Real) if dtype is np.float64 else ("complex", numbers.Complex)
+
+    def refused(t):
+        return issubclass(t, (bool, np.bool_)) or not issubclass(t, number)
+
+    if isinstance(points, np.ndarray) and points.dtype != object:
+        if refused(points.dtype.type):
+            raise ValueError(f"grid points must be {kind} numbers, got an array of {points.dtype}")
+    else:
+        for p in np.asarray(points, dtype=object).flat:
+            if refused(type(p)):
+                raise ValueError(f"grid points must be {kind} numbers, got {p!r}")
     x = np.asarray(points, dtype=dtype)
     if x.ndim > 1:
         raise ValueError(f"takes a scalar or a 1-D grid, got shape {x.shape}")
@@ -119,7 +143,7 @@ def _one_or_all(results: list, scalar: bool):
 
 
 # ---------------------------------------------------------------------------
-# Airy values on one lattice
+# Airy values on two lattices
 # ---------------------------------------------------------------------------
 
 _ETA_MAX = 5.0  # validated range |η| ≤ 5
@@ -127,34 +151,43 @@ _XI1_MAX = 50.0  # validated range |ξ₁| ≤ 50 of the z⁶ closed form's ₁F
 _CHI_MAX = 1.0  # validated range |χ| ≤ 1 of the erf–Airy ladder
 _ERF_EPS = 0.05  # first rung ε₀ of the regulator ladder ε₀, ε₀/2, ε₀/4
 _ANCHOR = -30.0  # lattice anchor: the cutoff c = −(2η² + 30) at η = 0
-_CELL = 0.15  # lattice spacing
-_CELLS_ABOVE = 307  # cells above the anchor: the lattice starts at σ = 16.05, Ai ~ 3e-18
+_CELL = 0.15  # Airy–Fourier lattice spacing
+_CELLS_ABOVE = 307  # its cells above the anchor: it starts at σ = 16.05, Ai ~ 3e-18
+_LADDER_CELL = 0.3  # ε-ladder lattice spacing
+_LADDER_CELLS_ABOVE = 154  # its cells above the anchor: it starts at σ = 16.2
+_IBP_PASSES = 8  # integration-by-parts passes of the Airy–Fourier tail
+_DEGREE = _IBP_PASSES // 2  # the passes' numerators stay of degree ≤ 4 in σ
 
 
-def _tail_cells(eta: float) -> tuple[int, int]:
-    """Lattice cells below σ = −30 down to the cutoff c and to the tail's
-    bottom lo = min(−240, 6c); c = −(2η² + 30) rounded down stays
-    stationary-phase-safe, and 6c is then on the lattice too."""
-    k_c = math.ceil(2.0 * eta * eta / _CELL)
-    c = _ANCHOR - _CELL * k_c
-    k_lo = round((_ANCHOR - min(-240.0, 6.0 * c)) / _CELL)
-    return k_c, k_lo
+def _tail_cells(eta):
+    """Airy–Fourier lattice cells below σ = −30 down to the cutoff c and to
+    the tail's bottom lo ≤ 1.5c, for η or each η of an array; c = −(2η² + 30)
+    rounded down stays stationary-phase-safe.  With c = −30 − 0.15k the
+    bottom is 100 + ⌈1.5k⌉ cells below σ = −30.  Over 201 η on [−5, 5],
+    a bottom four times as deep moved the tail by at most 2.3e-16."""
+    k_c = np.ceil(2.0 * eta * eta / _CELL).astype(np.int64)
+    return k_c, 100 + k_c + (k_c + 1) // 2
 
 
 def _ladder_cells(chi: complex) -> int:
-    """Lattice cells below σ = −30 down to the ε-ladder's bottom
+    """ε-ladder lattice cells below σ = −30 down to the ladder's bottom
     lo = −(1.2|χ|²/ε + √(35/ε)) at its smallest ε, rounded down.  On σ < 0,
     erf(χ√σ)/√σ grows at most like e^{|χ|²|σ|}; beyond lo,
     εσ² − |χ|²|σ| ≥ 35, so the regularized integrand is below e^{−35}."""
     eps = _ERF_EPS / 4.0
     lo = -(1.2 * abs(chi) ** 2 / eps + math.sqrt(35.0 / eps))
-    return math.ceil((_ANCHOR - lo) / _CELL)
+    return math.ceil((_ANCHOR - lo) / _LADDER_CELL)
 
 
-def _edges() -> np.ndarray:
-    """The lattice's cell edges, top first: σ = 16.05 down to the
-    Airy–Fourier tail's bottom at |η| = 5 (−480.6)."""
-    return _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, _tail_cells(_ETA_MAX)[1] + 1)
+def _edges(cell: float, above: int, below) -> np.ndarray:
+    """Cell edges σ = −30 − cell·k, k = −above … below, top first."""
+    return _ANCHOR - cell * np.arange(-above, below + 1)
+
+
+def _fourier_edges() -> np.ndarray:
+    """The Airy–Fourier lattice's cell edges: σ = 16.05 down to the tail's
+    bottom at |η| = 5 (−120.15)."""
+    return _edges(_CELL, _CELLS_ABOVE, _tail_cells(_ETA_MAX)[1])
 
 
 def _read_only(*arrays):
@@ -167,11 +200,11 @@ def _read_only(*arrays):
 @functools.cache
 def _airy_table():
     """Nodes σ, w·Ai(σ) and w·Ai′(σ) of the 12-point Gauss–Legendre rule on
-    each lattice cell, and Ai, Ai′ at the cell edges, from one ``_airy_both``
-    call.  The lattice ends below the ε-ladder's bottom at |χ| = 1 (−148.9).
-    The cell k cells below σ = −30 (k < 0 above it) is at index
-    12(k + 307)…12(k + 307) + 11, and its top edge at k + 307."""
-    edges = _edges()
+    each cell of the Airy–Fourier lattice, and Ai, Ai′ at the cell edges,
+    from one ``_airy_both`` call.  The cell k cells below σ = −30 (k < 0
+    above it) is at index 12(k + 307)…12(k + 307) + 11, and its top edge at
+    k + 307."""
+    edges = _fourier_edges()
     sig, w = gl_rule(edges[1:], edges[:-1])
     sig, w = sig.ravel(), w.ravel()
     ai, aip = _airy_both(np.concatenate([sig, edges]))
@@ -182,28 +215,32 @@ def _airy_table():
 @functools.cache
 def _fourier_columns():
     """The η-free factors of the Airy–Fourier sums.  Every node is a cell
-    midpoint plus one of 12 offsets, so e^{iησ} = e^{iηm}·e^{iηδ}; the
-    IBP remainder is (NP·w·Ai + NQ·w·Ai′)/(σ+η²)⁸ with NP of degree 2 and
-    NQ of degree 1, a combination of the columns w·Ai, σw·Ai, σ²w·Ai,
-    w·Ai′ and σw·Ai′.  Returns the midpoints m, the offsets δ, w·Ai as
-    (cells, 12) and the five columns as (nodes, 5)."""
+    midpoint plus one of 12 offsets, so e^{iησ} = e^{iηm}·e^{iηδ}; the IBP
+    remainder is (P·w·Ai + Q·w·Ai′)/(σ+η²)¹⁶ with P of degree 4 and Q of
+    degree 3, a combination of the nine columns σʲ·w·Ai, j ≤ 4, and
+    σʲ·w·Ai′, j ≤ 3.  Returns the midpoints m, the offsets δ, w·Ai as
+    (cells, 12) and the nine columns as (nodes, 9)."""
     sig, w_ai, w_aip = _airy_table()[:3]
-    edges = _edges()
-    cols = np.empty((sig.size, 5))
-    cols[:, 0], cols[:, 3] = w_ai, w_aip
-    np.multiply(sig, w_ai, out=cols[:, 1])
-    np.multiply(sig, cols[:, 1], out=cols[:, 2])
-    np.multiply(sig, w_aip, out=cols[:, 4])
+    edges = _fourier_edges()
+    cols = np.empty((sig.size, 2 * _DEGREE + 1))
+    cols[:, 0], cols[:, _DEGREE + 1] = w_ai, w_aip
+    for j in (*range(1, _DEGREE + 1), *range(_DEGREE + 2, 2 * _DEGREE + 1)):
+        np.multiply(sig, cols[:, j - 1], out=cols[:, j])
     offsets = gl_rule(-0.5 * _CELL, 0.5 * _CELL)[0][0]
     return _read_only(0.5 * (edges[1:] + edges[:-1]), offsets, w_ai.reshape(-1, 12), cols)
 
 
 @functools.cache
 def _ladder_columns():
-    """The χ-free factors of the ε-ladder on every table node: the regulator
-    rows e^{−εσ²}, ε = ε₀, ε₀/2, ε₀/4, as (3, nodes), and √σ on the
-    principal branch, i√|σ| on σ < 0."""
-    sig = _airy_table()[0]
+    """The χ-free factors of the ε-ladder on its own lattice, from one
+    ``_airy_both`` call: the rows w·Ai(σ)·e^{−εσ²}, ε = ε₀, ε₀/2, ε₀/4, as
+    (3, nodes), and √σ on the principal branch, i√|σ| on σ < 0.  The
+    lattice's 12-point cells of 0.3 run from σ = 16.2 down to the ladder's
+    bottom at |χ| = 1 (−148.9); the cell k cells below σ = −30 starts at
+    index 12(k + 154)."""
+    edges = _edges(_LADDER_CELL, _LADDER_CELLS_ABOVE, _ladder_cells(_CHI_MAX))
+    sig, w = gl_rule(edges[1:], edges[:-1])
+    sig, w = sig.ravel(), w.ravel()
     eps = _ERF_EPS / 2.0 ** np.arange(3)
     # built in place: a freed table-sized temporary raises the C
     # allocator's mmap threshold, and the process then kept about 1 MB more
@@ -211,6 +248,8 @@ def _ladder_columns():
     rows = np.multiply.outer(eps, sig * sig)
     np.negative(rows, out=rows)
     np.exp(rows, out=rows)
+    w *= _airy_both(sig)[0]
+    rows *= w
     root = np.sqrt(np.abs(sig)) + 0j
     root[sig < 0] *= 1j
     return _read_only(rows, root)
@@ -220,71 +259,70 @@ def _ladder_columns():
 # Airy-Fourier transform
 # ---------------------------------------------------------------------------
 
-_IBP_LEVELS = 4  # integration-by-parts passes before the direct remainder
-
-
-def _horner(p, x):
-    """p(x) for the coefficient list p, lowest degree first."""
-    v = 0j
-    for coef in reversed(p):
-        v = v * x + coef
-    return v
-
-
-def _airy_fourier_tail(eta: float) -> tuple[float, complex]:
-    """Cutoff c and ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ, |η| ≤ 5, by repeated
-    integration by parts: with q = (P − iηQ)/(σ+η²), p = Q − iηq,
+def _airy_fourier_tail(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cutoffs c and ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ for each η of the 1-D array,
+    |η| ≤ 5, by 8 passes of integration by parts: with q = (P − iηQ)/(σ+η²),
+    p = Q − iηq,
 
         ∫ e^{iησ}(P·Ai + Q·Ai′) = [e^{iησ}(p·Ai + q·Ai′)] − ∫ e^{iησ}(p′·Ai + q′·Ai′),
 
-    each pass making the integrand fall one power of σ faster; the final
-    absolutely convergent remainder is integrated directly on [lo, c].
-    The numerators are coefficient lists in σ of degree ≤ 3."""
-    if not abs(eta) <= _ETA_MAX:
-        raise ValueError("validated only for |eta| <= 5")
+    after which the remainder falls like |σ|^{−12.25} and is integrated
+    directly on [lo, c], lo ≤ 1.5c.  The numerators P, Q are polynomials in
+    σ of degree ≤ 4, kept as one coefficient array of shape (2, 5, η),
+    lowest degree first, so the passes run on the whole grid at once; the
+    remainder sums run η by η over the tail's own nodes."""
+    _check_range(eta, _ETA_MAX, "eta")
     k_c, k_lo = _tail_cells(eta)
     top, bottom = _CELLS_ABOVE + k_c, _CELLS_ABOVE + k_lo  # cell indices of c and lo
     c = _ANCHOR - _CELL * k_c
     eta2, ieta = eta * eta, 1j * eta
+    powers = np.arange(1, _DEGREE + 1)[:, None]
+
+    def times_den(p):  # p·(σ + η²), for the p of degree ≤ 3 it is given
+        out = eta2 * p
+        out[:, 1:] += p[:, :-1]
+        return out
+
     sig, _, _, ai, aip = _airy_table()
     ai_c, aip_c = ai[top], aip[top]  # c is the top edge of cell `top`
-
-    def times_den(p):  # p·(σ + η²)
-        return [eta2 * p[j] + (p[j - 1] if j else 0) for j in range(4)]
-
-    def next_numerator(p, k):  # p′·(σ + η²) − k·p
-        dp = times_den([j * p[j] for j in range(1, 4)] + [0])
-        return [d - k * v for d, v in zip(dp, p)]
-
-    NP, NQ = [1, 0, 0, 0], [0, 0, 0, 0]  # over (σ+η²)^m
-    total = 0.0 + 0.0j
+    num = np.zeros((2, _DEGREE + 1, eta.size), dtype=np.complex128)  # (P, Q) over (σ+η²)^m
+    num[0, 0] = 1.0
+    inv = 1.0 / (c + eta2)
+    scale = np.exp(1j * eta * c) * inv  # e^{iηc}/(c+η²)^{m+1}
+    total = np.zeros(eta.size, dtype=np.complex128)
     sign = 1.0
-    eic = np.exp(1j * eta * c)
-    for m in range(0, 2 * _IBP_LEVELS, 2):
-        nq = [P - ieta * Q for P, Q in zip(NP, NQ)]  # / (σ+η²)^{m+1}
-        np_ = [Qd - ieta * q for Qd, q in zip(times_den(NQ), nq)]
-        total += sign * eic * (_horner(np_, c) * ai_c + _horner(nq, c) * aip_c) / (c + eta2) ** (m + 1)
-        # next-level integrand numerators: (p', q') over (σ+η²)^{m+2}
-        NP, NQ = next_numerator(np_, m + 1), next_numerator(nq, m + 1)
+    for m in range(0, 2 * _IBP_PASSES, 2):
+        pq = np.empty_like(num)  # (p, q) over (σ+η²)^{m+1}
+        pq[1] = num[0] - ieta * num[1]
+        pq[0] = times_den(num[1:])[0] - ieta * pq[1]
+        at_c = pq[:, -1]  # p(c), q(c) by Horner
+        for k in range(_DEGREE - 1, -1, -1):
+            at_c = at_c * c + pq[:, k]
+        total += sign * scale * (at_c[0] * ai_c + at_c[1] * aip_c)
+        # the next pass's (P, Q) = (p′, q′) over (σ+η²)^{m+2}
+        deriv = np.zeros_like(pq)
+        deriv[:, :-1] = powers * pq[:, 1:]
+        num = times_den(deriv) - (m + 1) * pq
+        scale *= inv * inv
         sign = -sign
+    # Q's σ⁴ coefficient comes out exactly zero; one contiguous row per η
+    coef = sign * np.concatenate([num[0], num[1, :-1]]).T.copy()
 
     mids, offsets, _, cols = _fourier_columns()
-    nodes = slice(12 * top, 12 * bottom)
-    # (σ + η²)⁸ = (σ + η²)^m by squarings: on these negative bases numpy's
-    # ** takes a scalar pow() path, about 40× slower
-    den = sig[nodes] + eta2
-    for _ in range(3):
-        den *= den
-    # Re and Im of e^{iησ} = e^{iηm}·e^{iηδ} on the tail's nodes, shape
-    # (2, nodes), as one real product of the cell and offset factors
-    e_cell, e_off = np.exp(1j * eta * mids[top:bottom]), np.exp(1j * eta * offsets)
-    rot = np.array([[e_cell.real, -e_cell.imag], [e_cell.imag, e_cell.real]]).transpose(0, 2, 1)
-    phase = (rot @ np.array([e_off.real, e_off.imag])).reshape(2, -1)
-    phase /= den
-    re, im = phase @ cols[nodes]
-    # NP's σ³ and NQ's σ², σ³ coefficients come out exactly zero
-    total += sign * ((re + 1j * im) @ (NP[:3] + NQ[:2]))
-    return c, complex(total)
+    e_off = np.exp(1j * np.multiply.outer(eta, offsets))
+    tails = np.empty(eta.size, dtype=np.complex128)
+    for i, (x, x2, t, b) in enumerate(zip(eta.tolist(), eta2.tolist(), top.tolist(), bottom.tolist())):
+        nodes = slice(12 * t, 12 * b)
+        # (σ + η²)¹⁶ by squarings: on these negative bases numpy's ** takes
+        # a scalar pow() path, about 40× slower
+        den = sig[nodes] + x2
+        for _ in range(4):
+            den *= den
+        phase = (np.exp(1j * x * mids[t:b])[:, None] * e_off[i]).ravel()
+        phase /= den
+        re, im = phase.view(np.float64).reshape(-1, 2).T @ cols[nodes]
+        tails[i] = total[i] + (re + 1j * im) @ coef[i]
+    return c, tails
 
 
 def check_airy_fourier(eta):
@@ -292,12 +330,16 @@ def check_airy_fourier(eta):
     scalar η, a tuple of reports for a 1-D grid of η."""
     grid, scalar = _grid(eta, np.float64)
     _check_range(grid, _ETA_MAX, "eta")
+    cutoffs, tails = _airy_fourier_tail(grid)
     mids, offsets, w_ai, _ = _fourier_columns()
+    tops = (_CELLS_ABOVE + _tail_cells(grid)[0]).tolist()
     reports = []
-    for eta in grid.tolist():
-        c, tail = _airy_fourier_tail(eta)
-        top = _CELLS_ABOVE + _tail_cells(eta)[0]
-        lhs = np.exp(1j * eta * mids[:top]) @ (w_ai[:top] @ np.exp(1j * eta * offsets)) + tail
+    for eta, c, tail, top in zip(grid.tolist(), cutoffs.tolist(), tails.tolist(), tops):
+        # Σ_δ w·Ai·e^{iηδ} per cell, from the real w·Ai and a (12, 2) real
+        # view of e^{iηδ}, so that w·Ai is not copied to complex
+        e_off = np.exp(1j * eta * offsets).view(np.float64).reshape(-1, 2)
+        cells = (w_ai[:top] @ e_off).view(np.complex128)[:, 0]
+        lhs = np.exp(1j * eta * mids[:top]) @ cells + tail
         rhs = np.exp(-1j * eta**3 / 3.0)
         reports.append(IdentityReport.build(
             "airy_fourier", lhs, rhs, regularization=f"cutoff sigma={c:g}, IBP tail"
@@ -343,15 +385,15 @@ def check_z6_identity(xi1):
 def _erf_airy_ladder(chi: np.ndarray) -> np.ndarray:
     """The regularized integrals ∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²} at
     ε = ε₀, ε₀/2, ε₀/4 for each χ of the 1-D array, shape (χ, 3), each on
-    the table's cells from 16.05 down to the bottom of the smallest ε at
-    its |χ|.  A χ costs one ``cerfc`` call on its own nodes: one call on the
-    nodes of a whole grid, megabytes long, ran slower than the calls per χ."""
+    the ladder lattice's cells from 16.2 down to the bottom of the smallest
+    ε at its |χ|.  A χ costs one ``cerfc`` call on its own nodes: one call
+    on the nodes of a whole grid, megabytes long, ran slower than the calls
+    per χ."""
     rows, root = _ladder_columns()
-    w_ai = _airy_table()[1]
     rungs = np.empty((chi.size, 3), dtype=np.complex128)
     for i, c in enumerate(chi.tolist()):
-        k = 12 * (_CELLS_ABOVE + _ladder_cells(c))
-        if k > w_ai.size:  # never a shorter range
+        k = 12 * (_LADDER_CELLS_ABOVE + _ladder_cells(c))
+        if k > root.size:  # never a shorter range
             raise ValueError(f"the ladder's bottom at chi={c} is below the table")
         # erf(χ√σ)/√σ with √σ = i√|σ| on σ < 0 (principal branch); the ratio
         # is continuous through σ = 0 with value (2/√π)χ
@@ -361,8 +403,9 @@ def _erf_airy_ladder(chi: np.ndarray) -> np.ndarray:
             np.subtract(1.0, ratio, out=ratio)
             ratio /= root[:k]
         ratio[np.abs(z) < 1e-8] = (2.0 / math.sqrt(math.pi)) * c
-        ratio *= w_ai[:k]
-        rungs[i] = rows[:, :k] @ ratio
+        # the real rows against a (k, 2) real view of the ratio, so that the
+        # rows are not copied to complex
+        rungs[i] = (rows[:, :k] @ ratio.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
         if not np.all(np.isfinite(rungs[i])):
             raise ConvergenceError(f"erf-Airy ladder has a non-finite rung at chi={c}")
     return rungs

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -208,6 +210,88 @@ def test_identity_check_calls_the_module_binding(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_airy_fourier", spy)
     assert main(["identity-check", "airy_fourier", "--points", "0.5,-1"]) == 0
     assert calls == [[0.5, -1.0]]
+    capsys.readouterr()
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_VALIDATED_POINTS = {
+    "z6": st.complex_numbers(max_magnitude=50.0, **_FINITE),
+    "airy_fourier": st.floats(-5.0, 5.0),
+    "airy_erf": st.complex_numbers(max_magnitude=1.0, **_FINITE),
+}
+
+
+@pytest.mark.parametrize("selector", _VALIDATED_POINTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_identity_check_exit_0_means_every_row_within_tolerance(selector, data):
+    # over each selector's whole validated range: exit 0 only when every
+    # row's errors are finite and within the gate, flagged or not
+    tokens = [repr(p) for p in data.draw(st.lists(_VALIDATED_POINTS[selector], min_size=1, max_size=4))]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["identity-check", selector, "--points=" + ",".join(tokens)])
+    assert code in (0, 2)
+    if code == 0:
+        kind, tol = cli._IDENTITY_TOL[selector]
+        rows = [line.split(",") for line in stdout.getvalue().splitlines()[1:]]
+        assert [row[0] for row in rows] == tokens
+        for token, abs_err, rel_err, _ in rows:
+            assert math.isfinite(float(abs_err)) and math.isfinite(float(rel_err)), token
+            assert float(abs_err if kind == "abs" else rel_err) <= tol, token
+
+
+_SHORT = ["--t-max", "2", "--steps", "40"]
+
+
+@pytest.mark.parametrize("sequence", [
+    # action="append": the second call's list must not hold the first's
+    [["approx", "--method", "first_scheme", *_SHORT]] * 2,
+    # a preset's defaults must not leak into the next subcommand
+    [["figures", "fig1a", *_SHORT], ["solve", *_SHORT], ["figures", "fig1a", *_SHORT]],
+    # a usage error, from the parser and from a handler, then good calls
+    [["solve", "--steps", "x"], ["solve", *_SHORT],
+     ["identity-check", "z6", "--points", "oops"], ["identity-check", "z6", "--points", "0.5"]],
+], ids=["append_twice", "figures_then_solve", "usage_error_then_good"])
+def test_reused_parser_keeps_no_state_between_calls(sequence, tmp_path):
+    # main builds its parser once per process; each call of a sequence gives
+    # the exit code, stdout, stderr and files of that call made first, in a
+    # freshly executed module
+    out = tmp_path / "out.csv"
+
+    def outcome(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", str(out)] if argv[0] != "identity-check" else argv)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        return code, stdout.getvalue(), stderr.getvalue(), files
+
+    first_calls = []
+    for argv in sequence:
+        importlib.reload(cli)
+        first_calls.append(outcome(argv))
+    importlib.reload(cli)
+    assert [outcome(argv) for argv in sequence] == first_calls
+    assert any(code == 0 and (stdout or files) for code, stdout, _, files in first_calls)
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    calls = []
+    real = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    argv = ["identity-check", "z6", "--points", "0.5"]
+    assert main(argv) == 0
+    built = len(calls)
+    assert main(argv) == 0
+    assert built > 50 and len(calls) == built
     capsys.readouterr()
 
 

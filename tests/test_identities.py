@@ -51,12 +51,31 @@ def test_airy_fourier_domain():
         check_airy_fourier(6.0)
 
 
+@pytest.mark.parametrize("check, points", [
+    (check_airy_fourier, np.array([1 + 2j, 0.5 + 3j])),
+    (check_airy_fourier, [0.5, 1j]),
+    (check_airy_fourier, True),
+    (check_z6_identity, True),
+    (check_airy_erf_identity, [0.1, np.bool_(False)]),
+    (check_airy_fourier, "1"),
+    (check_z6_identity, [0.5, "2"]),
+    (check_airy_erf_identity, np.array(["0.1"])),
+], ids=["complex_eta_array", "complex_eta", "bool_eta", "bool_xi1", "bool_chi",
+        "string_eta", "string_xi1", "string_array_chi"])
+def test_grid_refuses_a_point_that_is_not_a_number(check, points):
+    # numpy would take True as 1, parse "1" and drop an imaginary part with
+    # only a ComplexWarning, and the check would run on that number
+    with pytest.raises(ValueError, match="grid points must be"):
+        check(points)
+
+
 def test_airy_fourier_regression():
-    # 41 η on [−5, 5] and ±√5, where the tail's bottom switches from −240
-    # to 6c; ±5 reach the lowest tail bottom
-    etas = [*np.linspace(-5.0, 5.0, 41), math.sqrt(5.0), -math.sqrt(5.0)]
-    err, eta = max((check_airy_fourier(eta).abs_err, eta) for eta in etas)
-    assert err <= 1e-12, eta
+    # 8 001 η on [−5, 5] and ±√5, against the CLI gate of 1e-12; ±5 reach
+    # the lowest tail bottom.  The worst abs_err measured is 2.0e-14, at
+    # η = 4.7625
+    etas = np.array([*np.linspace(-5.0, 5.0, 8001), math.sqrt(5.0), -math.sqrt(5.0)])
+    errs = [r.abs_err for r in check_airy_fourier(etas)]
+    assert max(errs) <= 1e-12, etas[int(np.argmax(errs))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -80,31 +99,32 @@ _ORACLE_TOL = 3e-14
 def _direct_oracle(eta):
     """∫_c^{16.05} Ai(σ)e^{iησ}dσ by ``quad``, from the check's cutoff c;
     beyond 16.05 the integral is below 1e-19."""
-    c, _ = identities._airy_fourier_tail(eta)
+    c = identities._airy_fourier_tail(np.array([eta]))[0][0]
     return airy_fourier_segment(eta, c, 16.05)
 
 
 @pytest.mark.parametrize("eta", _ORACLE_ETAS)
 def test_airy_fourier_tail_matches_quad_oracle(eta):
-    tail = identities._airy_fourier_tail(eta)[1]
+    tail = identities._airy_fourier_tail(np.array([eta]))[1][0]
     assert abs(tail - (np.exp(-1j * eta**3 / 3.0) - _direct_oracle(eta))) <= _ORACLE_TOL
 
 
 @pytest.mark.parametrize("eta", _ORACLE_ETAS)
 def test_airy_fourier_direct_part_matches_quad_oracle(eta):
-    got = check_airy_fourier(eta).lhs - identities._airy_fourier_tail(eta)[1]
+    got = check_airy_fourier(eta).lhs - identities._airy_fourier_tail(np.array([eta]))[1][0]
     assert abs(got - _direct_oracle(eta)) <= _ORACLE_TOL
 
 
 def test_airy_fourier_tail_table_ends_at_the_validated_range():
-    # the table ends at the Airy–Fourier tail's bottom at |η| = 5, below
-    # the ε-ladder's at |χ| = 1; a range below the table is an error, never
-    # a shorter one
+    # the Airy–Fourier table ends at the tail's bottom at |η| = 5, and the
+    # ε-ladder's lattice at the ladder's bottom at |χ| = 1; a range below a
+    # table is an error, never a shorter one
     cells = identities._airy_table()[0].size // 12 - identities._CELLS_ABOVE
     assert cells == identities._tail_cells(5.0)[1]
-    assert identities._ladder_cells(1.0) < cells
+    ladder_cells = identities._ladder_columns()[1].size // 12 - identities._LADDER_CELLS_ABOVE
+    assert ladder_cells == identities._ladder_cells(1.0)
     with pytest.raises(ValueError, match="validated"):
-        identities._airy_fourier_tail(5.2)
+        identities._airy_fourier_tail(np.array([5.2]))
     with pytest.raises(ValueError, match="validated"):
         check_airy_erf_identity(1.01)
     with pytest.raises(ValueError, match="below the table"):
@@ -130,11 +150,13 @@ def test_airy_fourier_tail_table_built_once(monkeypatch):
     sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
     identities._airy_table.cache_clear()
     identities._fourier_columns.cache_clear()
+    identities._ladder_columns.cache_clear()
     for eta, chi in zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.05, 1.0, 10)):
         check_airy_fourier(eta)
         check_airy_erf_identity(chi)
-    # one array call builds the table, the cell edges' Ai(c), Ai′(c) included
-    assert len(sizes) == 1 and sizes[0] > 1
+    # one array call builds each lattice's table, the Airy–Fourier cell
+    # edges' Ai(c), Ai′(c) included
+    assert len(sizes) == 2 and min(sizes) > 1
     assert not airy_ai_calls
 
 
@@ -198,14 +220,17 @@ def test_airy_erf_complex_chi():
     assert r.flags or r.rel_err <= 1e-2
 
 
-def test_airy_erf_ladder_non_finite_rung_raises():
-    # outside |χ| ≤ 1 the unchecked ladder has a non-finite rung at χ = 1.6
+def test_airy_erf_ladder_non_finite_rung_raises(monkeypatch):
+    # every rung is finite for |χ| ≤ 1, and the ladder's lattice ends at
+    # the bottom of |χ| = 1; an erf that comes back NaN stands in for the
+    # non-finite rung a longer lattice gave at χ = 1.6
+    monkeypatch.setattr(identities, "cerfc", lambda z: np.full(z.shape, complex(math.nan, math.nan)))
     with pytest.raises(ConvergenceError, match="non-finite rung"):
-        identities._erf_airy_ladder(np.array([1.6 + 0j]))
+        identities._erf_airy_ladder(np.array([0.5 + 0j]))
 
 
 def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
-    identities._airy_table()
+    identities._ladder_columns()
     sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
     cerfc_calls = []
     real = identities.cerfc
@@ -234,7 +259,7 @@ def test_airy_erf_ladder_rows_built_once_per_process():
     assert not rows.flags.writeable and not root.flags.writeable
 
 
-@pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, (1.0 + 0.5j) / abs(1.0 + 0.5j)])
 def test_airy_erf_rungs_match_quad_oracle(chi):
     rungs = identities._erf_airy_ladder(np.array([complex(chi)]))[0]
     for j, got in enumerate(rungs):
@@ -302,7 +327,8 @@ def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypa
 
 # tracemalloc peaks of one 2 000-point grid drawn over the benchmark's
 # ranges, after the tables were built, measured: z6 2.14 MB, airy_fourier
-# 1.20 MB, airy_erf 2.84 MB.  The bound is about 1.5 times the largest and
+# 2.37 MB (its IBP coefficients for the whole grid), airy_erf 2.84 MB.  The
+# bound is about 1.5 times the largest and
 # 6% of the resident size of a process that runs the checks (64 MiB).
 # Without the blocks of 256 Y rows the z6 grid peaked at 4.53 MB, and
 # without the ₁F₁ blocks the erf–Airy grid at 6.95 MB
