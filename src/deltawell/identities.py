@@ -40,8 +40,8 @@ nine η-free columns cached beside the table.  The passes' coefficient
 algebra runs on the whole grid at once.  The ε-ladder's lattice has
 cells of 0.3 from σ = 16.2 down to its bottom at |χ| = 1 (−148.9), 6 612
 nodes; the ladder's integrand has no e^{iησ} factor, and on these cells
-its rungs stay within 2e-9 relative of the quad oracle, where the
-rounding of its cancelling cells allows 1.2e-8.  Its rows
+its rungs at χ = 1, ε₀/4 stay within 2e-9 relative of the quad oracle,
+where the rounding of its cancelling cells allows 1.2e-8.  Its rows
 w·Ai·e^{−εσ²} and its column √σ are cached, so a χ costs erf(χ√σ) on its
 nodes, a few elementwise products and one (3 × nodes) × (nodes × 2) real
 product.

@@ -222,7 +222,7 @@ _VALIDATED_POINTS = {
 
 
 @pytest.mark.parametrize("selector", _VALIDATED_POINTS)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_identity_check_exit_0_means_every_row_within_tolerance(selector, data):
     # over each selector's whole validated range: exit 0 only when every
