@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -166,7 +167,7 @@ _IDENTITY_GRIDS = {
     "airy_fourier": ("0", "1", "-1", "2"),
     "airy_erf": ("0", "0.3", "0.2"),
 }
-_IDENTITY_TOL = {"z6": ("rel", 1e-9), "airy_fourier": ("abs", 1e-12), "airy_erf": ("rel", 1e-3)}
+_IDENTITY_TOL = {"z6": ("rel", 1e-9), "airy_fourier": ("abs", 1e-12), "airy_erf": ("rel", 1e-13)}
 
 
 def _cmd_identity_check(args) -> int:
@@ -224,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity-check", help="verify Airy integral identities")
     p.add_argument("selector", choices=("airy_fourier", "z6", "airy_erf"))
     p.add_argument("--points", help="comma-separated grid values (complex literals allowed)")
+    # argparse takes a token that starts with "-" for an option unless it is
+    # a plain negative number, so "--points -1,2" would lose its grid; here
+    # "-" and a digit, or "-." and a digit, starts a value, as no option does
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=_cmd_identity_check)
 
     p = sub.add_parser("figures", help="run a figure preset")

@@ -2,8 +2,8 @@
 
 Domain violations (bad arguments) raise plain ValueError throughout the
 package; the classes here mark *runtime* numerical trouble that a caller
-may want to catch and report (e.g. ``identity-check`` exits 2 on a
-non-finite erf–Airy rung).
+may want to catch and report (e.g. the CLI exits 2 on a non-finite
+solve).
 """
 
 
@@ -20,4 +20,4 @@ class PrecisionLossError(NumericsError):
 
 
 class ConvergenceError(NumericsError):
-    """An iterative scheme (quadrature, acceleration ladder) did not converge."""
+    """A solve, reconstruction or overlap came out non-finite."""

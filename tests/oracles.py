@@ -1,16 +1,18 @@
 """Field-free closed forms that the tests check the library against, the
-x-domain of the overlap oracles, a quadrature of the regularized
-erf–Airy integral, the paper's ₁F₁ series for Y and an extremum counter
-for ripple tests.
+x-domain of the overlap oracles, the two sides of the erf–Airy identity,
+the paper's ₁F₁ series for Y and an extremum counter for ripple tests.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
 ``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``;
-the erf–Airy oracle takes Ai and erf from scipy and integrates with
-``quad``, where ``identities`` uses its own Airy, erfc and Gauss–Legendre
-grid; the Y series sums mpmath's ``hyp1f1`` where ``approx`` integrates
-by Gauss–Legendre panels.  None validates its inputs.
+the erf–Airy left side takes Ai and erf from scipy and integrates with
+``quad``, where ``identities`` uses its own Airy table and Gauss–Legendre
+grid; its right side sums the moment series in mpmath, where
+``identities`` takes the library's ₁F₁; the Y series sums mpmath's
+``hyp1f1`` where ``approx`` integrates by Gauss–Legendre panels.  None
+validates its inputs.
 """
 
+import cmath
 import math
 import warnings
 
@@ -47,32 +49,54 @@ def overlap_domain_halfwidth(params, t):
     return x_c + 40.0 / params.B + 10.0 * math.sqrt(params.hbar * t / params.mass)
 
 
-def erf_airy_regularized(chi, eps):
-    """∫ dσ/√σ Ai(σ) erf(χ√σ) e^{−εσ²}, √σ = i√|σ| on σ < 0, by ``quad`` on
-    unit cells of [−L, 20], and Σ|cell integral|, the scale of its rounding.
+def erf_airy_rotated(chi):
+    """The erf–Airy identity's left side continued in χ, by ``quad`` on unit
+    cells of [0, 30]:
 
-    On σ < 0 the integrand is bounded by e^{|χ|²|σ| − εσ²}, which is e^{−40}
-    at σ = −L; Ai(20) ~ 1e−27 ends the positive side for |arg χ| ≤ π/4."""
+        (2χ/√π) ∫₀^∞ Ai(r) Σ_ζ F(ζχ²r) dr,  F(w) = (√π/2)·erf(√−w)/√−w,
+
+    with ζ the cube roots of −1 (DLMF 9.2.11 rotates σ < 0 onto r > 0).  At
+    |χ| ≤ 1 the integrand beyond 30 is below Ai(30)e^{30} ~ 1e-36."""
     chi = complex(chi)
-    g = abs(chi) ** 2
-    L = (g + math.sqrt(g * g + 160.0 * eps)) / (2.0 * eps)
+    zetas = [-1.0, complex(0.5, math.sqrt(0.75)), complex(0.5, -math.sqrt(0.75))]
 
-    def f(s):
-        root = math.sqrt(s) if s >= 0.0 else 1j * math.sqrt(-s)
-        z = chi * root
-        ratio = erf(z) / root if z != 0 else 2.0 * chi / math.sqrt(math.pi)
-        return airy(s)[0] * ratio * math.exp(-eps * s * s)
+    def f(r):
+        total = 0j
+        for zeta in zetas:
+            root = cmath.sqrt(-zeta * chi * chi * r)
+            total += erf(root) / root if abs(root) > 1e-8 else 2.0 / math.sqrt(math.pi)
+        return airy(r)[0] * total
 
-    edges = np.linspace(-L, 20.0, math.ceil(L + 20.0) + 1)
+    edges = np.arange(31.0)
     with warnings.catch_warnings():
-        # where the cells cancel, quad reports the rounding it cannot beat
+        # quad reports the rounding of scipy's Ai and erf on a few cells
         warnings.simplefilter("ignore", IntegrationWarning)
         cells = [
             quad(f, a, b, complex_func=True, epsabs=0.0, epsrel=1e-13, limit=100)[0]
             for a, b in zip(edges[:-1], edges[1:])
         ]
-    value = complex(math.fsum(c.real for c in cells), math.fsum(c.imag for c in cells))
-    return value, math.fsum(abs(c) for c in cells)
+    return chi * complex(math.fsum(c.real for c in cells), math.fsum(c.imag for c in cells))
+
+
+def erf_airy_series(chi):
+    """The erf–Airy identity's right side as its series in 30-digit mpmath,
+
+        (2χ/√π)·e^{−ξ₁}{(6ξ₁/7)₁F₁(1;13/6;ξ₁) + 1} = (2χ/√π)·Σ_k (−ξ₁)^k/(k!(6k + 1)),
+
+    ξ₁ = χ⁶/3: the left side integrated term by term against the Airy
+    moments of DLMF 9.10.17.  Summed until a term falls below 1e-32 of the
+    sum, with no ₁F₁."""
+    with mpmath.workdps(30):
+        c = mpmath.mpc(chi)
+        x = c**6 / 3
+        total, coef, k = mpmath.mpc(0), mpmath.mpf(1), 0
+        while True:
+            term = coef / (6 * k + 1)
+            total += term
+            if abs(term) <= mpmath.mpf(10) ** -32 * abs(total):
+                return complex(2 * c / mpmath.sqrt(mpmath.pi) * total)
+            k += 1
+            coef *= -x / k
 
 
 def airy_fourier_segment(eta, lo, hi):

@@ -112,6 +112,19 @@ def test_y_has_one_rule():
         y_integral(YArgs(1.0, 1.0), "series")
 
 
+@pytest.mark.parametrize("xi1, xi2", [
+    (math.nan, 0.0), (1.0, complex(0.0, math.inf)), (np.array([0.5, -math.inf]), 1.0),
+])
+def test_y_rejects_non_finite_arguments(xi1, xi2):
+    with pytest.raises(ValueError, match="non-finite arguments"):
+        y_integral(YArgs(xi1, xi2))
+
+
+def test_first_scheme_rejects_negative_time():
+    with pytest.raises(ValueError, match="requires t >= 0"):
+        first_scheme_psi0(default_units(0.5), np.array([0.0, 1.0, -0.5]))
+
+
 @pytest.mark.parametrize("xi2", [30.0, 100.0, 400.0, 1000.0])
 def test_y_large_xi2_vs_mpmath_quad(xi2):
     # where the paper's series cancels beyond double precision: Y stays

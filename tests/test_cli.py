@@ -166,9 +166,9 @@ def test_identity_check_names_a_bad_token_anywhere(selector, good, bad, capsys):
 
 
 def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
-    # χ = 1.6 lies outside the validated |χ| ≤ 1 (its ladder has a NaN
-    # rung) and is a usage error; a NaN row that reaches the table counts
-    # as failing
+    # χ = 1.6 lies outside the validated |χ| ≤ 1 (the table on [0, 20]
+    # loses 8.5e-11 relative at |χ| = 1.5 and all digits at 2) and is a
+    # usage error; a NaN row that reaches the table counts as failing
     assert main(["identity-check", "airy_erf", "--points", "1.6"]) == 1
     assert "validated only for |chi| <= 1" in capsys.readouterr().err
     nan = float("nan")
@@ -195,6 +195,50 @@ def test_identity_check_airy_fourier_gate_sees_a_1e_9_error(monkeypatch, capsys)
     monkeypatch.undo()
     assert main(["identity-check", "airy_fourier"]) == 0
     capsys.readouterr()
+
+
+def test_identity_check_airy_erf_gate_sees_a_1e_9_error(monkeypatch, capsys):
+    # the check's own error is below 9.3e-15 relative on |χ| ≤ 1 (4 000
+    # random χ), so its gate is rel 1e-13; a left side off by 1e-9 relative
+    # is a broken check and exits 2.  The default grid's χ = 0 has both
+    # sides 0, which any relative error leaves exact
+    real = identities._erf_airy_lhs
+    monkeypatch.setattr(identities, "_erf_airy_lhs", lambda chi: real(chi) * (1.0 + 1e-9))
+    assert main(["identity-check", "airy_erf"]) == 2
+    assert "2 unflagged row(s) beyond tolerance 1e-13 (rel)" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["identity-check", "airy_erf"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("token", ["-1,2", "-0.5,1", "-1e-3", "-0j"])
+@pytest.mark.parametrize("selector", ["z6", "airy_fourier", "airy_erf"])
+def test_identity_check_takes_a_negative_grid_after_a_space(selector, token, capsys):
+    # argparse takes a token that starts with "-" for an option unless it is
+    # a plain negative number; "--points -1,2" gives the same exit code and
+    # output as "--points=-1,2"
+    spaced = main(["identity-check", selector, "--points", token])
+    spaced_out = capsys.readouterr()
+    assert spaced == main(["identity-check", selector, f"--points={token}"])
+    assert capsys.readouterr() == spaced_out
+    assert "expected one argument" not in spaced_out.err
+    # z⁶ takes every token; η takes no complex literal, χ = 2 is out of range
+    refused = (selector, token) in {("airy_fourier", "-0j"), ("airy_erf", "-1,2")}
+    assert spaced == (1 if refused else 0), spaced_out.err
+    if not refused:
+        rows = spaced_out.out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == token.split(",")
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    # a missing file, a directory and a file that is not JSON: exit 1, one
+    # message and no dataset
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{f: 1")
+    for path in (tmp_path / "missing.json", tmp_path, bad_json):
+        assert main(["solve", "--config", str(path), "--steps", "20", "--t-max", "1"]) == 1, path
+        captured = capsys.readouterr()
+        assert f"cannot read config {path}" in captured.err and not captured.out, path
 
 
 def test_identity_check_calls_the_module_binding(monkeypatch, capsys):

@@ -5,16 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import airy
 
 from deltawell import identities, specfun
-from deltawell.errors import ConvergenceError
 from deltawell.identities import (
     check_airy_erf_identity,
     check_airy_fourier,
     check_z6_identity,
     z6_closed_form,
 )
-from oracles import airy_fourier_segment, erf_airy_regularized
+from oracles import airy_fourier_segment, erf_airy_rotated, erf_airy_series
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +117,19 @@ def test_airy_fourier_direct_part_matches_quad_oracle(eta):
 
 def test_airy_fourier_tail_table_ends_at_the_validated_range():
     # the Airy–Fourier table ends at the tail's bottom at |η| = 5, and the
-    # ε-ladder's lattice at the ladder's bottom at |χ| = 1; a range below a
-    # table is an error, never a shorter one
+    # erf–Airy table at r = 20, where at |χ| = 1 the integrand, at most
+    # Ai(r)e^{r}, has fallen below e^{−39}; a point beyond either range is
+    # refused
     cells = identities._airy_table()[0].size // 12 - identities._CELLS_ABOVE
     assert cells == identities._tail_cells(5.0)[1]
-    ladder_cells = identities._ladder_columns()[1].size // 12 - identities._LADDER_CELLS_ABOVE
-    assert ladder_cells == identities._ladder_cells(1.0)
+    roots, w_ai = identities._erf_airy_table()
+    r = np.abs(roots[0]) ** 2
+    assert roots.shape == (3, 120) and 19.9 < r.max() < 20.0 and 0.0 < r.min() < 0.1
+    assert airy(20.0)[0] * math.exp(20.0) < math.exp(-39.0)
     with pytest.raises(ValueError, match="validated"):
         identities._airy_fourier_tail(np.array([5.2]))
-    with pytest.raises(ValueError, match="validated"):
+    with pytest.raises(identities.GridPointError, match="validated"):
         check_airy_erf_identity(1.01)
-    with pytest.raises(ValueError, match="below the table"):
-        identities._erf_airy_ladder(np.array([2.4 + 0j]))
 
 
 def _count_airy_calls(monkeypatch):
@@ -150,12 +151,12 @@ def test_airy_fourier_tail_table_built_once(monkeypatch):
     sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
     identities._airy_table.cache_clear()
     identities._fourier_columns.cache_clear()
-    identities._ladder_columns.cache_clear()
+    identities._erf_airy_table.cache_clear()
     for eta, chi in zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.05, 1.0, 10)):
         check_airy_fourier(eta)
         check_airy_erf_identity(chi)
-    # one array call builds each lattice's table, the Airy–Fourier cell
-    # edges' Ai(c), Ai′(c) included
+    # one array call builds each table, the Airy–Fourier cell edges' Ai(c),
+    # Ai′(c) included
     assert len(sizes) == 2 and min(sizes) > 1
     assert not airy_ai_calls
 
@@ -197,8 +198,13 @@ def test_consistency_chain_with_y_series():
 
 
 # ---------------------------------------------------------------------------
-# erf-Airy identity (regularized)
+# erf-Airy identity
 # ---------------------------------------------------------------------------
+
+# the CLI gate, about ten times the worst relative error measured, 9.2e-15
+# over 4 000 random χ in the unit disk
+_ERF_GATE = 1e-13
+
 
 def test_airy_erf_zero_chi():
     r = check_airy_erf_identity(0.0)
@@ -208,67 +214,89 @@ def test_airy_erf_zero_chi():
 def test_airy_erf_small_real_chi():
     r = check_airy_erf_identity(0.3)
     assert not r.flags
-    assert r.rel_err <= 1e-3
-    assert "eps ladder" in r.regularization
+    assert r.rel_err <= _ERF_GATE
 
 
 def test_airy_erf_complex_chi():
     chi = 0.3 * np.exp(1j * np.pi / 12.0)
     r = check_airy_erf_identity(chi)
-    # weaker target reflecting conditional convergence; a flagged ladder
-    # would mark the check inconclusive rather than failed
-    assert r.flags or r.rel_err <= 1e-2
+    assert not r.flags
+    assert r.rel_err <= _ERF_GATE
 
 
-def test_airy_erf_ladder_non_finite_rung_raises(monkeypatch):
-    # every rung is finite for |χ| ≤ 1, and the ladder's lattice ends at
-    # the bottom of |χ| = 1; an erf that comes back NaN stands in for the
-    # non-finite rung a longer lattice gave at χ = 1.6
-    monkeypatch.setattr(identities, "cerfc", lambda z: np.full(z.shape, complex(math.nan, math.nan)))
-    with pytest.raises(ConvergenceError, match="non-finite rung"):
-        identities._erf_airy_ladder(np.array([0.5 + 0j]))
+def test_airy_erf_regression():
+    # 96 phases at |χ| = 1, one ulp inside so that every point is in range,
+    # and 4 000 seeded random χ in the unit disk.  The worst measured are
+    # 5.7e-16 on the circle and 9.2e-15 in the disk
+    rng = np.random.default_rng(0)
+    disk = np.sqrt(rng.uniform(0.0, 1.0, 4000)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 4000))
+    circle = np.exp(2j * np.pi * np.arange(96) / 96) * (1.0 - 2.0**-52)
+    for chis in (circle, disk):
+        errs = [r.rel_err for r in check_airy_erf_identity(chis)]
+        assert max(errs) <= 1e-14, chis[int(np.argmax(errs))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chi=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+def test_airy_erf_property(chi):
+    # the rotated integral is summed with the conjugate rays paired, so
+    # lhs(χ̄) is conj(lhs(χ)) exactly
+    r = check_airy_erf_identity(chi)
+    assert not r.flags and r.rel_err <= _ERF_GATE
+    assert check_airy_erf_identity(np.conj(chi)).lhs == np.conj(r.lhs)
 
 
 def test_airy_erf_special_functions_called_once_per_chi(monkeypatch):
-    identities._ladder_columns()
+    identities._erf_airy_table()
     sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
-    cerfc_calls = []
-    real = identities.cerfc
+    erf_calls = []
+    real = identities.erf
 
     def spy(z):
-        cerfc_calls.append(np.size(z))
+        erf_calls.append(np.shape(z))
         return real(z)
 
-    monkeypatch.setattr(identities, "cerfc", spy)
+    monkeypatch.setattr(identities, "erf", spy)
     for chi in (0.05, 0.3, 0.8 + 0.5j):
         check_airy_erf_identity(chi)
     check_airy_erf_identity(np.array([0.05, 0.0, 0.3, 0.8 + 0.5j]))
-    # Ai comes from the table; erf is one array call per nonzero χ, in a
-    # grid too (one call on a whole grid's nodes measured slower)
+    check_airy_erf_identity(np.zeros(300))
+    # Ai comes from the table; erf is one array call per ray and block of
+    # at most 256 χ, on the table's 120 nodes for each χ
     assert not sizes and not airy_ai_calls
-    assert len(cerfc_calls) == 6 and min(cerfc_calls) > 1
+    assert erf_calls == [(1, 120)] * 9 + [(4, 120)] * 3 + [(256, 120)] * 3 + [(44, 120)] * 3
 
 
-def test_airy_erf_ladder_rows_built_once_per_process():
-    identities._ladder_columns.cache_clear()
+def test_airy_erf_table_built_once_per_process():
+    identities._erf_airy_table.cache_clear()
     for grid in (0.3, np.array([0.05, 0.2]), np.array([1.0, 0.8 + 0.5j, 0.1j])):
         check_airy_erf_identity(grid)
-    info = identities._ladder_columns.cache_info()
+    info = identities._erf_airy_table.cache_info()
     assert (info.misses, info.hits) == (1, 2)  # one look-up per grid
-    rows, root = identities._ladder_columns()
-    assert not rows.flags.writeable and not root.flags.writeable
+    roots, w_ai = identities._erf_airy_table()
+    assert not roots.flags.writeable and not w_ai.flags.writeable
 
 
-@pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, (1.0 + 0.5j) / abs(1.0 + 0.5j)])
-def test_airy_erf_rungs_match_quad_oracle(chi):
-    rungs = identities._erf_airy_ladder(np.array([complex(chi)]))[0]
-    for j, got in enumerate(rungs):
-        want, scale = erf_airy_regularized(chi, 0.05 / 2**j)
-        # 1e-10 relative, or the rounding floor of a double-precision sum
-        # over cancelling cells: at χ = 1, ε₀/4, Σ|cells| is 1.2e6·|I|, and
-        # against 30-digit mpmath the rung is off by 1.8e-9 relative and
-        # the quad oracle by 5.1e-9
-        assert abs(got - want) <= max(1e-10 * abs(want), 1e-14 * scale), j
+_ERF_ORACLE_CHIS = [
+    0.05, 0.3, 1.0, (1.0 + 0.5j) / abs(1.0 + 0.5j),
+    np.exp(0.2j * np.pi) * (1.0 - 2.0**-52), 0.7j, 0.9 * np.exp(0.6j * np.pi),
+]
+
+
+@pytest.mark.parametrize("chi", _ERF_ORACLE_CHIS)
+def test_airy_erf_lhs_matches_quad_oracle(chi):
+    # worst measured 1.8e-15 relative, at χ = 0.05; the bound is four times
+    # that
+    want = erf_airy_rotated(chi)
+    assert abs(check_airy_erf_identity(chi).lhs - want) <= 8e-15 * abs(want)
+
+
+@pytest.mark.parametrize("chi", _ERF_ORACLE_CHIS)
+def test_airy_erf_rhs_matches_mpmath_series(chi):
+    # worst measured 2.5e-16 relative, at χ = 0.05; the bound is four times
+    # that
+    want = erf_airy_series(chi)
+    assert abs(check_airy_erf_identity(chi).rhs - want) <= 1e-15 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +345,7 @@ def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypa
     assert check(np.array([])) == ()
     monkeypatch.setattr(identities, "y_integral", None)
     monkeypatch.setattr(identities, "_airy_fourier_tail", None)
-    monkeypatch.setattr(identities, "_erf_airy_ladder", None)
+    monkeypatch.setattr(identities, "_erf_airy_lhs", None)
     with pytest.raises(identities.GridPointError, match="validated only") as err:
         check(np.array([0.1, 0.2, 60.0, math.nan]))
     assert err.value.index == 2
@@ -327,8 +355,9 @@ def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypa
 
 # tracemalloc peaks of one 2 000-point grid drawn over the benchmark's
 # ranges, after the tables were built, measured: z6 2.14 MB, airy_fourier
-# 2.37 MB (its IBP coefficients for the whole grid), airy_erf 2.84 MB.  The
-# bound is about 1.5 times the largest and
+# 2.37 MB (its IBP coefficients for the whole grid), airy_erf 2.37 MB (the
+# ₁F₁ blocks of its right side; its left side's blocks of 256 χ peak at
+# 1.8 MB).  The bound is about 1.5 times the largest and
 # 6% of the resident size of a process that runs the checks (64 MiB).
 # Without the blocks of 256 Y rows the z6 grid peaked at 4.53 MB, and
 # without the ₁F₁ blocks the erf–Airy grid at 6.95 MB

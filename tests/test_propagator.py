@@ -71,8 +71,14 @@ def test_volkov_initial_condition():
 
 
 def test_volkov_rejects_negative_time():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires t >= 0"):
         volkov_phi(0.0, -1.0, default_units(0.1))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_volkov_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="non-finite argument"):
+        volkov_phi(np.array([0.0, x]), 1.0, default_units(0.1))
 
 
 def test_volkov_field_free_closed_form():

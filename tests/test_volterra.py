@@ -84,6 +84,11 @@ def test_series_rejects_non_finite():
         ComplexSeries(g, np.array([1.0, 2.0]), p)
 
 
+def test_abel_weights_need_a_panel():
+    with pytest.raises(ValueError, match="at least one panel"):
+        abel_weights(0, 0.1)
+
+
 def test_abel_weights_polynomial_exactness():
     # ∫₀^T s^{−1/2} s^m ds = 2 T^{m+1/2}/(2m+1); one panel is the linear
     # row for both rules, and at n = 2, 3 the quadratic start and end
