@@ -130,7 +130,6 @@ def density_proxy(series: ComplexSeries) -> np.ndarray:
 @dataclass(frozen=True)
 class FitResult:
     c: float
-    objective: float
     multimodal: bool = False
 
 
@@ -156,7 +155,7 @@ def fit_c(exact: ComplexSeries, ansatz_base: DecayAnsatz) -> FitResult:
     multimodal = len(interior_minima) > 1
     i_best = int(np.argmin(obj))
     if multimodal:
-        return FitResult(c=float(cs[i_best]), objective=float(obj[i_best]), multimodal=True)
+        return FitResult(c=float(cs[i_best]), multimodal=True)
 
     lo = cs[max(i_best - 1, 0)]
     hi = cs[min(i_best + 1, len(cs) - 1)]
@@ -174,5 +173,4 @@ def fit_c(exact: ComplexSeries, ansatz_base: DecayAnsatz) -> FitResult:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
             f2 = objective(x2)
-    c_opt = 0.5 * (a + b)
-    return FitResult(c=float(c_opt), objective=objective(c_opt), multimodal=False)
+    return FitResult(c=float(0.5 * (a + b)))

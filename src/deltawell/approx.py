@@ -292,8 +292,9 @@ def _decay_pair(params: PhysParams, t: np.ndarray, ansatz: DecayAnsatz) -> tuple
     # replacing √B e^{−iEτ} → ψ(0,τ) inside the integral term divides the
     # closed prefactor by √B (invisible in B = 1 units)
     den = 1.0 - prefY / math.sqrt(B)
-    i = int(np.argmin(np.abs(den)))
-    if abs(den[i]) < 1e-12:
+    singular = np.abs(den) < 1e-12  # an empty t gives empty forms
+    if singular.any():
+        i = int(np.argmax(singular))
         raise PrecisionLossError(f"multiplicative form singular at t={t[i]} (denominator {den[i]})")
     return additive, phi / den
 

@@ -228,21 +228,18 @@ def _config_lines(config: ScenarioConfig):
     return [f"# {k} = {d[k]}" for k in sorted(d)]
 
 
-def _csv_rows(tables: dict, methods, lo: int, hi: int) -> str:
-    """Data rows lo … hi − 1 of the dataset, counted over the methods in
-    order, joined by newlines."""
+def _csv_rows(cols: list, lo: int, hi: int) -> str:
+    """Data rows lo … hi − 1 of the dataset, joined by newlines, from its
+    flat columns: the float columns of COLUMNS[:-1], each over the methods
+    in order, then the list of every row's method."""
+    *floats, names = cols
     lines = []
-    start = 0
-    for m in methods:
-        tb = tables[m]
-        n = len(tb["t"])
+    for a in range(lo, hi, _CSV_CHUNK):
+        b = min(a + _CSV_CHUNK, hi)
         # .tolist() gives Python floats, whose repr is the shortest round-trip
         # form; chunks bound the memory those floats take
-        stop = min(hi - start, n)
-        for a in range(max(lo - start, 0), stop, _CSV_CHUNK):
-            cols = [tb[c][a : min(a + _CSV_CHUNK, stop)].tolist() for c in COLUMNS[:-1]]
-            lines.extend(",".join(map(repr, row)) + f",{m}" for row in zip(*cols))
-        start += n
+        cells = [map(repr, c[a:b].tolist()) for c in floats]
+        lines.extend(map(",".join, zip(*cells, names[a:b])))
     return "\n".join(lines)
 
 
@@ -253,10 +250,10 @@ def _block_count(rows: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_BLOCK_ROWS))
 
 
-def _fork_block(tables: dict, methods, lo: int, hi: int, inherited) -> tuple[int, int]:
+def _fork_block(cols: list, lo: int, hi: int, inherited) -> tuple[int, int]:
     """Format rows lo … hi − 1 in a forked worker; returns its pid and the
     read end of the pipe that carries its text.  Fork, not spawn: the worker
-    inherits the table instead of importing numpy and receiving a pickled
+    inherits the columns instead of importing numpy and receiving a pickled
     copy, and it runs only slicing, .tolist() and float repr, so it takes
     no lock that another thread (a BLAS pool) could hold at the fork."""
     r, w = os.pipe()
@@ -272,7 +269,7 @@ def _fork_block(tables: dict, methods, lo: int, hi: int, inherited) -> tuple[int
             for fd in (r, *inherited):
                 os.close(fd)
             with open(w, "wb") as out:
-                out.write(_csv_rows(tables, methods, lo, hi).encode())
+                out.write(_csv_rows(cols, lo, hi).encode())
             code = 0
         finally:
             os._exit(code)
@@ -283,16 +280,19 @@ def _fork_block(tables: dict, methods, lo: int, hi: int, inherited) -> tuple[int
 def _data_rows(tables: dict, methods) -> list:
     """The dataset's data rows as contiguous blocks, one per usable CPU
     when the table is large enough: block 0 is formatted here, each other
-    block in a forked worker.  Every worker is reaped, also when this
+    block in a forked worker, all by ``_csv_rows`` over the same flat
+    columns, built once here.  Every worker is reaped, also when this
     raises, and one that fails raises ChildProcessError."""
-    total = sum(len(tables[m]["t"]) for m in methods)
-    n = _block_count(total)
-    edges = [total * k // n for k in range(n + 1)]
+    cols = [np.concatenate([tables[m][c] for m in methods]) for c in COLUMNS[:-1]]
+    names = [m for m in methods for _ in range(len(tables[m]["t"]))]
+    cols.append(names)
+    n = _block_count(len(names))
+    edges = [len(names) * k // n for k in range(n + 1)]
     workers = []  # (pid, read end) of blocks 1 … n − 1
     try:
         for lo, hi in zip(edges[1:-1], edges[2:]):
-            workers.append(_fork_block(tables, methods, lo, hi, [r for _, r in workers]))
-        blocks = [_csv_rows(tables, methods, 0, edges[1])]
+            workers.append(_fork_block(cols, lo, hi, [r for _, r in workers]))
+        blocks = [_csv_rows(cols, 0, edges[1])]
         for _, r in workers:
             with open(r, "rb", closefd=False) as pipe:
                 blocks.append(pipe.read().decode())
@@ -307,11 +307,9 @@ def _data_rows(tables: dict, methods) -> list:
 
 
 def result_to_csv(result: ScenarioResult) -> str:
-    lines = ["# deltawell scenario dataset"]
-    lines.extend(_config_lines(result.config))
-    lines.append(",".join(COLUMNS))
-    lines.extend(_data_rows(result.tables, result.config.methods))
-    return "\n".join(lines) + "\n"
+    rows = _data_rows(result.tables, result.config.methods)
+    # one join, whose last "" ends the text with a newline: no second copy
+    return "\n".join(["# deltawell scenario dataset", *_config_lines(result.config), ",".join(COLUMNS), *rows, ""])
 
 
 def _json(result: ScenarioResult, **extra) -> str:

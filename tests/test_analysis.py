@@ -71,6 +71,15 @@ def test_extract_preconditions():
         extract_rate_shift(ComplexSeries(g2, vals, p))
 
 
+def test_plateau_needs_a_live_window():
+    # |ψ/√B| = e^{−10t} stays above the amplitude floor 2.5e-3 only up to
+    # node 5 (t = 0.5), too few nodes for the 1/t fit
+    g = TimeGrid(1.0, 10)
+    rss = extract_rate_shift(ComplexSeries(g, np.exp(-10.0 * g.nodes), default_units(1.0)))
+    with pytest.raises(ValueError, match="series dies before a plateau window can be formed"):
+        plateau(rss)
+
+
 def test_plateau_from_exact_solve_f05(exact_f05):
     rss = extract_rate_shift(exact_f05)
     gam, dl = plateau(rss)

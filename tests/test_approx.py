@@ -125,6 +125,22 @@ def test_first_scheme_rejects_negative_time():
         first_scheme_psi0(default_units(0.5), np.array([0.0, 1.0, -0.5]))
 
 
+def test_decay_closed_form_rejects_unknown_form_and_negative_time():
+    params = default_units(0.5)
+    ansatz = DecayAnsatz.from_wkb(params)
+    with pytest.raises(ValueError, match="unknown form 'bogus'"):
+        decay_closed_psi0(params, 1.0, ansatz, "bogus")
+    with pytest.raises(ValueError, match="requires t >= 0"):
+        decay_closed_psi0(params, -1.0, ansatz)
+
+
+@pytest.mark.parametrize("form", ["ansatz_only", "additive", "multiplicative", "combined"])
+def test_decay_closed_form_on_no_times_is_empty(form):
+    params = default_units(0.5)
+    vals = decay_closed_psi0(params, np.array([]), DecayAnsatz.from_wkb(params), form)
+    assert vals.shape == (0,) and vals.dtype == np.complex128
+
+
 @pytest.mark.parametrize("xi2", [30.0, 100.0, 400.0, 1000.0])
 def test_y_large_xi2_vs_mpmath_quad(xi2):
     # where the paper's series cancels beyond double precision: Y stays

@@ -90,6 +90,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # Python bool, which would otherwise run as the number 1
     docs = ({"n_steps": 100.5}, {"rule": "cubic"}, {"hbar": -1}, {"mass": 0},
             {"out": str(tmp_path / "x.csv")}, {"format": "json"},
+            {"methods": []}, {"methods": ["nope"]}, {"ansatz_source": "nope"},
+            {"ansatz_source": "explicit"},
             *({name: True} for name in ("f", "hbar", "mass", "v0", "t_max", "c", "gamma", "delta")))
     bad_docs = [tmp_path / f"bad{i}.json" for i in range(len(docs))]
     for path, doc in zip(bad_docs, docs):
@@ -121,6 +123,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+def test_scenario_config_refuses_a_c_string_and_the_float_range():
+    with pytest.raises(ValueError, match="c must be a number, 'fit' or omitted, got 'high'"):
+        ScenarioConfig(c="high").validate()
+    # ℏ² underflows to 0, so B = m·V₀/ℏ² divides by zero
+    with pytest.raises(ValueError, match="hbar, mass, v0 and f leave the floating-point range"):
+        ScenarioConfig(hbar=1e-200).validate()
 
 
 def test_flagged_run_exits_2_with_partial_output(tmp_path, capsys):
@@ -178,6 +188,16 @@ def test_identity_check_non_finite_row_exits_2(monkeypatch, capsys):
     )
     assert main(["identity-check", "airy_erf", "--points", "0.3"]) == 2
     assert "1 unflagged row(s)" in capsys.readouterr().err
+
+
+def test_identity_check_airy_erf_takes_a_unit_modulus_chi(capsys):
+    # χ = e^{iπ/5}: |χ| is exactly 1.0 in Python, while numpy's complex abs
+    # rounds it one ulp above 1; the range check takes the former
+    token = "0.8090169943749475+0.5877852522924731j"
+    assert abs(complex(token)) == 1.0
+    assert main(["identity-check", "airy_erf", "--points", token]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith(token + ",") and rows[0].endswith(",")
 
 
 def test_identity_check_airy_fourier_gate_sees_a_1e_9_error(monkeypatch, capsys):
@@ -569,10 +589,10 @@ def test_failed_block_raises_and_reaps_every_worker(monkeypatch, split_result):
     rows = scenario._csv_rows
 
     def failing(block):
-        def fmt(tables, methods, lo, hi):
+        def fmt(cols, lo, hi):
             if (lo > 0) == (block == "worker"):
                 raise RuntimeError(f"{block} block failed")
-            return rows(tables, methods, lo, hi)
+            return rows(cols, lo, hi)
         return fmt
 
     monkeypatch.setattr(scenario, "_csv_rows", failing("worker"))

@@ -36,6 +36,15 @@ def test_domain_errors(args):
         derive_params(*args)
 
 
+@pytest.mark.parametrize("args", [
+    (1e-200, 1.0, 1.0, 0.0),  # ℏ² underflows to 0: B = m·V₀/ℏ² divides by zero
+    (1.0, 1e200, 1e200, 0.0),  # m·V₀ overflows: B = inf, E_b = −inf
+])
+def test_float_range_errors(args):
+    with pytest.raises(ValueError, match="leaves the floating-point range"):
+        derive_params(*args)
+
+
 @given(
     F=st.floats(1e-6, 10.0),
     hbar=st.floats(0.1, 10.0),

@@ -385,6 +385,11 @@ def test_moshinsky_rejects_bad_time():
         moshinsky(1.0, 1.0, -1.0)
 
 
+def test_moshinsky_rejects_non_finite_argument():
+    with pytest.raises(ValueError, match="non-finite argument"):
+        moshinsky(np.nan, 1j, 1.0)
+
+
 def test_moshinsky_small_time_limit():
     # as t → 0⁺, M(x; k; t) → e^{ikx} for x < 0 (the erfc tends to 2)
     assert abs(moshinsky(-2.0, 1.0j, 1e-10) - np.exp(-2.0j * 1.0j)) < 1e-4

@@ -89,6 +89,11 @@ def test_abel_weights_need_a_panel():
         abel_weights(0, 0.1)
 
 
+def test_abel_weights_reject_unknown_rule():
+    with pytest.raises(ValueError, match="unknown rule 'cubic'"):
+        abel_weights(3, 0.1, "cubic")
+
+
 def test_abel_weights_polynomial_exactness():
     # ∫₀^T s^{−1/2} s^m ds = 2 T^{m+1/2}/(2m+1); one panel is the linear
     # row for both rules, and at n = 2, 3 the quadratic start and end

@@ -1,28 +1,43 @@
-"""Alternating parent/change pairs of the benchmark.
+"""Parent/change comparisons: alternating benchmark pairs, or the bytes of
+fixed CLI cases.
 
     python3 tools/ab.py PARENT --workload W [--pairs 10] [--seed 0]
+    python3 tools/ab.py PARENT --bytes
 
 Run from the root of a git checkout.  PARENT (any commit name git knows)
-is checked out with ``git worktree add --detach`` into a temporary
-directory.  Each pair runs ``python3 perfbench/run.py --workload W --seed S
---seconds 10`` once in the parent's tree and once in the working tree,
-each tree with its own ``perfbench/`` and ``src/``; odd pairs run the
-parent first, even pairs the change first.  Every run is appended to
-``BENCH_<W>.json`` in the working tree, in that file's entry format.
+is checked out in a shared ``git clone`` in a temporary directory, which
+is removed when the script ends, also when a run fails.
 
-For each end-to-end metric of BENCHMARK.json it prints the medians and
-quartiles of both sides, the pairs the change won (ties count for
-neither) and the gain gate: the change wins at least 9 of 10 pairs, and
-its median is better than the parent's by more than the distance between
-the parent's quartiles.  The worktree is removed when the script ends,
-also when a run fails.  Exit code 0 after all pairs ran, 1 when a run
-failed.
+``--workload`` runs pairs: each pair runs ``python3 perfbench/run.py
+--workload W --seed S --seconds 10`` once in the parent's tree and once in
+the working tree, each tree with its own ``perfbench/`` and ``src/``; odd
+pairs run the parent first, even pairs the change first.  Every run is
+appended to ``BENCH_<W>.json`` in the working tree, in that file's entry
+format.  For each end-to-end metric of BENCHMARK.json it prints the
+medians and quartiles of both sides, the pairs the change won (ties count
+for neither) and the gain gate: the change wins at least 9 of 10 pairs,
+and its median is better than the parent's by more than the distance
+between the parent's quartiles.  Exit code 0 after all pairs ran, 1 when
+a run failed.
+
+``--bytes`` runs each case once per tree, each in a fresh interpreter
+(``python -m deltawell.cli``) with that tree's ``src`` alone on
+PYTHONPATH, in an empty directory of its own.  The cases are every
+``figures`` preset, the README's ``solve``, ``approx``, ``fit-c`` and
+``figures`` examples, the three ``identity-check`` default grids and the
+seed-0 decks of the CLI workloads (their argv from the working tree's
+``perfbench/jobs.py``, with ``--out`` where the benchmark passes one).
+It compares the exit code, stdout, stderr and every file a case writes,
+prints each one that differs, or "identical (n files)", and exits 1 on a
+difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,6 +45,23 @@ import tempfile
 from pathlib import Path
 
 SECONDS = 10  # the run length BENCHMARK.json sets
+DECK_WORKLOADS = ("scenario_mix", "long_march", "identity_sweep")  # the CLI workloads
+README_CASES = (
+    ("readme-solve", ("solve", "--f", "1", "--t-max", "20", "--steps", "8000", "--out", "run.csv")),
+    ("readme-approx", ("approx", "--f", "0.5", "--method", "decay_combined", "--c", "0.65", "--ansatz",
+                       "explicit", "--gamma", "0.1896", "--delta", "-0.0738", "--out", "approx.csv")),
+    ("readme-fit-c", ("fit-c", "--f", "0.5", "--t-max", "20", "--steps", "2000", "--ansatz", "explicit",
+                      "--gamma", "0.1896", "--delta", "-0.0738")),
+    ("readme-figures", ("figures", "fig1b", "--out", "fig1b.csv")),
+)
+# the preset names and the seed-0 decks of the workloads named in argv, as JSON
+_LIST_CASES = """
+import json, sys
+from jobs import WORKLOADS, deck_rng
+from deltawell.scenario import PRESETS
+decks = {w: [list(j.spec) for j in WORKLOADS[w].deck(deck_rng(w, 0))] for w in sys.argv[1:]}
+print(json.dumps({"presets": sorted(PRESETS), "decks": decks}))
+"""
 
 
 def git(*args, cwd: Path) -> str:
@@ -42,6 +74,17 @@ def commit_of(tree: Path) -> str:
     head = git("rev-parse", "HEAD", cwd=tree)
     changed = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json", cwd=tree)
     return head + ("-dirty" if changed else "")
+
+
+@contextlib.contextmanager
+def parent_checkout(root: Path, parent: str):
+    """The repository at PARENT, in a shared clone in a temporary directory."""
+    sha = git("rev-parse", "--verify", f"{parent}^{{commit}}", cwd=root)
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        tree = Path(tmp) / "tree"
+        git("clone", "--quiet", "--shared", "--no-checkout", str(root), str(tree), cwd=root)
+        git("checkout", "--quiet", "--detach", sha, cwd=tree)
+        yield tree
 
 
 def bench_run(tree: Path, workload: str, seed: int) -> dict:
@@ -80,10 +123,90 @@ def report(runs: dict, metrics: list) -> list:
     return lines
 
 
+def run_pairs(root: Path, parent_tree: Path, workload: str, pairs: int, seed: int, spec: dict) -> None:
+    bench_file = root / f"BENCH_{workload}.json"
+    entries = json.loads(bench_file.read_text()) if bench_file.exists() else []
+    runs = {"parent": [], "change": []}
+    trees = {"parent": parent_tree, "change": root}
+    commits = {k: commit_of(t) for k, t in trees.items()}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for place, side in zip(("first", "second"), order):
+            run = bench_run(trees[side], workload, seed)
+            runs[side].append(run)
+            entries.append({
+                "commit": commits[side], "command": run["command"],
+                "pair": f"{i + 1} of {pairs}, {place}",
+                "context_line": run["context_line"], "result_line": run["result_line"],
+            })
+            # written after every run, so that a failed run keeps the ones before it
+            bench_file.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+            metrics = run["result_line"]["metrics"]
+            print(f"pair {i + 1} {side}: " + ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items()),
+                  flush=True)
+    print(f"{workload}, seed {seed}: parent {commits['parent']}, change {commits['change']}")
+    for line in report(runs, spec["end_to_end"]):
+        print(line)
+
+
+def byte_cases(root: Path) -> list:
+    """(name, argv) of every byte case, argv with its --out where it writes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "perfbench"), str(root / "src")])}
+    proc = subprocess.run([sys.executable, "-c", _LIST_CASES, *DECK_WORKLOADS],
+                          cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"listing the byte cases failed: {proc.stderr.strip()[-500:]}")
+    listed = json.loads(proc.stdout)
+    cases = [(p, ("figures", p, "--out", f"{p}.csv")) for p in listed["presets"]]
+    cases += README_CASES
+    cases += [(f"identity-check-{s}", ("identity-check", s)) for s in ("z6", "airy_fourier", "airy_erf")]
+    for w, deck in listed["decks"].items():
+        cases += [
+            (f"{w}-{i}", (*argv, *(() if argv[0] == "identity-check" else ("--out", "job.csv"))))
+            for i, argv in enumerate(deck)
+        ]
+    return cases
+
+
+def case_outputs(tree: Path, argv, cwd: Path) -> dict:
+    """Exit code, stdout, stderr and every file written, of one CLI call in
+    a fresh interpreter with the tree's src on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-m", "deltawell.cli", *argv], cwd=cwd, env=env, capture_output=True)
+    outputs = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+    outputs.update((p.name, p.read_bytes()) for p in cwd.iterdir())
+    return outputs
+
+
+def compare_bytes(root: Path, parent_tree: Path) -> bool:
+    """Run every byte case in both trees; True when all outputs are identical."""
+    compared = differ = 0
+    for name, argv in byte_cases(root):
+        outputs = {}
+        with tempfile.TemporaryDirectory(prefix="ab-case-") as tmp:
+            for side, tree in (("parent", parent_tree), ("change", root)):
+                cwd = Path(tmp) / side
+                cwd.mkdir()
+                outputs[side] = case_outputs(tree, argv, cwd)
+        parent, change = outputs["parent"], outputs["change"]
+        for key in sorted(parent.keys() | change.keys()):
+            compared += 1
+            if parent.get(key) != change.get(key):
+                differ += 1
+                print(f"differs: {name}/{key} ({' '.join(argv)})", flush=True)
+    if differ:
+        print(f"{differ} of {compared} files differ")
+        return False
+    print(f"identical ({compared} files)")
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the commit to compare the working tree against")
-    parser.add_argument("--workload", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="run alternating benchmark pairs of this workload")
+    mode.add_argument("--bytes", action="store_true", help="compare the outputs of the byte cases")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -92,46 +215,19 @@ def main(argv=None) -> int:
 
     root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
+    if args.workload is not None and args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
-    bench_file = root / f"BENCH_{args.workload}.json"
-    entries = json.loads(bench_file.read_text()) if bench_file.exists() else []
-    runs = {"parent": [], "change": []}
-
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-        parent_tree = Path(tmp) / "tree"
-        try:
-            git("worktree", "add", "--detach", str(parent_tree), args.parent, cwd=root)
-            trees = {"parent": parent_tree, "change": root}
-            commits = {k: commit_of(t) for k, t in trees.items()}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for place, side in zip(("first", "second"), order):
-                    run = bench_run(trees[side], args.workload, args.seed)
-                    runs[side].append(run)
-                    entries.append({
-                        "commit": commits[side], "command": run["command"],
-                        "pair": f"{i + 1} of {args.pairs}, {place}",
-                        "context_line": run["context_line"], "result_line": run["result_line"],
-                    })
-                    # written after every run, so that a failed run keeps the ones before it
-                    bench_file.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-                    metrics = run["result_line"]["metrics"]
-                    print(f"pair {i + 1} {side}: " + ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items()),
-                          flush=True)
-        except subprocess.CalledProcessError as exc:
-            print(f"error: {' '.join(exc.cmd)}: {exc.stderr.strip()}", file=sys.stderr)
-            return 1
-        except (RuntimeError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=root, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
-
-    print(f"{args.workload}, seed {args.seed}: parent {commits['parent']}, change {commits['change']}")
-    for line in report(runs, spec["end_to_end"]):
-        print(line)
+    try:
+        with parent_checkout(root, args.parent) as parent_tree:
+            if args.bytes:
+                return 0 if compare_bytes(root, parent_tree) else 1
+            run_pairs(root, parent_tree, args.workload, args.pairs, args.seed, spec)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {' '.join(exc.cmd)}: {exc.stderr.strip()}", file=sys.stderr)
+        return 1
+    except (RuntimeError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
