@@ -129,6 +129,11 @@ def _emit_result(result, args) -> int:
             Path(args.out + ".summary.json").write_text(summary_to_json(result))
     else:
         sys.stdout.write(text)
+    return _exit_code(result)
+
+
+def _exit_code(result) -> int:
+    """0, or FLAGGED_EXIT with the run's flags on stderr."""
     if result.flags:
         print(f"numerical flags: {', '.join(result.flags)}", file=sys.stderr)
         return FLAGGED_EXIT
@@ -159,7 +164,7 @@ def _cmd_fit_c(args) -> int:
     print(f"fitted c = {result.summary['fitted_c']:.4f}")
     if args.out:
         Path(args.out).write_text(summary_to_json(result))
-    return FLAGGED_EXIT if result.flags else 0
+    return _exit_code(result)
 
 
 _IDENTITY_GRIDS = {

@@ -33,23 +33,23 @@ The check evaluates F(ζχ²r) = (√π/2)erf(s)/s, s = αχ√r with α² the c
 roots of unity, by scipy's ``erf`` on r ≥ 0, and the right side by the
 library's ₁F₁: the two sides share no code.
 
-Ai and Ai′ come from two tables per process, each built by one
-``_airy_both`` call on the 12-point Gauss–Legendre nodes of fixed cells.
-The Airy–Fourier lattice has cells of 0.15 from σ = 16.05 down to the
-tail's bottom at |η| = 5 (−120.15), 10 896 nodes, and holds Ai, Ai′ at
-its cell edges too, where the cutoff c lies.  The check reads its direct
-part [c, 16.05], its tail [lo, c] and Ai(c), Ai′(c) from it.  The tail
-takes 8 passes of integration by parts, so its remainder falls like
-|σ|^{−12.25} and stops at lo ≤ 1.5c: 1 200–3 204 nodes per η.  Every node
-is a cell midpoint plus one of 12 fixed offsets, so an η costs one exp
-per cell and 12 for the offsets, the phase product and (σ+η²)⁻¹⁶ on the
-tail's nodes, and one real (2 × nodes) × (nodes × 9) product against
-nine η-free columns cached beside the table.  The passes' coefficient
-algebra runs on the whole grid at once.  The erf–Airy table holds α√r
-and w·Ai(r) on the 120 nodes of 10 cells of length 2 on [0, 20].  At
-|χ| ≤ 1 the integrand grows at most like e^{r}, and (2/3)·20^{3/2} − 20 is
-39.6, so the rest of the integral is below e^{−39}; a χ costs erf on
-3 × 120 points.
+Ai and Ai′ come from two tables per process, each built on first use by
+one ``_airy_both`` call on the 12-point Gauss–Legendre nodes of fixed
+cells.  The Airy–Fourier table is the whole lattice of the check: cells
+of 0.15 from σ = 16.05 down to the tail's bottom at |η| = 5 (−120.15),
+10 896 nodes, with Ai, Ai′ at the cell edges, where the cutoff c lies,
+the cell midpoints, the 12 node offsets, w·Ai per cell and nine η-free
+columns.  The tail takes 8 passes of integration by parts, whose
+coefficient algebra runs on the whole grid at once; its remainder then
+falls like |σ|^{−12.25} and stops at lo ≤ 1.5c: 1 200–3 204 nodes per η.
+Then each η takes one pass over the cells above lo: one exp per cell and
+12 for the offsets, the phase product and (σ+η²)⁻¹⁶ on the tail's nodes
+with one real (2 × nodes) × (nodes × 9) product against the columns,
+and one real product of w·Ai against the offsets' row on the direct part
+[c, 16.05].  The erf–Airy table holds α√r and w·Ai(r) on the 120 nodes
+of 10 cells of length 2 on [0, 20].  At |χ| ≤ 1 the integrand grows at
+most like e^{r}, and (2/3)·20^{3/2} − 20 is 39.6, so the rest of the
+integral is below e^{−39}; a χ costs erf on 3 × 120 points.
 
 Each check takes a scalar, which gives one report, or a 1-D grid, which
 gives a tuple of reports, one per point; a scalar is a grid of one, and
@@ -81,7 +81,6 @@ __all__ = [
     "check_airy_fourier",
     "check_z6_identity",
     "check_airy_erf_identity",
-    "z6_closed_form",
 ]
 
 @dataclass(frozen=True)
@@ -174,12 +173,6 @@ def _tail_cells(eta):
     return k_c, 100 + k_c + (k_c + 1) // 2
 
 
-def _fourier_edges() -> np.ndarray:
-    """The Airy–Fourier lattice's cell edges σ = −30 − 0.15k, top first,
-    from 16.05 down to the tail's bottom at |η| = 5 (−120.15)."""
-    return _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, _tail_cells(_ETA_MAX)[1] + 1)
-
-
 def _read_only(*arrays):
     """The arrays, made read-only: every caller of a cache shares them."""
     for a in arrays:
@@ -189,35 +182,30 @@ def _read_only(*arrays):
 
 @functools.cache
 def _airy_table():
-    """Nodes σ, w·Ai(σ) and w·Ai′(σ) of the 12-point Gauss–Legendre rule on
-    each cell of the Airy–Fourier lattice, and Ai, Ai′ at the cell edges,
-    from one ``_airy_both`` call.  The cell k cells below σ = −30 (k < 0
-    above it) is at index 12(k + 307)…12(k + 307) + 11, and its top edge at
-    k + 307."""
-    edges = _fourier_edges()
+    """The Airy–Fourier lattice, from one ``_airy_both`` call: cells of 0.15
+    from σ = 16.05 down to the tail's bottom at |η| = 5 (−120.15), the cell
+    k cells below σ = −30 (k < 0 above it) at index k + 307 and its top
+    edge at edge k + 307.  Each cell holds the 12-point Gauss–Legendre
+    nodes σ = m + δ, its midpoint m plus one of 12 offsets δ, so
+    e^{iησ} = e^{iηm}·e^{iηδ}.  The IBP remainder is
+    (P·w·Ai + Q·w·Ai′)/(σ+η²)¹⁶ with P of degree 4 and Q of degree 3, a
+    combination of the nine η-free columns σʲ·w·Ai, j ≤ 4, and σʲ·w·Ai′,
+    j ≤ 3.  Returns the nodes σ, Ai and Ai′ at the cell edges, the
+    midpoints m, the offsets δ, w·Ai as (cells, 12) and the nine columns
+    as (nodes, 9)."""
+    edges = _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, _tail_cells(_ETA_MAX)[1] + 1)
     sig, w = gl_rule(edges[1:], edges[:-1])
     sig, w = sig.ravel(), w.ravel()
     ai, aip = _airy_both(np.concatenate([sig, edges]))
     n = sig.size
-    return _read_only(sig, w * ai[:n], w * aip[:n], ai[n:], aip[n:])
-
-
-@functools.cache
-def _fourier_columns():
-    """The η-free factors of the Airy–Fourier sums.  Every node is a cell
-    midpoint plus one of 12 offsets, so e^{iησ} = e^{iηm}·e^{iηδ}; the IBP
-    remainder is (P·w·Ai + Q·w·Ai′)/(σ+η²)¹⁶ with P of degree 4 and Q of
-    degree 3, a combination of the nine columns σʲ·w·Ai, j ≤ 4, and
-    σʲ·w·Ai′, j ≤ 3.  Returns the midpoints m, the offsets δ, w·Ai as
-    (cells, 12) and the nine columns as (nodes, 9)."""
-    sig, w_ai, w_aip = _airy_table()[:3]
-    edges = _fourier_edges()
-    cols = np.empty((sig.size, 2 * _DEGREE + 1))
-    cols[:, 0], cols[:, _DEGREE + 1] = w_ai, w_aip
+    w_ai = w * ai[:n]
+    cols = np.empty((n, 2 * _DEGREE + 1))
+    cols[:, 0], cols[:, _DEGREE + 1] = w_ai, w * aip[:n]
     for j in (*range(1, _DEGREE + 1), *range(_DEGREE + 2, 2 * _DEGREE + 1)):
         np.multiply(sig, cols[:, j - 1], out=cols[:, j])
     offsets = gl_rule(-0.5 * _CELL, 0.5 * _CELL)[0][0]
-    return _read_only(0.5 * (edges[1:] + edges[:-1]), offsets, w_ai.reshape(-1, 12), cols)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    return _read_only(sig, ai[n:], aip[n:], mids, offsets, w_ai.reshape(-1, 12), cols)
 
 
 @functools.cache
@@ -236,9 +224,10 @@ def _erf_airy_table():
 # Airy-Fourier transform
 # ---------------------------------------------------------------------------
 
-def _airy_fourier_tail(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cutoffs c and ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ for each η of the 1-D array,
-    |η| ≤ 5, by 8 passes of integration by parts: with q = (P − iηQ)/(σ+η²),
+def _airy_fourier_sums(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cutoffs c, tails ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ and left sides
+    ∫ Ai(σ)e^{iησ} dσ for each η of the 1-D array, |η| ≤ 5.  The tail takes
+    8 passes of integration by parts: with q = (P − iηQ)/(σ+η²),
     p = Q − iηq,
 
         ∫ e^{iησ}(P·Ai + Q·Ai′) = [e^{iησ}(p·Ai + q·Ai′)] − ∫ e^{iησ}(p′·Ai + q′·Ai′),
@@ -246,8 +235,9 @@ def _airy_fourier_tail(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     after which the remainder falls like |σ|^{−12.25} and is integrated
     directly on [lo, c], lo ≤ 1.5c.  The numerators P, Q are polynomials in
     σ of degree ≤ 4, kept as one coefficient array of shape (2, 5, η),
-    lowest degree first, so the passes run on the whole grid at once; the
-    remainder sums run η by η over the tail's own nodes."""
+    lowest degree first, so the passes run on the whole grid at once.  Then
+    η by η, one e^{iηm} row over the cells above lo and one e^{iηδ} row
+    give the remainder on [lo, c] and the direct part on [c, 16.05]."""
     _check_range(eta, _ETA_MAX, "eta")
     k_c, k_lo = _tail_cells(eta)
     top, bottom = _CELLS_ABOVE + k_c, _CELLS_ABOVE + k_lo  # cell indices of c and lo
@@ -260,7 +250,7 @@ def _airy_fourier_tail(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out[:, 1:] += p[:, :-1]
         return out
 
-    sig, _, _, ai, aip = _airy_table()
+    sig, ai, aip, mids, offsets, w_ai, cols = _airy_table()
     ai_c, aip_c = ai[top], aip[top]  # c is the top edge of cell `top`
     num = np.zeros((2, _DEGREE + 1, eta.size), dtype=np.complex128)  # (P, Q) over (σ+η²)^m
     num[0, 0] = 1.0
@@ -285,40 +275,37 @@ def _airy_fourier_tail(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Q's σ⁴ coefficient comes out exactly zero; one contiguous row per η
     coef = sign * np.concatenate([num[0], num[1, :-1]]).T.copy()
 
-    mids, offsets, _, cols = _fourier_columns()
     e_off = np.exp(1j * np.multiply.outer(eta, offsets))
     tails = np.empty(eta.size, dtype=np.complex128)
+    lhs = np.empty_like(tails)
     for i, (x, x2, t, b) in enumerate(zip(eta.tolist(), eta2.tolist(), top.tolist(), bottom.tolist())):
+        e_mid = np.exp(1j * x * mids[:b])
         nodes = slice(12 * t, 12 * b)
         # (σ + η²)¹⁶ by squarings: on these negative bases numpy's ** takes
         # a scalar pow() path, about 40× slower
         den = sig[nodes] + x2
         for _ in range(4):
             den *= den
-        phase = (np.exp(1j * x * mids[t:b])[:, None] * e_off[i]).ravel()
+        phase = (e_mid[t:, None] * e_off[i]).ravel()
         phase /= den
         re, im = phase.view(np.float64).reshape(-1, 2).T @ cols[nodes]
         tails[i] = total[i] + (re + 1j * im) @ coef[i]
-    return c, tails
+        # Σ_δ w·Ai·e^{iηδ} per cell above c, from the real w·Ai and a (12, 2)
+        # real view of e^{iηδ}, so that w·Ai is not copied to complex
+        cells = (w_ai[:t] @ e_off[i].view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
+        lhs[i] = e_mid[:t] @ cells + tails[i]
+    return c, tails, lhs
 
 
 def check_airy_fourier(eta):
     """∫ dσ Ai(σ) e^{iησ} = e^{−iη³/3}, for |η| ≤ 5: one report for a
     scalar η, a tuple of reports for a 1-D grid of η."""
     grid, scalar = _grid(eta, np.float64)
-    _check_range(grid, _ETA_MAX, "eta")
-    tails = _airy_fourier_tail(grid)[1]
-    mids, offsets, w_ai, _ = _fourier_columns()
-    tops = (_CELLS_ABOVE + _tail_cells(grid)[0]).tolist()
-    reports = []
-    for eta, tail, top in zip(grid.tolist(), tails.tolist(), tops):
-        # Σ_δ w·Ai·e^{iηδ} per cell, from the real w·Ai and a (12, 2) real
-        # view of e^{iηδ}, so that w·Ai is not copied to complex
-        e_off = np.exp(1j * eta * offsets).view(np.float64).reshape(-1, 2)
-        cells = (w_ai[:top] @ e_off).view(np.complex128)[:, 0]
-        lhs = np.exp(1j * eta * mids[:top]) @ cells + tail
-        rhs = np.exp(-1j * eta**3 / 3.0)
-        reports.append(IdentityReport.build("airy_fourier", lhs, rhs))
+    lhs = _airy_fourier_sums(grid)[2]
+    reports = [
+        IdentityReport.build("airy_fourier", l, np.exp(-1j * x**3 / 3.0))
+        for x, l in zip(grid.tolist(), lhs.tolist())
+    ]
     return _one_or_all(reports, scalar)
 
 
@@ -334,13 +321,6 @@ def _z6_rhs(xi1: np.ndarray) -> list:
     # multiply by 1/7, a different rounding; so do the erf–Airy check's
     # ξ₁ = χ⁶/3 and right side
     return [complex(np.exp(-x) * ((6.0 * x / 7.0) * f + 1.0)) for x, f in zip(xi1.tolist(), hyp)]
-
-
-def z6_closed_form(xi1):
-    """Right-hand side e^{−ξ₁}{(6ξ₁/7)·₁F₁(1;13/6;ξ₁) + 1}: a complex for a
-    scalar ξ₁, a tuple of them for a 1-D grid."""
-    grid, scalar = _grid(xi1, np.complex128)
-    return _one_or_all(_z6_rhs(grid), scalar)
 
 
 def check_z6_identity(xi1):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from deltawell.analysis import (
     fit_c,
     plateau,
 )
-from deltawell.approx import DecayAnsatz, decay_closed_psi0
+from deltawell.approx import DecayAnsatz, _decay_pair, decay_closed_psi0
 from deltawell.params import default_units
 from deltawell.volterra import ComplexSeries, TimeGrid, solve_psi0
 from oracles import count_extrema
@@ -122,6 +124,27 @@ def test_fit_recovers_endpoints(exact_f05):
     assert fit_add.c == pytest.approx(1.0, abs=1e-3)
     assert fit_mul.c == pytest.approx(0.0, abs=1e-3)
     assert not fit_add.multimodal and not fit_mul.multimodal
+
+
+def test_fit_flags_a_two_well_objective():
+    # on the grid {0, t} (both forms are √B at t = 0) the objective is
+    # (|mul + c·u|² − T)², u = add − mul, a quartic in c; with T =
+    # |mul + c₀u|² + r²|u|² at the vertex c₀ of |mul + c·u|² its zeros
+    # c₀ ± r are two interior minima, and the fit returns the better
+    # scanned one with the flag set
+    p = default_units(0.5)
+    base = DecayAnsatz.explicit(p, 0.5, 0.3)
+    g = TimeGrid(7.1, 1)
+    add, mul = _decay_pair(p, g.nodes, base)
+    u = add[1] - mul[1]
+    c0 = -(np.conj(mul[1]) * u).real / abs(u) ** 2
+    assert 0.4 < c0 < 0.6
+    r = 0.25
+    target = math.sqrt(abs(mul[1] + c0 * u) ** 2 + (r * abs(u)) ** 2)
+    fit = fit_c(ComplexSeries(g, [math.sqrt(p.B), target], p), base)
+    assert fit.multimodal
+    assert min(abs(fit.c - (c0 - r)), abs(fit.c - (c0 + r))) <= 0.025
+    assert fit.c in np.linspace(0.0, 1.0, 21)
 
 
 def test_fit_phase_rotation_invariance(exact_f05):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltawell import approx
 from deltawell.approx import (
     DecayAnsatz,
     YArgs,
@@ -15,6 +16,7 @@ from deltawell.approx import (
     y_integral,
     _decay_pair,
 )
+from deltawell.errors import PrecisionLossError
 from deltawell.params import default_units
 from deltawell.propagator import volkov_phi
 from deltawell.scenario import PRESETS
@@ -352,3 +354,23 @@ def test_decay_pair_node_values_do_not_depend_on_the_call():
         add_k, mul_k = _decay_pair(p, t[part], a)
         assert np.all(np.abs(add_k - add[part]) <= 1e-13 * np.abs(add[part])), part
         assert np.all(np.abs(mul_k - mul[part]) <= 1e-13 * np.abs(mul[part])), part
+
+
+def test_multiplicative_form_refuses_a_singular_denominator(monkeypatch):
+    # only numerics bring 1 − √(2iℏB³t/(πm))·Y(t) to zero, so a stand-in G
+    # puts the prefactor times G at √B on every node
+    p = default_units(0.5)
+    a = DecayAnsatz.explicit(p, 0.1896, -0.0738)
+    pref = math.sqrt(2.0 * p.hbar * p.B**3 / (math.pi * p.mass)) * approx._EXP_IPI4
+    monkeypatch.setattr(approx, "_g_integral", lambda aa, bb, s: np.full(s.shape, math.sqrt(p.B) / pref))
+    with pytest.raises(PrecisionLossError, match=r"multiplicative form singular at t=1\.0 "):
+        decay_closed_psi0(p, np.array([1.0, 2.0]), a, "multiplicative")
+
+
+def test_y_quadrature_refuses_a_node_that_does_not_converge(monkeypatch):
+    # only numerics keep two passes of G apart down to the panel cap, so a
+    # stand-in pass moves every value by its step
+    real = approx._g_pass
+    monkeypatch.setattr(approx, "_g_pass", lambda a, b, aa, bb, s, step: real(a, b, aa, bb, s, step) + step)
+    with pytest.raises(PrecisionLossError, match="did not reach 1e-12 at a=.*, s=1.0"):
+        y_integral(YArgs(1.0, 0.5))

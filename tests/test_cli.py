@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deltawell import cli, identities, scenario
+from deltawell.analysis import FitResult
 from deltawell.cli import main
 from deltawell.identities import IdentityReport
 from deltawell.scenario import (
@@ -203,13 +205,13 @@ def test_identity_check_airy_erf_takes_a_unit_modulus_chi(capsys):
 def test_identity_check_airy_fourier_gate_sees_a_1e_9_error(monkeypatch, capsys):
     # the check's own error is below 2.1e-14 on |η| ≤ 5 (8 001 η), so its
     # gate is abs 1e-12; a tail off by 1e-9 is a broken check and exits 2
-    real = identities._airy_fourier_tail
+    real = identities._airy_fourier_sums
 
     def off(eta):
-        c, tail = real(eta)
-        return c, tail + 1e-9
+        c, tail, lhs = real(eta)
+        return c, tail + 1e-9, lhs + 1e-9
 
-    monkeypatch.setattr(identities, "_airy_fourier_tail", off)
+    monkeypatch.setattr(identities, "_airy_fourier_sums", off)
     assert main(["identity-check", "airy_fourier"]) == 2
     assert "4 unflagged row(s) beyond tolerance 1e-12 (abs)" in capsys.readouterr().err
     monkeypatch.undo()
@@ -478,7 +480,8 @@ def test_unresolvable_closed_form_exits_2(capsys):
 
 
 def test_degenerate_grid_plateau_is_flagged(tmp_path):
-    # on t ≤ 1e-300 the 1/t plateau fit overflows: a flag, not a finite
+    # on t ≤ 1e-300 ψ/√B stays within 1e-12 of 1, and the plateau is
+    # refused before its 1/t fit would overflow: a flag, not a finite
     # plateau of order 1e133
     out = tmp_path / "tiny.json"
     rc = main(["solve", "--t-max", "1e-300", "--steps", "50", "--format", "json", "--out", str(out)])
@@ -486,6 +489,27 @@ def test_degenerate_grid_plateau_is_flagged(tmp_path):
     assert rc == 2
     assert doc["flags"] == ["exact_extraction_failed"]
     assert "exact_delta_plateau" not in doc["summary"]
+
+
+def test_overflowing_plateau_fit_is_flagged(tmp_path, capsys):
+    # ℏ = 1e-50 makes |E_b|t/ℏ large enough on t ≤ 1e-155 that ψ/√B leaves
+    # 1, and Σ(1/t)² over the window overflows the fit's scaling: a flag and
+    # the overflow's message, with no warning on the way
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"hbar": 1e-50, "f": 0.0, "t_max": 1e-155, "n_steps": 50}))
+    out = tmp_path / "tiny.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", "--config", str(config), "--format", "json", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 2
+    assert doc["flags"] == ["err_est_above_threshold", "exact_extraction_failed"]
+    assert "exact_delta_plateau" not in doc["summary"]
+    assert doc["summary"]["exact_extraction_error"] == (
+        "the 1/t plateau fit overflows on this grid (t_hi = 1e-155)"
+    )
+    err = capsys.readouterr().err
+    assert err == "numerical flags: err_est_above_threshold, exact_extraction_failed\n"
 
 
 def test_unresolved_grid_plateau_is_flagged(tmp_path):
@@ -498,6 +522,31 @@ def test_unresolved_grid_plateau_is_flagged(tmp_path):
     assert doc["flags"] == ["exact_extraction_failed"]
     assert "exact_delta_plateau" not in doc["summary"]
     assert "within 1e-12 of 1" in doc["summary"]["exact_extraction_error"]
+
+
+def test_multimodal_fit_exits_2_with_its_flag(monkeypatch, capsys):
+    # a stand-in fit whose scan found two minima: the run is flagged
+    monkeypatch.setattr(scenario, "fit_c", lambda exact, ansatz: FitResult(c=0.4, multimodal=True))
+    rc = main(["fit-c", "--f", "0.5", "--t-max", "4", "--steps", "200", "--ansatz", "explicit",
+               "--gamma", "0.1896", "--delta", "-0.0738"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "fitted c = 0.4000\n"
+    assert err == "numerical flags: fit_c_multimodal\n"
+
+
+@pytest.mark.parametrize("method, stand_in", [("decay_combined", "decay_closed_psi0"),
+                                               ("first_scheme", "first_scheme_psi0")])
+def test_non_finite_closed_form_exits_2(method, stand_in, monkeypatch, capsys):
+    # only numerics make a closed form non-finite, so a stand-in returns NaN
+    # on every node: exit 2, the failure on stderr and no rows
+    monkeypatch.setattr(scenario, stand_in, lambda *args: np.full(len(args[1]), complex(math.nan)))
+    rc = main(["approx", "--f", "0.5", "--t-max", "4", "--steps", "50", "--method", method,
+               "--ansatz", "explicit", "--gamma", "0.1896", "--delta", "-0.0738", "--c", "0.65"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"numerical failure: {method} is not finite on this grid\n"
 
 
 @pytest.mark.xfail(

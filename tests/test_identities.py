@@ -12,7 +12,6 @@ from deltawell.identities import (
     check_airy_erf_identity,
     check_airy_fourier,
     check_z6_identity,
-    z6_closed_form,
 )
 from oracles import airy_fourier_segment, erf_airy_rotated, erf_airy_series
 
@@ -99,19 +98,19 @@ _ORACLE_TOL = 3e-14
 def _direct_oracle(eta):
     """∫_c^{16.05} Ai(σ)e^{iησ}dσ by ``quad``, from the check's cutoff c;
     beyond 16.05 the integral is below 1e-19."""
-    c = identities._airy_fourier_tail(np.array([eta]))[0][0]
+    c = identities._airy_fourier_sums(np.array([eta]))[0][0]
     return airy_fourier_segment(eta, c, 16.05)
 
 
 @pytest.mark.parametrize("eta", _ORACLE_ETAS)
 def test_airy_fourier_tail_matches_quad_oracle(eta):
-    tail = identities._airy_fourier_tail(np.array([eta]))[1][0]
+    tail = identities._airy_fourier_sums(np.array([eta]))[1][0]
     assert abs(tail - (np.exp(-1j * eta**3 / 3.0) - _direct_oracle(eta))) <= _ORACLE_TOL
 
 
 @pytest.mark.parametrize("eta", _ORACLE_ETAS)
 def test_airy_fourier_direct_part_matches_quad_oracle(eta):
-    got = check_airy_fourier(eta).lhs - identities._airy_fourier_tail(np.array([eta]))[1][0]
+    got = check_airy_fourier(eta).lhs - identities._airy_fourier_sums(np.array([eta]))[1][0]
     assert abs(got - _direct_oracle(eta)) <= _ORACLE_TOL
 
 
@@ -127,7 +126,7 @@ def test_airy_fourier_tail_table_ends_at_the_validated_range():
     assert roots.shape == (3, 120) and 19.9 < r.max() < 20.0 and 0.0 < r.min() < 0.1
     assert airy(20.0)[0] * math.exp(20.0) < math.exp(-39.0)
     with pytest.raises(ValueError, match="validated"):
-        identities._airy_fourier_tail(np.array([5.2]))
+        identities._airy_fourier_sums(np.array([5.2]))
     with pytest.raises(identities.GridPointError, match="validated"):
         check_airy_erf_identity(1.01)
 
@@ -150,7 +149,6 @@ def _count_airy_calls(monkeypatch):
 def test_airy_fourier_tail_table_built_once(monkeypatch):
     sizes, airy_ai_calls = _count_airy_calls(monkeypatch)
     identities._airy_table.cache_clear()
-    identities._fourier_columns.cache_clear()
     identities._erf_airy_table.cache_clear()
     for eta, chi in zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.05, 1.0, 10)):
         check_airy_fourier(eta)
@@ -193,7 +191,7 @@ def test_consistency_chain_with_y_series():
     # contiguous relation (6ξ₁/7)₁F₁(1;13/6;ξ₁) + 1 = ₁F₁(1;7/6;ξ₁)
     for xi1 in (0.1, 1.0, 2.0, 5.0j, 1.0 + 3.0j):
         a = np.exp(-xi1) * specfun.hyp1f1_one(7.0 / 6.0, xi1)
-        b = z6_closed_form(xi1)
+        b = identities._z6_rhs(np.array([xi1], dtype=complex))[0]
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
@@ -331,20 +329,13 @@ def test_grid_point_is_its_one_point_call(name, data):
     assert [mixed[order.index(i)] for i in range(len(grid))] == list(reports)
 
 
-def test_z6_closed_form_takes_a_grid():
-    xi1 = [0.1, 5j, 1 + 3j, 0.0]
-    got = z6_closed_form(np.array(xi1))
-    assert isinstance(got, tuple) and list(got) == [z6_closed_form(x) for x in xi1]
-    assert isinstance(z6_closed_form(2.0), complex)
-
-
 @pytest.mark.parametrize("check", [check_z6_identity, check_airy_fourier, check_airy_erf_identity])
 def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypatch):
     # the first point outside the validated range is named by its index,
     # before any point is computed
     assert check(np.array([])) == ()
     monkeypatch.setattr(identities, "y_integral", None)
-    monkeypatch.setattr(identities, "_airy_fourier_tail", None)
+    monkeypatch.setattr(identities, "_tail_cells", None)
     monkeypatch.setattr(identities, "_erf_airy_lhs", None)
     with pytest.raises(identities.GridPointError, match="validated only") as err:
         check(np.array([0.1, 0.2, 60.0, math.nan]))

@@ -9,7 +9,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from deltawell.errors import PrecisionLossError
-from deltawell.identities import _airy_fourier_tail
+from deltawell.identities import _airy_fourier_sums
 from deltawell.specfun import (
     airy_ai,
     airy_ai_prime,
@@ -124,7 +124,7 @@ def test_airy_at_zero_vs_closed_form():
 def test_airy_normalization_integral():
     # ∫Ai = 1: decaying side truncated at +16, oscillatory tail summed
     # by the integration-by-parts continuation below its cutoff c
-    (c,), (tail,) = _airy_fourier_tail(np.array([0.0]))
+    (c,), (tail,), _ = _airy_fourier_sums(np.array([0.0]))
     body, _ = quad(lambda s: airy_ai(s), c, 16.0, limit=800)
     assert abs(body + tail.real - 1.0) < 1e-6
 

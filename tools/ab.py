@@ -1,24 +1,27 @@
 """Parent/change comparisons: alternating benchmark pairs, or the bytes of
 fixed CLI cases.
 
-    python3 tools/ab.py PARENT --workload W [--pairs 10] [--seed 0]
+    python3 tools/ab.py PARENT --workload W[,W...]|all [--pairs 10] [--seed S[,S...]]
     python3 tools/ab.py PARENT --bytes
 
 Run from the root of a git checkout.  PARENT (any commit name git knows)
 is checked out in a shared ``git clone`` in a temporary directory, which
 is removed when the script ends, also when a run fails.
 
-``--workload`` runs pairs: each pair runs ``python3 perfbench/run.py
---workload W --seed S --seconds 10`` once in the parent's tree and once in
-the working tree, each tree with its own ``perfbench/`` and ``src/``; odd
-pairs run the parent first, even pairs the change first.  Every run is
-appended to ``BENCH_<W>.json`` in the working tree, in that file's entry
-format.  For each end-to-end metric of BENCHMARK.json it prints the
-medians and quartiles of both sides, the pairs the change won (ties count
-for neither) and the gain gate: the change wins at least 9 of 10 pairs,
-and its median is better than the parent's by more than the distance
-between the parent's quartiles.  Exit code 0 after all pairs ran, 1 when
-a run failed.
+``--workload`` runs pairs for each workload named (a comma list, or
+``all`` for every workload of BENCHMARK.json) and each seed of ``--seed``
+(a comma list, default 0), workload by workload.  Each pair runs
+``python3 perfbench/run.py --workload W --seed S --seconds 10`` once in
+the parent's tree and once in the working tree, each tree with its own
+``perfbench/`` and ``src/``; odd pairs run the parent first, even pairs
+the change first.  Every run is appended to ``BENCH_<W>.json`` in the
+working tree, in that file's entry format.  After the pairs of each
+(workload, seed) it prints one block: for each end-to-end metric of
+BENCHMARK.json, the medians and quartiles of both sides, the pairs the
+change won (ties count for neither) and the gain gate: the change wins at
+least 9 of 10 pairs, and its median is better than the parent's by more
+than the distance between the parent's quartiles.  Exit code 0 after all
+pairs ran, 1 when a run failed.
 
 ``--bytes`` runs each case once per tree, each in a fresh interpreter
 (``python -m deltawell.cli``) with that tree's ``src`` alone on
@@ -147,6 +150,7 @@ def run_pairs(root: Path, parent_tree: Path, workload: str, pairs: int, seed: in
     print(f"{workload}, seed {seed}: parent {commits['parent']}, change {commits['change']}")
     for line in report(runs, spec["end_to_end"]):
         print(line)
+    print(flush=True)
 
 
 def byte_cases(root: Path) -> list:
@@ -201,27 +205,37 @@ def compare_bytes(root: Path, parent_tree: Path) -> bool:
     return True
 
 
+def seed_list(text: str) -> list:
+    return [int(s) for s in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the commit to compare the working tree against")
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--workload", help="run alternating benchmark pairs of this workload")
+    mode.add_argument("--workload", help="run alternating benchmark pairs of these workloads: "
+                                         "a comma list, or all")
     mode.add_argument("--bytes", action="store_true", help="compare the outputs of the byte cases")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=seed_list, default=[0], help="a comma list of deck seeds")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
 
     root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    if args.workload is not None and args.workload not in {w["name"] for w in spec["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = names if args.workload == "all" else args.workload.split(",") if args.workload else []
+    for w in workloads:
+        if w not in names:
+            parser.error(f"unknown workload {w!r}")
     try:
         with parent_checkout(root, args.parent) as parent_tree:
             if args.bytes:
                 return 0 if compare_bytes(root, parent_tree) else 1
-            run_pairs(root, parent_tree, args.workload, args.pairs, args.seed, spec)
+            for workload in workloads:
+                for seed in args.seed:
+                    run_pairs(root, parent_tree, workload, args.pairs, seed, spec)
     except subprocess.CalledProcessError as exc:
         print(f"error: {' '.join(exc.cmd)}: {exc.stderr.strip()}", file=sys.stderr)
         return 1
