@@ -6,10 +6,11 @@ Checked identities:
     ∫₀¹ dz e^{−ξ₁z⁶}                       = e^{−ξ₁}{(6ξ₁/7)₁F₁(1;13/6;ξ₁) + 1}
     ∫ dσ/√σ · Ai(σ) erf(χ√σ)               = (2χ/√π)·e^{−ξ₁}{(6ξ₁/7)₁F₁(1;13/6;ξ₁) + 1},  ξ₁ = χ⁶/3
 
-The first integral converges only conditionally on the oscillatory side;
-its tail ∫_{−∞}^c is reduced with repeated integration by parts built on
-Ai″ = σAi (every pass trades one power of (σ+η²) for a derivative), after
-which the remainder is absolutely convergent and integrated directly.
+The first integral converges only conditionally on the oscillatory side.
+Past a cutoff c = −(2η² + 30), beyond the stationary point σ = −η², Ai
+splits into its two waves e^{∓iπ/3}Ai(−σe^{∓iπ/3}) (DLMF 9.2.11), and
+each wave's tail ∫_{−∞}^c turns about c onto a ray into the half plane
+where it decays like e^{−τ}.
 The second integral is Y(t) of the closed forms at ξ₂ = 0, so its left
 side is ``approx.y_integral``, the Y quadrature, which does not evaluate
 the ₁F₁ on the right.  Both sides are Gauss–Legendre sums, though, and
@@ -33,23 +34,18 @@ The check evaluates F(ζχ²r) = (√π/2)erf(s)/s, s = αχ√r with α² the c
 roots of unity, by scipy's ``erf`` on r ≥ 0, and the right side by the
 library's ₁F₁: the two sides share no code.
 
-Ai and Ai′ come from two tables per process, each built on first use by
-one ``_airy_both`` call on the 12-point Gauss–Legendre nodes of fixed
-cells.  The Airy–Fourier table is the whole lattice of the check: cells
-of 0.15 from σ = 16.05 down to the tail's bottom at |η| = 5 (−120.15),
-10 896 nodes, with Ai, Ai′ at the cell edges, where the cutoff c lies,
-the cell midpoints, the 12 node offsets, w·Ai per cell and nine η-free
-columns.  The tail takes 8 passes of integration by parts, whose
-coefficient algebra runs on the whole grid at once; its remainder then
-falls like |σ|^{−12.25} and stops at lo ≤ 1.5c: 1 200–3 204 nodes per η.
-Then each η takes one pass over the cells above lo: one exp per cell and
-12 for the offsets, the phase product and (σ+η²)⁻¹⁶ on the tail's nodes
-with one real (2 × nodes) × (nodes × 9) product against the columns,
-and one real product of w·Ai against the offsets' row on the direct part
-[c, 16.05].  The erf–Airy table holds α√r and w·Ai(r) on the 120 nodes
-of 10 cells of length 2 on [0, 20].  At |χ| ≤ 1 the integrand grows at
-most like e^{r}, and (2/3)·20^{3/2} − 20 is 39.6, so the rest of the
-integral is below e^{−39}; a χ costs erf on 3 × 120 points.
+Ai comes from two tables per process, each built on first use by one
+``_airy_both`` call on the 12-point Gauss–Legendre nodes of fixed cells.
+The Airy–Fourier table is the lattice of the direct part: cells of 0.15
+from σ = 16.05 down to the cutoff at |η| = 5 (−80.1), 7 692 nodes, held
+as the cell midpoints, the 12 node offsets and w·Ai per cell (0.07 MB).
+An η takes 48 nodes of each wave's asymptotic series on the rays of its
+tail, then one pass over the 3 684–7 692 nodes above c: one exp per cell
+and 12 for the offsets, and one real product of w·Ai against the
+offsets' row.  The erf–Airy table holds α√r and w·Ai(r) on the 120
+nodes of 10 cells of length 2 on [0, 20].  At |χ| ≤ 1 the integrand
+grows at most like e^{r}, and (2/3)·20^{3/2} − 20 is 39.6, so the rest
+of the integral is below e^{−39}; a χ costs erf on 3 × 120 points.
 
 Each check takes a scalar, which gives one report, or a 1-D grid, which
 gives a tuple of reports, one per point; a scalar is a grid of one, and
@@ -57,9 +53,10 @@ a point's report does not depend on the rest of its grid.  A grid is
 checked against the validated range before any point is computed: the
 first point outside it raises GridPointError, a ValueError that carries
 its index.  The z⁶ grid takes its Y values in one quadrature pass and its
-₁F₁ values in one call; the Airy–Fourier grid takes its points one by one,
-as its work per point is elementwise over thousands of nodes of its own;
-the erf–Airy grid runs in blocks of 256 χ, each χ a row reduced by itself.
+₁F₁ values in one call; the Airy–Fourier grid takes its tails, and the
+erf–Airy grid its left sides, in blocks of 256 points, each point a row
+reduced by itself, and the Airy–Fourier direct parts one by one, as each
+is a pass over thousands of nodes of its own.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ import numpy as np
 from scipy.special import erf
 
 from .approx import YArgs, y_integral
-from .specfun import _airy_both, gl_rule, hyp1f1_one
+from .specfun import _airy_both, _airy_wave, gl_panels, gl_rule, hyp1f1_one
 
 __all__ = [
     "GridPointError",
@@ -155,22 +152,19 @@ _ETA_MAX = 5.0  # validated range |η| ≤ 5
 _XI1_MAX = 50.0  # validated range |ξ₁| ≤ 50 of the z⁶ closed form's ₁F₁
 _CHI_MAX = 1.0  # validated range |χ| ≤ 1 of the erf–Airy check
 _ERF_CELLS = 10  # cells of length 2 of the erf–Airy table, on [0, 20]
-_ERF_BLOCK = 256  # χ per block of the erf–Airy sums
+_BLOCK = 256  # points per block of the erf–Airy sums and the Airy–Fourier tails
 _ANCHOR = -30.0  # lattice anchor: the cutoff c = −(2η² + 30) at η = 0
 _CELL = 0.15  # Airy–Fourier lattice spacing
 _CELLS_ABOVE = 307  # its cells above the anchor: it starts at σ = 16.05, Ai ~ 3e-18
-_IBP_PASSES = 8  # integration-by-parts passes of the Airy–Fourier tail
-_DEGREE = _IBP_PASSES // 2  # the passes' numerators stay of degree ≤ 4 in σ
+_TAU_MAX = 40.0  # end of the tail's rays, where the integrand has fallen by e^{−40}
 
 
-def _tail_cells(eta):
-    """Airy–Fourier lattice cells below σ = −30 down to the cutoff c and to
-    the tail's bottom lo ≤ 1.5c, for η or each η of an array; c = −(2η² + 30)
-    rounded down stays stationary-phase-safe.  With c = −30 − 0.15k the
-    bottom is 100 + ⌈1.5k⌉ cells below σ = −30.  Over 201 η on [−5, 5],
-    a bottom four times as deep moved the tail by at most 2.3e-16."""
-    k_c = np.ceil(2.0 * eta * eta / _CELL).astype(np.int64)
-    return k_c, 100 + k_c + (k_c + 1) // 2
+def _cutoff_cells(eta):
+    """Airy–Fourier lattice cells below σ = −30 down to the cutoff
+    c = −30 − 0.15k, for η or each η of an array: c = −(2η² + 30) rounded
+    down to the lattice lies past the stationary point σ = −η² by at least
+    η² + 30."""
+    return np.ceil(2.0 * eta * eta / _CELL).astype(np.int64)
 
 
 def _read_only(*arrays):
@@ -183,29 +177,16 @@ def _read_only(*arrays):
 @functools.cache
 def _airy_table():
     """The Airy–Fourier lattice, from one ``_airy_both`` call: cells of 0.15
-    from σ = 16.05 down to the tail's bottom at |η| = 5 (−120.15), the cell
-    k cells below σ = −30 (k < 0 above it) at index k + 307 and its top
-    edge at edge k + 307.  Each cell holds the 12-point Gauss–Legendre
-    nodes σ = m + δ, its midpoint m plus one of 12 offsets δ, so
-    e^{iησ} = e^{iηm}·e^{iηδ}.  The IBP remainder is
-    (P·w·Ai + Q·w·Ai′)/(σ+η²)¹⁶ with P of degree 4 and Q of degree 3, a
-    combination of the nine η-free columns σʲ·w·Ai, j ≤ 4, and σʲ·w·Ai′,
-    j ≤ 3.  Returns the nodes σ, Ai and Ai′ at the cell edges, the
-    midpoints m, the offsets δ, w·Ai as (cells, 12) and the nine columns
-    as (nodes, 9)."""
-    edges = _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, _tail_cells(_ETA_MAX)[1] + 1)
+    from σ = 16.05 down to the cutoff at |η| = 5 (−80.1), the cell k cells
+    below σ = −30 (k < 0 above it) at index k + 307.  Each cell holds the
+    12-point Gauss–Legendre nodes σ = m + δ, its midpoint m plus one of 12
+    offsets δ, so e^{iησ} = e^{iηm}·e^{iηδ}.  Returns the midpoints m, the
+    offsets δ and w·Ai as (cells, 12)."""
+    edges = _ANCHOR - _CELL * np.arange(-_CELLS_ABOVE, _cutoff_cells(_ETA_MAX) + 1)
     sig, w = gl_rule(edges[1:], edges[:-1])
-    sig, w = sig.ravel(), w.ravel()
-    ai, aip = _airy_both(np.concatenate([sig, edges]))
-    n = sig.size
-    w_ai = w * ai[:n]
-    cols = np.empty((n, 2 * _DEGREE + 1))
-    cols[:, 0], cols[:, _DEGREE + 1] = w_ai, w * aip[:n]
-    for j in (*range(1, _DEGREE + 1), *range(_DEGREE + 2, 2 * _DEGREE + 1)):
-        np.multiply(sig, cols[:, j - 1], out=cols[:, j])
     offsets = gl_rule(-0.5 * _CELL, 0.5 * _CELL)[0][0]
     mids = 0.5 * (edges[1:] + edges[:-1])
-    return _read_only(sig, ai[n:], aip[n:], mids, offsets, w_ai.reshape(-1, 12), cols)
+    return _read_only(mids, offsets, w * _airy_both(sig.ravel())[0].reshape(sig.shape))
 
 
 @functools.cache
@@ -226,74 +207,37 @@ def _erf_airy_table():
 
 def _airy_fourier_sums(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cutoffs c, tails ∫_{−∞}^{c} Ai(σ)e^{iησ} dσ and left sides
-    ∫ Ai(σ)e^{iησ} dσ for each η of the 1-D array, |η| ≤ 5.  The tail takes
-    8 passes of integration by parts: with q = (P − iηQ)/(σ+η²),
-    p = Q − iηq,
-
-        ∫ e^{iησ}(P·Ai + Q·Ai′) = [e^{iησ}(p·Ai + q·Ai′)] − ∫ e^{iησ}(p′·Ai + q′·Ai′),
-
-    after which the remainder falls like |σ|^{−12.25} and is integrated
-    directly on [lo, c], lo ≤ 1.5c.  The numerators P, Q are polynomials in
-    σ of degree ≤ 4, kept as one coefficient array of shape (2, 5, η),
-    lowest degree first, so the passes run on the whole grid at once.  Then
-    η by η, one e^{iηm} row over the cells above lo and one e^{iηδ} row
-    give the remainder on [lo, c] and the direct part on [c, 16.05]."""
+    ∫ Ai(σ)e^{iησ} dσ for each η of the 1-D array, |η| ≤ 5.  With u = −σ
+    the tail is the sum over the two waves of Ai(−u) = W₊(u) + W₋(u)
+    (``specfun._airy_wave``) of ∫_{|c|}^∞ W±(u)e^{−iηu} du, whose phase
+    ±ζ − ηu advances at the rate ±κ, κ = √u ∓ η ≥ 3.8 past the cutoff.
+    Each wave's tail turns about u = |c| onto the ray u = |c| ± iτ/κ, κ
+    taken at |c|, where its integrand falls like e^{−τ} (Cauchy), and is
+    summed by Gauss–Legendre on 48 nodes of τ ∈ [0, 40], in blocks of 256 η,
+    each η a row summed by itself.  Then η by η, one e^{iηm} row over the
+    cells above c and one e^{iηδ} row give the direct part on [c, 16.05]."""
     _check_range(eta, _ETA_MAX, "eta")
-    k_c, k_lo = _tail_cells(eta)
-    top, bottom = _CELLS_ABOVE + k_c, _CELLS_ABOVE + k_lo  # cell indices of c and lo
+    k_c = _cutoff_cells(eta)
+    top = _CELLS_ABOVE + k_c  # c is the top edge of cell `top`
     c = _ANCHOR - _CELL * k_c
-    eta2, ieta = eta * eta, 1j * eta
-    powers = np.arange(1, _DEGREE + 1)[:, None]
+    tau, w = gl_panels(0.0, _TAU_MAX, 4)
+    tails = np.zeros(eta.size, dtype=np.complex128)
+    for sign in (1.0, -1.0):  # W₊ then W₋: lhs(−η) is conj(lhs(η)) exactly
+        step = sign * 1j / (np.sqrt(-c) - sign * eta)  # du/dτ on the ray
+        for start in range(0, eta.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            u = np.multiply.outer(step[block], tau) - c[block, None]
+            f = _airy_wave(u, sign) * np.exp(-1j * eta[block, None] * u)
+            tails[block] += step[block] * (f * w).sum(axis=1)
 
-    def times_den(p):  # p·(σ + η²), for the p of degree ≤ 3 it is given
-        out = eta2 * p
-        out[:, 1:] += p[:, :-1]
-        return out
-
-    sig, ai, aip, mids, offsets, w_ai, cols = _airy_table()
-    ai_c, aip_c = ai[top], aip[top]  # c is the top edge of cell `top`
-    num = np.zeros((2, _DEGREE + 1, eta.size), dtype=np.complex128)  # (P, Q) over (σ+η²)^m
-    num[0, 0] = 1.0
-    inv = 1.0 / (c + eta2)
-    scale = np.exp(1j * eta * c) * inv  # e^{iηc}/(c+η²)^{m+1}
-    total = np.zeros(eta.size, dtype=np.complex128)
-    sign = 1.0
-    for m in range(0, 2 * _IBP_PASSES, 2):
-        pq = np.empty_like(num)  # (p, q) over (σ+η²)^{m+1}
-        pq[1] = num[0] - ieta * num[1]
-        pq[0] = times_den(num[1:])[0] - ieta * pq[1]
-        at_c = pq[:, -1]  # p(c), q(c) by Horner
-        for k in range(_DEGREE - 1, -1, -1):
-            at_c = at_c * c + pq[:, k]
-        total += sign * scale * (at_c[0] * ai_c + at_c[1] * aip_c)
-        # the next pass's (P, Q) = (p′, q′) over (σ+η²)^{m+2}
-        deriv = np.zeros_like(pq)
-        deriv[:, :-1] = powers * pq[:, 1:]
-        num = times_den(deriv) - (m + 1) * pq
-        scale *= inv * inv
-        sign = -sign
-    # Q's σ⁴ coefficient comes out exactly zero; one contiguous row per η
-    coef = sign * np.concatenate([num[0], num[1, :-1]]).T.copy()
-
+    mids, offsets, w_ai = _airy_table()
     e_off = np.exp(1j * np.multiply.outer(eta, offsets))
-    tails = np.empty(eta.size, dtype=np.complex128)
     lhs = np.empty_like(tails)
-    for i, (x, x2, t, b) in enumerate(zip(eta.tolist(), eta2.tolist(), top.tolist(), bottom.tolist())):
-        e_mid = np.exp(1j * x * mids[:b])
-        nodes = slice(12 * t, 12 * b)
-        # (σ + η²)¹⁶ by squarings: on these negative bases numpy's ** takes
-        # a scalar pow() path, about 40× slower
-        den = sig[nodes] + x2
-        for _ in range(4):
-            den *= den
-        phase = (e_mid[t:, None] * e_off[i]).ravel()
-        phase /= den
-        re, im = phase.view(np.float64).reshape(-1, 2).T @ cols[nodes]
-        tails[i] = total[i] + (re + 1j * im) @ coef[i]
+    for i, (x, t) in enumerate(zip(eta.tolist(), top.tolist())):
         # Σ_δ w·Ai·e^{iηδ} per cell above c, from the real w·Ai and a (12, 2)
         # real view of e^{iηδ}, so that w·Ai is not copied to complex
         cells = (w_ai[:t] @ e_off[i].view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
-        lhs[i] = e_mid[:t] @ cells + tails[i]
+        lhs[i] = np.exp(1j * x * mids[:t]) @ cells + tails[i]
     return c, tails, lhs
 
 
@@ -354,12 +298,12 @@ def _erf_airy_lhs(chi: np.ndarray) -> np.ndarray:
     are added first, so that a conjugate χ gives the conjugate value."""
     roots, w_ai = _erf_airy_table()
     lhs = np.empty(chi.size, dtype=np.complex128)
-    for start in range(0, chi.size, _ERF_BLOCK):
-        c = chi[start:start + _ERF_BLOCK, None]
+    for start in range(0, chi.size, _BLOCK):
+        c = chi[start:start + _BLOCK, None]
         ratio = _erf_ratio(c * roots[1])
         ratio += _erf_ratio(c * roots[2])
         ratio += _erf_ratio(c * roots[0])
-        lhs[start:start + _ERF_BLOCK] = c[:, 0] * (ratio * w_ai).sum(axis=-1)
+        lhs[start:start + _BLOCK] = c[:, 0] * (ratio * w_ai).sum(axis=-1)
     return lhs
 
 

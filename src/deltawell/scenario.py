@@ -174,6 +174,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             summary["fitted_c"] = fit_result.c
             if fit_result.multimodal:
                 flags.append("fit_c_multimodal")
+            if fit_result.undetermined:
+                flags.append("fit_c_undetermined")
             c_val = fit_result.c
         elif c_val is None:
             c_val = 1.0

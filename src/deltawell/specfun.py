@@ -127,6 +127,18 @@ def _airy_asym_neg(s):
     return ai, aip
 
 
+def _airy_wave(u, sign):
+    # W±(u) = e^{∓iπ/3}·Ai(u·e^{∓iπ/3}) for sign = ±1, the two waves of
+    # Ai(−u) = W₊(u) + W₋(u) (DLMF 9.2.11), for complex u near the positive
+    # real axis with |u| ≥ 30: e^{±i(ζ−π/4)} Σ_k u_k (∓i/ζ)^k / (2√π u^{1/4}),
+    # ζ = (2/3)u^{3/2} (DLMF 9.7.5), every step odd in the sign, so that
+    # W₋(ū) is the conjugate of W₊(u)
+    root = np.sqrt(u)
+    zeta = (2.0 / 3.0) * u * root
+    series = polyval(-sign * 1j / zeta, _AIRY_U)
+    return np.exp(sign * 1j * (zeta - 0.25 * math.pi)) * series / (2.0 * _SQRT_PI * np.sqrt(root))
+
+
 def _airy_both(s):
     s = np.asarray(s, dtype=np.float64)
     scalar = s.ndim == 0

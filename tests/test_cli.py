@@ -535,6 +535,18 @@ def test_multimodal_fit_exits_2_with_its_flag(monkeypatch, capsys):
     assert err == "numerical flags: fit_c_multimodal\n"
 
 
+@pytest.mark.parametrize("ansatz", [["wkb"], ["explicit", "--gamma", "0", "--delta", "0"]])
+def test_flat_fit_objective_exits_2_as_undetermined(ansatz, capsys):
+    # at f = 0 the additive and multiplicative forms agree to rounding, so
+    # the objective is flat in c and its scan's rounding ties are no minima:
+    # c is undetermined, not multimodal
+    rc = main(["fit-c", "--f", "0", "--t-max", "4", "--steps", "100", "--ansatz", *ansatz])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out.startswith("fitted c = ")
+    assert err == "numerical flags: fit_c_undetermined\n"
+
+
 @pytest.mark.parametrize("method, stand_in", [("decay_combined", "decay_closed_psi0"),
                                                ("first_scheme", "first_scheme_psi0")])
 def test_non_finite_closed_form_exits_2(method, stand_in, monkeypatch, capsys):

@@ -70,8 +70,8 @@ def test_grid_refuses_a_point_that_is_not_a_number(check, points):
 
 def test_airy_fourier_regression():
     # 8 001 η on [−5, 5] and ±√5, against the CLI gate of 1e-12; ±5 reach
-    # the lowest tail bottom.  The worst abs_err measured is 2.0e-14, at
-    # η = 4.7625
+    # the lowest cutoff.  The worst abs_err measured is 2.3e-14, at
+    # η = 4.91875
     etas = np.array([*np.linspace(-5.0, 5.0, 8001), math.sqrt(5.0), -math.sqrt(5.0)])
     errs = [r.abs_err for r in check_airy_fourier(etas)]
     assert max(errs) <= 1e-12, etas[int(np.argmax(errs))]
@@ -80,7 +80,7 @@ def test_airy_fourier_regression():
 @settings(max_examples=100, deadline=None)
 @given(eta=st.floats(-5.0, 5.0))
 def test_airy_fourier_property(eta):
-    # over 4 001 η on [−5, 5] the worst abs_err was 1.9e-14, and lhs(−η)
+    # over 4 001 η on [−5, 5] the worst abs_err was 2.0e-14, and lhs(−η)
     # was conj(lhs(η)) exactly: every step is odd in the sign of η.  The
     # second bound is about one ulp of |lhs| ≤ 1
     plus, minus = check_airy_fourier(eta), check_airy_fourier(-eta)
@@ -90,7 +90,7 @@ def test_airy_fourier_property(eta):
 
 _ORACLE_ETAS = [0.0, 1.0, -1.0, 2.0, -2.0, math.sqrt(5.0), -math.sqrt(5.0), 5.0, -5.0]
 # worst measured error against the quad oracle: 7.2e-15 on the tail and
-# 7.6e-15 on the direct part, both at η = ±5; the bound is four times that
+# 7.4e-15 on the direct part, both at η = ±5; the bound is four times that
 _ORACLE_TOL = 3e-14
 
 
@@ -115,12 +115,15 @@ def test_airy_fourier_direct_part_matches_quad_oracle(eta):
 
 
 def test_airy_fourier_tail_table_ends_at_the_validated_range():
-    # the Airy–Fourier table ends at the tail's bottom at |η| = 5, and the
+    # the Airy–Fourier table ends at the cutoff at |η| = 5, and the
     # erf–Airy table at r = 20, where at |χ| = 1 the integrand, at most
     # Ai(r)e^{r}, has fallen below e^{−39}; a point beyond either range is
     # refused
-    cells = identities._airy_table()[0].size // 12 - identities._CELLS_ABOVE
-    assert cells == identities._tail_cells(5.0)[1]
+    mids, _, w_ai = identities._airy_table()
+    assert mids.size == w_ai.shape[0] == identities._CELLS_ABOVE + identities._cutoff_cells(5.0)
+    c = identities._airy_fourier_sums(np.array([5.0, -5.0]))[0]
+    assert c[0] == c[1] == pytest.approx(-80.1)
+    assert mids[-1] - 0.5 * identities._CELL == pytest.approx(c[0])
     roots, w_ai = identities._erf_airy_table()
     r = np.abs(roots[0]) ** 2
     assert roots.shape == (3, 120) and 19.9 < r.max() < 20.0 and 0.0 < r.min() < 0.1
@@ -153,8 +156,7 @@ def test_airy_fourier_tail_table_built_once(monkeypatch):
     for eta, chi in zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.05, 1.0, 10)):
         check_airy_fourier(eta)
         check_airy_erf_identity(chi)
-    # one array call builds each table, the Airy–Fourier cell edges' Ai(c),
-    # Ai′(c) included
+    # one array call builds each table
     assert len(sizes) == 2 and min(sizes) > 1
     assert not airy_ai_calls
 
@@ -335,7 +337,7 @@ def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypa
     # before any point is computed
     assert check(np.array([])) == ()
     monkeypatch.setattr(identities, "y_integral", None)
-    monkeypatch.setattr(identities, "_tail_cells", None)
+    monkeypatch.setattr(identities, "_cutoff_cells", None)
     monkeypatch.setattr(identities, "_erf_airy_lhs", None)
     with pytest.raises(identities.GridPointError, match="validated only") as err:
         check(np.array([0.1, 0.2, 60.0, math.nan]))
@@ -346,7 +348,7 @@ def test_grid_refuses_a_point_outside_the_range_before_computing(check, monkeypa
 
 # tracemalloc peaks of one 2 000-point grid drawn over the benchmark's
 # ranges, after the tables were built, measured: z6 2.14 MB, airy_fourier
-# 2.37 MB (its IBP coefficients for the whole grid), airy_erf 2.37 MB (the
+# 1.82 MB (its tail blocks of 256 η), airy_erf 2.37 MB (the
 # ₁F₁ blocks of its right side; its left side's blocks of 256 χ peak at
 # 1.8 MB).  The bound is about 1.5 times the largest and
 # 6% of the resident size of a process that runs the checks (64 MiB).

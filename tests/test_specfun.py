@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from deltawell.errors import PrecisionLossError
 from deltawell.identities import _airy_fourier_sums
 from deltawell.specfun import (
+    _airy_wave,
     airy_ai,
     airy_ai_prime,
     cerfc,
@@ -123,10 +124,25 @@ def test_airy_at_zero_vs_closed_form():
 
 def test_airy_normalization_integral():
     # ∫Ai = 1: decaying side truncated at +16, oscillatory tail summed
-    # by the integration-by-parts continuation below its cutoff c
+    # by the two waves' rotated tails below its cutoff c
     (c,), (tail,), _ = _airy_fourier_sums(np.array([0.0]))
     body, _ = quad(lambda s: airy_ai(s), c, 16.0, limit=800)
     assert abs(body + tail.real - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("c", [30.0, 45.3, 80.1])
+def test_airy_wave_matches_mpmath(c):
+    # W±(u) = e^{∓iπ/3}·Ai(u·e^{∓iπ/3}) on the rays of the Airy–Fourier
+    # tails, u = |c| ± iρ, and W₊ + W₋ = Ai(−u) on the real axis.  The worst
+    # measured error is 1.2e-13 relative, at |c| = 80.1 and ρ = 10, from the
+    # rounding of phases near ζ ≈ 480; the bound is four times that
+    for sign in (1.0, -1.0):
+        u = c + sign * 1j * np.array([0.0, 0.5, 3.0, 10.0])
+        rot = mpmath.expjpi(-sign / mpmath.mpf(3))
+        want = np.array([complex(rot * mpmath.airyai(rot * mpmath.mpc(v))) for v in u])
+        assert np.max(np.abs(_airy_wave(u, sign) - want) / np.abs(want)) <= 5e-13
+    plus, minus = _airy_wave(np.array([c]), 1.0)[0], _airy_wave(np.array([c]), -1.0)[0]
+    assert abs(plus + minus - float(mpmath.airyai(-c))) <= 5e-13 * abs(plus)
 
 
 def test_airy_ode_residual():
