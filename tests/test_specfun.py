@@ -154,7 +154,8 @@ def test_airy_ode_residual():
 
 def test_airy_absolute_accuracy_vs_oracle():
     # mpmath, not scipy: scipy's Airy is the implementation inside |s| <= 10;
-    # the identity checks evaluate Ai down to -240
+    # the identity checks evaluate Ai down to -80.1, the rest of the range
+    # is margin
     s = np.linspace(-240.0, 20.0, 2601)
     ref = np.array([float(mpmath.airyai(v)) for v in s])
     assert np.max(np.abs(airy_ai(s) - ref)) < 1e-12
