@@ -9,7 +9,10 @@ grid and a set of methods.  Every method produces the same row schema
 (running decay rate and level shift, density proxy 1 − |ψ|²/B), and the
 summary carries the plateau estimates, the solver error estimate and the
 fitted mixing weight when requested.  Output is deterministic for a fixed
-configuration: one row per node, shortest-roundtrip float formatting.
+configuration: one row per node, each float in the shortest round-trip
+text that ``repr`` writes.  A numpy kernel computes that text (Schubfach
+digits in uint64, then one gather of layout templates), and
+``tests/test_cli.py`` guards its byte identity with ``repr``.
 
 The fig1a–fig3d presets encode the reference parameter sets (f, mixing
 weight c, and the straight-line decay constants) used throughout the test
@@ -18,6 +21,7 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -46,12 +50,16 @@ METHODS = (
 ANSATZ_SOURCES = ("wkb", "fit", "explicit", "auto")
 
 COLUMNS = ("t", "re", "im", "abs2", "gamma", "delta", "proxy", "method")
-_CSV_CHUNK = 4096  # rows converted to Python floats at a time
+# rows formatted at a time: a 7 600-row figures job peaks 0.3 MiB above the
+# repr formatter at 256 or 512 rows, 1.0 MiB at 1024 and 4.2 MiB at 4096;
+# 512 rows take 10% longer than 1024, 256 rows 30%
+_CSV_CHUNK = 512
 # rows per formatting block, at least: the smallest table at which two blocks
-# beat one in 9 of 10 alternating trials (each the best of 5 per side) had
-# 6 000 rows, on 2 vCPUs with Python 3.11; below about 2 000 rows the fork
-# costs more than the second CPU saves
-_MIN_BLOCK_ROWS = 3000
+# beat one in 9 of 10 alternating trials (each the best of 5 per side), in
+# each of three runs, had 10 000 rows, on 2 vCPUs with Python 3.11 (8 000
+# rows won 8 to 10 of 10, 6 000 rows 8 or 9); below about 4 000 rows the
+# fork costs more than the second CPU saves
+_MIN_BLOCK_ROWS = 5000
 
 
 @dataclass
@@ -230,19 +238,199 @@ def _config_lines(config: ScenarioConfig):
     return [f"# {k} = {d[k]}" for k in sorted(d)]
 
 
-def _csv_rows(cols: list, lo: int, hi: int) -> str:
+# Shortest round-trip text of float64 arrays, byte for byte what repr writes
+# (tests/oracles.py keeps repr as the oracle).  Digits come from Schubfach
+# (R. Giulietti, "The Schubfach way to render doubles", 2020; the JDK's
+# DoubleToDecimal): x = c·2^q lies in the rounding interval R = [x − ε, x + ε],
+# k = ⌊log10 2^q⌋ (⌊log10(¾·2^q)⌋ where the spacing below x halves), and
+# vb, vbl, vbr are 4x, 4(x − ε), 4(x + ε) over 10^k, rounded to odd.  The one
+# multiple of 10^(k+1) in R is the answer, else the nearer of s·10^k and
+# (s+1)·10^k in R (s = ⌊vb/4⌋), the even one on a tie.  Every digit step is
+# uint64: numpy 2 turns an int64–uint64 mix into float64 silently.
+_U = np.uint64
+_M32 = _U(0xFFFFFFFF)
+_M63 = _U((1 << 63) - 1)
+_SRC = 27   # a cell's source bytes: 17 digits, "-.e+0,", 3 exponent digits, NUL
+_WIDTH = 25  # a cell's text, padded with NUL: "-1.2345678901234567e-308,"
+_MINUS, _DOT, _E, _PLUS, _ZERO, _COMMA, _EXP, _NUL = 17, 18, 19, 20, 21, 22, 23, 26
+_NAN, _INF, _NAME = 816, 817, 819  # templates after the 680 positional and 136 exponent ones
+
+
+def _flog10pow2(e):
+    return (e * 661_971_961_083) >> 41  # ⌊e·log10 2⌋, |e| ≤ 5 456 721
+
+
+def _flog2pow10(e):
+    return (e * 913_124_641_741) >> 38  # ⌊e·log2 10⌋, |e| ≤ 1 838 394
+
+
+def _template(sign: int, n: int, point: int) -> list:
+    """Source offsets of the text of n significant digits with the decimal
+    point after digit ``point`` (0.d₁d₂… × 10^point), as repr lays it out."""
+    digits = list(range(n))
+    if -4 < point <= 16:
+        if point <= 0:
+            body = [_ZERO, _DOT] + [_ZERO] * -point + digits
+        elif point < n:
+            body = digits[:point] + [_DOT] + digits[point:]
+        else:
+            body = digits + [_ZERO] * (point - n) + [_DOT, _ZERO]
+    else:
+        e = point - 1
+        mantissa = [0] + ([_DOT, *digits[1:]] if n > 1 else [])
+        exp = [_EXP, _EXP + 1, _EXP + 2][abs(e) < 100:]
+        body = mantissa + [_E, _MINUS if e < 0 else _PLUS] + exp
+    return [_MINUS] * sign + body + [_COMMA]
+
+
+@functools.cache
+def _tables():
+    """The Schubfach table and the layout templates, built on first use.
+
+    g(k) = ⌊10^−k·2^−r⌋ + 1 with r = ⌊−k·log2 10⌋ − 125, so that
+    2^125 < g ≤ 2^126, for k = −324 … 292, as 32-bit quarters of
+    g₁ = ⌊g/2^63⌋ and g₀ = g mod 2^63; ``g_row`` (k + 324) and ``h`` are indexed by the
+    biased exponent, plus 2048 where the spacing below x halves."""
+    g = []
+    for k in range(-324, 293):
+        num, den = 10 ** max(-k, 0), 10 ** max(k, 0)
+        r = _flog2pow10(-k) - 125
+        g.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
+    q = np.maximum(np.arange(2048), 1) - 1075
+    k = np.concatenate([_flog10pow2(q), np.where(q > -1074, (q * 661_971_961_083 - 274_743_187_321) >> 41,
+                                                 _flog10pow2(q))])
+    h = np.concatenate([q, q]) + _flog2pow10(-k) + 2
+    templates = [_template(sign, n, point) for sign in (0, 1) for n in range(1, 18) for point in range(-3, 17)]
+    templates += [_template(sign, n, point) for sign in (0, 1) for n in range(1, 18)
+                  for point in (-10, -100, 17, 101)]  # e < 0 then e > 0; two exponent digits, then three
+    templates += [[0, 1, 2, _COMMA], [0, 1, 2, _COMMA], [_MINUS, 0, 1, 2, _COMMA]]  # nan, inf, -inf
+    templates += [[*range(_WIDTH - 1), _SRC - 1]]  # the method: its bytes, then the row's end
+    layout = np.full((len(templates), _WIDTH), _NUL, dtype=np.uint8)
+    for row, t in zip(layout, templates):
+        row[:len(t)] = t
+    i = np.arange(10_000, dtype=np.int16)
+    digits = (i[:, None] // np.array([1000, 100, 10, 1])) % 10
+    return {
+        "g": tuple(np.array(part, dtype=np.uint64) for part in zip(*(
+            (x >> 95, (x >> 63) & 0xFFFFFFFF, (x >> 32) & 0x7FFFFFFF, x & 0xFFFFFFFF) for x in g))),
+        "g_row": k + 324, "h": h.astype(np.uint64),
+        "layout": layout,
+        "pow10": np.array([10 ** i for i in range(18)], dtype=np.uint64),
+        "digits4": (digits + 48).astype(np.uint8),
+        "digits3": (digits[:1000, 1:] + 48).astype(np.uint8),
+        "zeros4": np.where(i == 0, 4, np.argmax(digits[:, ::-1] != 0, axis=1)).astype(np.uint8),
+    }
+
+
+def _mul128(a_hi, a_lo, b):
+    """(⌊a·b/2^64⌋, a·b mod 2^64) of uint64 a, given as 32-bit halves, and b."""
+    b_hi, b_lo = b >> _U(32), b & _M32
+    ll = a_lo * b_lo
+    mid = a_hi * b_lo + (ll >> _U(32))
+    mid2 = a_lo * b_hi + (mid & _M32)
+    return a_hi * b_hi + (mid >> _U(32)) + (mid2 >> _U(32)), (mid2 << _U(32)) | (ll & _M32)
+
+
+def _round_to_odd(g, cp):
+    """g·cp/2^127 rounded to odd, from the high 127 bits of the product."""
+    g1_hi, g1_lo, g0_hi, g0_lo = g
+    x1, _ = _mul128(g0_hi, g0_lo, cp)
+    y1, y0 = _mul128(g1_hi, g1_lo, cp)
+    z = (y0 >> _U(1)) + x1
+    return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+
+
+def _shortest_digits(x):
+    """(d, k) with d·10^k the shortest decimal that rounds to x and, of
+    those, the nearest: uint64 d < 10^17 and int64 k, for finite nonzero x."""
+    tab = _tables()
+    bits = x.view(_U)
+    bq = (bits >> _U(52)) & _U(0x7FF)
+    t = bits & _U((1 << 52) - 1)
+    c = t | ((bq != 0).astype(_U) << _U(52))
+    irregular = (t == 0) & (bq > 1)
+    row = bq + (irregular.astype(_U) << _U(11))
+    g_row = tab["g_row"].take(row)  # k + 324
+    g = tuple(part.take(g_row) for part in tab["g"])
+    h = tab["h"].take(row)
+    odd = c & _U(1)  # R is closed when c is even, open when odd
+    cb = c << _U(2)
+    vb = _round_to_odd(g, cb << h)
+    vbl = _round_to_odd(g, (cb - _U(2) + irregular) << h)
+    vbr = _round_to_odd(g, (cb + _U(2)) << h)
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    tp10 = sp10 + _U(10)
+    upin = vbl + odd <= sp10 << _U(2)
+    wpin = (tp10 << _U(2)) + odd <= vbr
+    uin = vbl + odd <= s << _U(2)
+    win = ((s + _U(1)) << _U(2)) + odd <= vbr
+    mid = ((s << _U(1)) + _U(1)) << _U(1)
+    lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & (s & _U(1) == _U(0))))
+    d = np.where(upin != wpin, np.where(upin, sp10, tp10), s + (~lower).astype(_U))
+    return d, g_row - 324
+
+
+def _rows_text(x, names) -> bytes:
+    """The rows "x₀,x₁,…,name", joined by newlines, of float64 x (rows, cols)
+    and a bytes array of names: each cell's source bytes (17 digits,
+    "-.e+0,", 3 exponent digits, NUL) are laid out by its template, one
+    gather per column, and the NUL padding is dropped."""
+    tab = _tables()
+    rows, cols = x.shape
+    bits = x.view(_U)
+    sign = (bits >> _U(63)).astype(np.intp)
+    finite = np.isfinite(x)
+    zero = x == 0.0
+    d, k = _shortest_digits(np.where(finite & ~zero, x, 1.0))
+    n = tab["pow10"].searchsorted(d, side="right")
+    d = np.where(zero, _U(0), d * tab["pow10"].take(17 - n))  # 17 digits, the first nonzero
+    point = np.where(zero, 1, k + n)
+    lead = d // _U(10 ** 16)
+    d -= lead * _U(10 ** 16)
+    quads = [d // _U(10 ** 12), d // _U(10 ** 8) % _U(10 ** 4), d // _U(10 ** 4) % _U(10 ** 4), d % _U(10 ** 4)]
+    src = np.empty((rows, cols + 1, _SRC), dtype=np.uint8)
+    cells = src[:, :cols]
+    cells[..., 0] = lead + _U(48)
+    for i, quad in enumerate(quads):
+        cells[..., 1 + 4 * i:5 + 4 * i] = tab["digits4"].take(quad, axis=0)
+    cells[..., 17:23] = np.frombuffer(b"-.e+0,", dtype=np.uint8)
+    cells[..., 23:26] = tab["digits3"].take(np.abs(point - 1), axis=0)
+    cells[..., 26] = 0
+    zeros = np.full(x.shape, 16)
+    for i, quad in enumerate(quads):  # trailing zeros of the 16 digits after the first
+        zeros = np.where(quad != 0, 4 * (3 - i) + tab["zeros4"].take(quad).astype(np.intp), zeros)
+    key = sign * 17 + 16 - zeros  # sign and significant digits
+    tid = np.where((point > -4) & (point <= 16), key * 20 + np.clip(point, -3, 16) + 3,
+                   680 + key * 4 + 2 * (point > 1) + (np.abs(point - 1) >= 100))
+    if not finite.all():
+        nan = np.isnan(x)
+        cells[nan, :3] = np.frombuffer(b"nan", dtype=np.uint8)
+        cells[~finite & ~nan, :3] = np.frombuffer(b"inf", dtype=np.uint8)
+        tid = np.where(finite, tid, np.where(nan, _NAN, _INF + sign))
+    names = names.view(np.uint8).reshape(rows, -1)
+    src[:, cols, :names.shape[1]] = names
+    src[:, cols, names.shape[1]:] = 0
+    src[:-1, cols, -1] = ord("\n")
+    # a gather per column: its index takes 8 bytes per byte of that column
+    text = np.empty((cols + 1, rows, _WIDTH), dtype=np.uint8)
+    base = np.arange(0, src.size, src.shape[1] * _SRC).reshape(rows, 1)
+    for j in range(cols + 1):
+        layout = tab["layout"].take(tid[:, j], axis=0) if j < cols else tab["layout"][_NAME]
+        src.take(np.add(layout, base + j * _SRC), out=text[j])
+    return text.transpose(1, 0, 2).tobytes().translate(None, b"\0")
+
+
+def _csv_rows(cols: list, lo: int, hi: int) -> bytes:
     """Data rows lo … hi − 1 of the dataset, joined by newlines, from its
     flat columns: the float columns of COLUMNS[:-1], each over the methods
-    in order, then the list of every row's method."""
+    in order, then the bytes array of every row's method."""
     *floats, names = cols
-    lines = []
+    parts = []
     for a in range(lo, hi, _CSV_CHUNK):
         b = min(a + _CSV_CHUNK, hi)
-        # .tolist() gives Python floats, whose repr is the shortest round-trip
-        # form; chunks bound the memory those floats take
-        cells = [map(repr, c[a:b].tolist()) for c in floats]
-        lines.extend(map(",".join, zip(*cells, names[a:b])))
-    return "\n".join(lines)
+        parts.append(_rows_text(np.stack([c[a:b] for c in floats], axis=1), names[a:b]))
+    return b"\n".join(parts)
 
 
 def _block_count(rows: int) -> int:
@@ -256,8 +444,9 @@ def _fork_block(cols: list, lo: int, hi: int, inherited) -> tuple[int, int]:
     """Format rows lo … hi − 1 in a forked worker; returns its pid and the
     read end of the pipe that carries its text.  Fork, not spawn: the worker
     inherits the columns instead of importing numpy and receiving a pickled
-    copy, and it runs only slicing, .tolist() and float repr, so it takes
-    no lock that another thread (a BLAS pool) could hold at the fork."""
+    copy, and it runs only elementwise uint64/uint8 ufuncs, ``take`` and
+    ``bytes.translate``, no BLAS, LAPACK or OpenMP call, so it takes no lock
+    that another thread (a BLAS pool) could hold at the fork."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -271,7 +460,7 @@ def _fork_block(cols: list, lo: int, hi: int, inherited) -> tuple[int, int]:
             for fd in (r, *inherited):
                 os.close(fd)
             with open(w, "wb") as out:
-                out.write(_csv_rows(cols, lo, hi).encode())
+                out.write(_csv_rows(cols, lo, hi))
             code = 0
         finally:
             os._exit(code)
@@ -286,15 +475,16 @@ def _data_rows(tables: dict, methods) -> list:
     columns, built once here.  Every worker is reaped, also when this
     raises, and one that fails raises ChildProcessError."""
     cols = [np.concatenate([tables[m][c] for m in methods]) for c in COLUMNS[:-1]]
-    names = [m for m in methods for _ in range(len(tables[m]["t"]))]
+    names = np.repeat(np.array(methods, dtype="S"), [len(tables[m]["t"]) for m in methods])
     cols.append(names)
+    _tables()  # built before any fork, so that the workers inherit them
     n = _block_count(len(names))
     edges = [len(names) * k // n for k in range(n + 1)]
     workers = []  # (pid, read end) of blocks 1 … n − 1
     try:
         for lo, hi in zip(edges[1:-1], edges[2:]):
             workers.append(_fork_block(cols, lo, hi, [r for _, r in workers]))
-        blocks = [_csv_rows(cols, 0, edges[1])]
+        blocks = [_csv_rows(cols, 0, edges[1]).decode()]
         for _, r in workers:
             with open(r, "rb", closefd=False) as pipe:
                 blocks.append(pipe.read().decode())

@@ -1,6 +1,7 @@
 """Field-free closed forms that the tests check the library against, the
 x-domain of the overlap oracles, the two sides of the erf–Airy identity,
-the paper's ₁F₁ series for Y and an extremum counter for ripple tests.
+the paper's ₁F₁ series for Y, an extremum counter for ripple tests and
+the dataset rows by ``repr``.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
 ``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``;
@@ -8,8 +9,9 @@ the erf–Airy left side takes Ai and erf from scipy and integrates with
 ``quad``, where ``identities`` uses its own Airy table and Gauss–Legendre
 grid; its right side sums the moment series in mpmath, where
 ``identities`` takes the library's ₁F₁; the Y series sums mpmath's
-``hyp1f1`` where ``approx`` integrates by Gauss–Legendre panels.  None
-validates its inputs.
+``hyp1f1`` where ``approx`` integrates by Gauss–Legendre panels; the rows
+take each float's text from ``repr``, where ``scenario`` computes its
+digits and layout in numpy.  None validates its inputs.
 """
 
 import cmath
@@ -144,3 +146,12 @@ def count_extrema(t: np.ndarray, y: np.ndarray, t_lo: float, t_hi: float) -> tup
     dy = dy[dy != 0]
     flips = np.diff(dy)
     return int(np.sum(flips < 0)), int(np.sum(flips > 0))
+
+
+def csv_rows_repr(cols: list, lo: int, hi: int) -> str:
+    """Rows lo … hi − 1 of the flat dataset columns, as ``scenario._csv_rows``
+    writes them, by ``repr`` of each float: the float columns, then the
+    bytes array of every row's method."""
+    *floats, names = cols
+    cells = [map(repr, c[lo:hi].tolist()) for c in floats]
+    return "\n".join(map(",".join, zip(*cells, (n.decode() for n in names[lo:hi].tolist()))))

@@ -24,6 +24,7 @@ from deltawell.scenario import (
     result_to_json, run_scenario,
 )
 from deltawell.volterra import RULE_ORDER
+from oracles import csv_rows_repr
 
 
 def _read_rows(path):
@@ -662,6 +663,70 @@ def test_failed_block_raises_and_reaps_every_worker(monkeypatch, split_result):
     monkeypatch.setattr(scenario, "_csv_rows", failing("parent"))
     with pytest.raises(RuntimeError, match="parent block failed"):
         result_to_csv(split_result)
+
+
+def _flat_columns(values, methods, counts):
+    # the flat columns of _csv_rows: values cut into seven float columns,
+    # beside the bytes array of each row's method
+    floats = list(np.asarray(values, dtype=np.float64).reshape(7, -1))
+    return floats + [np.repeat(np.array(methods, dtype="S"), counts)]
+
+
+def _neighbours(x, ulps=4):
+    # x and its ±ulps neighbours of the same sign, by bit pattern
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    steps = np.arange(-ulps, ulps + 1)
+    near = (bits[:, None] + steps).ravel()
+    return near[(near >= 0) & (near < 0x7FF0000000000000)].view(np.float64)
+
+
+def test_dataset_text_matches_repr_on_bit_patterns():
+    # 2 M random bit patterns (subnormals, infinities and NaN payloads of
+    # either sign among them), every power of 2 and of 10 with its ±4-ulp
+    # neighbours, repr's switch points to exponent form, ±0.0, ±inf, ±NaN
+    rng = np.random.default_rng(20261020)
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)], [1e-4, 1e16, 1e-5, 1e17]])
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    edges = np.concatenate([_neighbours(powers), special])
+    edges = np.concatenate([edges, -edges])
+    random = rng.integers(0, 2**64, size=2_000_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = np.concatenate([edges, random])
+    values = values[:len(values) // 7 * 7]
+    rows = len(values) // 7
+    cols = _flat_columns(values, ["exact", "decay_multiplicative"], [rows // 3, rows - rows // 3])
+    assert scenario._csv_rows(cols, 0, rows).decode() == csv_rows_repr(cols, 0, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+             min_size=7, max_size=7 * 1200).map(lambda v: v[:len(v) // 7 * 7]),
+    st.lists(st.sampled_from(METHODS), min_size=1, max_size=6),
+    st.data(),
+)
+def test_dataset_rows_match_the_repr_oracle(values, methods, data):
+    # drawn float columns, cut into methods at drawn rows, any row range
+    rows = len(values) // 7
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows), min_size=len(methods) - 1,
+                                     max_size=len(methods) - 1)))
+    counts = np.diff([0, *cuts, rows])
+    cols = _flat_columns(values, methods, counts)
+    lo = data.draw(st.integers(0, rows))
+    hi = data.draw(st.integers(lo, rows))
+    assert scenario._csv_rows(cols, lo, hi).decode() == csv_rows_repr(cols, lo, hi)
+
+
+def test_shortest_digits_stay_uint64():
+    # numpy 2 turns an int64–uint64 mix into float64 without an error; the
+    # digits are exact only while every 64-bit step stays uint64
+    x = np.array([5e-324, 2.2250738585072014e-308, 1e-4, 0.1, 1.0, 3.0, 1e16, 1.7976931348623157e308])
+    d, k = scenario._shortest_digits(x)
+    assert d.dtype == np.uint64 and k.dtype == np.int64
+    assert [str(v).rstrip("0") for v in d.tolist()] == ["5", "22250738585072014", "1", "1", "1", "3", "1", "17976931348623157"]
+    assert [float(f"{v}e{e}") for v, e in zip(d.tolist(), k.tolist())] == x.tolist()
+    g = tuple(part[:1] for part in scenario._tables()["g"])
+    assert scenario._round_to_odd(g, np.array([1 << 60], dtype=np.uint64)).dtype == np.uint64
 
 
 def test_repeated_methods_exit_1(tmp_path, capsys):

@@ -27,8 +27,9 @@ pairs ran, 1 when a run failed.
 (``python -m deltawell.cli``) with that tree's ``src`` alone on
 PYTHONPATH, in an empty directory of its own.  The cases are every
 ``figures`` preset, the README's ``solve``, ``approx``, ``fit-c`` and
-``figures`` examples, the three ``identity-check`` default grids and the
-seed-0 decks of the CLI workloads (their argv from the working tree's
+``figures`` examples, a ``solve`` at t_max = 1e-300 whose dataset has NaN
+columns, the three ``identity-check`` default grids and the seed-0 decks
+of the CLI workloads (their argv from the working tree's
 ``perfbench/jobs.py``, with ``--out`` where the benchmark passes one).
 It compares the exit code, stdout, stderr and every file a case writes,
 prints each one that differs, or "identical (n files)", and exits 1 on a
@@ -57,6 +58,9 @@ README_CASES = (
                       "--gamma", "0.1896", "--delta", "-0.0738")),
     ("readme-figures", ("figures", "fig1b", "--out", "fig1b.csv")),
 )
+# exit 2 with NaN gamma/delta columns, three-digit exponents and zeros: the
+# only case whose dataset holds non-finite cells
+NAN_CASE = ("nan-columns", ("solve", "--t-max", "1e-300", "--steps", "50", "--out", "nan.csv"))
 # the preset names and the seed-0 decks of the workloads named in argv, as JSON
 _LIST_CASES = """
 import json, sys
@@ -163,6 +167,7 @@ def byte_cases(root: Path) -> list:
     listed = json.loads(proc.stdout)
     cases = [(p, ("figures", p, "--out", f"{p}.csv")) for p in listed["presets"]]
     cases += README_CASES
+    cases.append(NAN_CASE)
     cases += [(f"identity-check-{s}", ("identity-check", s)) for s in ("z6", "airy_fourier", "airy_erf")]
     for w, deck in listed["decks"].items():
         cases += [
