@@ -297,8 +297,7 @@ def _tables():
         r = _flog2pow10(-k) - 125
         g.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
     q = np.maximum(np.arange(2048), 1) - 1075
-    k = np.concatenate([_flog10pow2(q), np.where(q > -1074, (q * 661_971_961_083 - 274_743_187_321) >> 41,
-                                                 _flog10pow2(q))])
+    k = np.concatenate([_flog10pow2(q), (q * 661_971_961_083 - 274_743_187_321) >> 41])
     h = np.concatenate([q, q]) + _flog2pow10(-k) + 2
     templates = [_template(sign, n, point) for sign in (0, 1) for n in range(1, 18) for point in range(-3, 17)]
     templates += [_template(sign, n, point) for sign in (0, 1) for n in range(1, 18)
