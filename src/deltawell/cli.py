@@ -120,13 +120,22 @@ def _load_config(args, defaults: dict) -> ScenarioConfig:
     return config
 
 
+def _write(path: str, text: str) -> None:
+    # an OSError of the dataset workers (ChildProcessError) is not a write
+    # failure, so the writes catch it themselves rather than main
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
 def _emit_result(result, args) -> int:
     fmt = args.format or "csv"
     text = result_to_csv(result) if fmt == "csv" else result_to_json(result)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         if fmt == "csv":
-            Path(args.out + ".summary.json").write_text(summary_to_json(result))
+            _write(args.out + ".summary.json", summary_to_json(result))
     else:
         sys.stdout.write(text)
     return _exit_code(result)
@@ -163,7 +172,7 @@ def _cmd_fit_c(args) -> int:
     result = run_scenario(replace(config, c="fit", methods=methods))
     print(f"fitted c = {result.summary['fitted_c']:.4f}")
     if args.out:
-        Path(args.out).write_text(summary_to_json(result))
+        _write(args.out, summary_to_json(result))
     return _exit_code(result)
 
 

@@ -10,15 +10,17 @@ own implementation; the rest is written here:
   ``scipy.special.airy`` inside |s| ≤ 10 (0.08–0.6 µs a point, ~6e−16
   absolute error), beyond it the first 26 terms of the asymptotic
   expansions (DLMF §9.7) by Horner's rule, 0.2–0.3 µs a point where scipy
-  falls back to AMOS Bessel routines at 3–5 µs.
-* ``hyp1f1_one_family`` / ``hyp1f1_one`` — confluent hypergeometric
+  falls back to AMOS Bessel routines at 3–5 µs.  Below s = −10 that is
+  the oscillatory wave ``_airy_wave`` which the Airy–Fourier tail of the
+  identity checks also sums: Ai and Ai′ are its real and imaginary parts.
+* ``hyp1f1_one`` / ``hyp1f1_one_family`` — confluent hypergeometric
   ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
   b of the paper's Y series and of the z⁶ closed form (which alone calls
   it, at b = 13/6, on a whole grid of z), by the exact integral
-  representation (DLMF §13.4) n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1):
-  many b for one z, or one b for an array of z.
-  Kept in-house: scipy's complex ``hyp1f1`` is off by 2.7e−10 at
-  b = 11/6, z = 30i.
+  representation (DLMF §13.4) n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1),
+  for one b and an array of z; the family is its values at b, b + 1, …
+  for one z.  Kept in-house: scipy's complex ``hyp1f1`` is off by
+  2.7e−10 at b = 11/6, z = 30i.
 * ``moshinsky`` — M(x; k; t) = ½ e^{i(kx − k²t/2)} erfc{(x − kt)/√(2it)},
   evaluated through ``scipy.special.erfcx`` so the product of a huge
   exponential and a tiny erfc never overflows.
@@ -111,31 +113,17 @@ def _airy_asym_pos(s):
     return pre * polyval(x, _AIRY_U) / s**0.25, -pre * polyval(x, _AIRY_V) * s**0.25
 
 
-def _airy_asym_neg(s):
-    u = -s
-    zeta = (2.0 / 3.0) * u**1.5
-    x = -1.0 / zeta**2
-    pc = polyval(x, _AIRY_U[0::2])
-    ps = polyval(x, _AIRY_U[1::2]) / zeta
-    qc = polyval(x, _AIRY_V[0::2])
-    qs = polyval(x, _AIRY_V[1::2]) / zeta
-    phase = zeta - 0.25 * math.pi
-    cosp = np.cos(phase)
-    sinp = np.sin(phase)
-    ai = (cosp * pc + sinp * ps) / (_SQRT_PI * u**0.25)
-    aip = (u**0.25 / _SQRT_PI) * (sinp * qc - cosp * qs)
-    return ai, aip
-
-
-def _airy_wave(u, sign):
+def _airy_wave(u, sign, coeffs=_AIRY_U):
     # W±(u) = e^{∓iπ/3}·Ai(u·e^{∓iπ/3}) for sign = ±1, the two waves of
-    # Ai(−u) = W₊(u) + W₋(u) (DLMF 9.2.11), for complex u near the positive
-    # real axis with |u| ≥ 30: e^{±i(ζ−π/4)} Σ_k u_k (∓i/ζ)^k / (2√π u^{1/4}),
+    # Ai(−u) = W₊(u) + W₋(u) (DLMF 9.2.11), for u near the positive real
+    # axis with |u| ≥ 10: e^{±i(ζ−π/4)} Σ_k u_k (∓i/ζ)^k / (2√π u^{1/4}),
     # ζ = (2/3)u^{3/2} (DLMF 9.7.5), every step odd in the sign, so that
-    # W₋(ū) is the conjugate of W₊(u)
+    # W₋(ū) is the conjugate of W₊(u).  For real u, Ai(−u) = 2·Re W₊(u),
+    # and Ai′(−u) = 2√u·Im W₊(u) with the v_k of ``_AIRY_V`` for the u_k.
+    # ζ's rounding is the phase's: a real u^{3/2} by pow, a complex one u·√u
     root = np.sqrt(u)
-    zeta = (2.0 / 3.0) * u * root
-    series = polyval(-sign * 1j / zeta, _AIRY_U)
+    zeta = (2.0 / 3.0) * (u**1.5 if np.isrealobj(u) else u * root)
+    series = polyval(-sign * 1j / zeta, coeffs)
     return np.exp(sign * 1j * (zeta - 0.25 * math.pi)) * series / (2.0 * _SQRT_PI * np.sqrt(root))
 
 
@@ -156,7 +144,9 @@ def _airy_both(s):
     if pos.any():
         ai[pos], aip[pos] = _airy_asym_pos(s[pos])
     if neg.any():
-        ai[neg], aip[neg] = _airy_asym_neg(s[neg])
+        u = -s[neg]
+        ai[neg] = 2.0 * _airy_wave(u, 1.0).real
+        aip[neg] = 2.0 * np.sqrt(u) * _airy_wave(u, 1.0, _AIRY_V).imag
     if scalar:
         return ai[0], aip[0]
     return ai, aip
@@ -218,45 +208,14 @@ def _hyp1f1_panels(b: float, n: int, z: np.ndarray) -> np.ndarray:
     return panels.astype(int)
 
 
-def _hyp1f1_sums(n: np.ndarray, z: np.ndarray, panels: int) -> np.ndarray:
-    # n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv on `panels` equal panels for the orders n
-    # (m,) and the z (k,), shape (k, m): each entry is its own sum over the
-    # nodes, so it does not depend on the other orders or z of the call
+def _hyp1f1_sums(n: int, z: np.ndarray, panels: int) -> np.ndarray:
+    # n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv on `panels` equal panels for each z of the
+    # 1-D array: each entry is its own sum over the nodes, so it does not
+    # depend on the other z of the call
     v, w = gl_panels(0.0, 1.0, panels)
     with np.errstate(over="ignore", invalid="ignore"):
         e = w * np.exp(np.multiply.outer(z, 1.0 - v**6))
-        return n * (e[:, None, :] * v ** (n[:, None] - 1)).sum(axis=-1)
-
-
-def _finite(out: np.ndarray, b: float, z: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise PrecisionLossError(f"hyp1f1 integral is not finite at b={b}, z={z[np.argmax(bad)]}")
-    return out
-
-
-def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
-    """[₁F₁(1; b0 + m; z) for m in 0..count−1], b0 − 1 a positive multiple
-    of 1/6, count an integer ≥ 1 and z finite (ValueError otherwise).
-
-    Every member takes the integral representation (DLMF §13.4)
-    n∫₀¹ v^{n−1} e^{z(1−v⁶)} dv, n = 6(b − 1) a positive integer, whose
-    integrand is entire: one set of 12-point Gauss–Legendre panels, fine
-    enough for both the phase of e^{z(1−v⁶)} and the width 1/n of v^{n−1}
-    at v = 1, serves all members.  Raises PrecisionLossError when more
-    than 32 768 panels would be needed or the result is not finite.
-    """
-    n0 = _hyp1f1_order(b0)
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise ValueError(f"hyp1f1_one_family requires an integer count >= 1, got {count!r}")
-    z = np.array([complex(z)])
-    if not np.isfinite(z[0]):
-        raise ValueError("hyp1f1: non-finite z")
-    n = n0 + 6 * np.arange(count)
-    panels = _hyp1f1_panels(b0 + count - 1, n[-1], z)[0]
-    # members in blocks of at most _HYP_BLOCK terms
-    blocks = np.array_split(n, -(-count * 12 * panels // _HYP_BLOCK))
-    return _finite(np.concatenate([_hyp1f1_sums(m, z, panels)[0] for m in blocks]), b0, z)
+        return n * (e * v ** (n - 1)).sum(axis=-1)
 
 
 def hyp1f1_one(b: float, z):
@@ -265,23 +224,37 @@ def hyp1f1_one(b: float, z):
     error ≲ 5e−12 against mpmath for |z| ≤ 50 and b ≤ 1211/6, largest where
     |₁F₁| is small next to the integrand.
 
-    The m = 0 member of :func:`hyp1f1_one_family` for each z: the z that
-    share a panel count take one pass, in blocks of at most _HYP_BLOCK
-    terms, and each value is the one the z gets alone.
+    The integral of the module docstring on 12-point Gauss–Legendre panels:
+    the z that share a panel count take one pass, in blocks of at most
+    _HYP_BLOCK terms, and each value is the one the z gets alone.
+    PrecisionLossError beyond 32 768 panels or for a non-finite result.
     """
-    n = np.array([_hyp1f1_order(b)])
+    n = _hyp1f1_order(b)
     z = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(z)):
         raise ValueError("hyp1f1: non-finite z")
     flat = z.ravel()
-    panels = _hyp1f1_panels(b, n[0], flat)
+    panels = _hyp1f1_panels(b, n, flat)
     out = np.empty(flat.shape, dtype=np.complex128)
     for p in np.unique(panels):
         group = np.flatnonzero(panels == p)
         for part in np.array_split(group, -(-group.size * 12 * p // _HYP_BLOCK)):
-            out[part] = _hyp1f1_sums(n, flat[part], p)[:, 0]
-    out = _finite(out, b, flat).reshape(z.shape)
+            out[part] = _hyp1f1_sums(n, flat[part], p)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise PrecisionLossError(f"hyp1f1 integral is not finite at b={b}, z={flat[np.argmax(bad)]}")
+    out = out.reshape(z.shape)
     return complex(out) if z.ndim == 0 else out
+
+
+def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
+    """[₁F₁(1; b0 + m; z) for m in 0..count−1], b0 − 1 a positive multiple
+    of 1/6, count an integer ≥ 1 and z finite (ValueError otherwise): each
+    member is :func:`hyp1f1_one` at b0 + m."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"hyp1f1_one_family requires an integer count >= 1, got {count!r}")
+    z = complex(z)
+    return np.array([hyp1f1_one(b0 + m, z) for m in range(count)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is integrated
 exactly through Fresnel/erfc closed forms), with the terminal
 panel always treated exactly.  The phase advance falls along s, so the
 exact panels are the first K(x).  The x-independent tables (nodes, g(s),
-panel weights and phase rates) are cached on the series.  One x runs on
+panel weights and switch points) are cached on the series.  One x runs on
 numpy scalars and an array of x is evaluated x by x, so an array gives
 bitwise what one call per x gives.  Inner loops call the unchecked cores
 of φ_F and erfcx.
@@ -137,11 +137,14 @@ class ComplexSeries:
     def _kernel(self):
         # x-independent tables over the whole grid, built on first use and
         # read-only: the nodes s_j, g(s_j), the linear weights of panels
-        # 0 … N − 1 and the phase rates h/(s_k s_{k+1}) of panels 1 … N − 1
+        # 0 … N − 1 and their switch points x_k.  Panel k is integrated
+        # exactly for |x| above x_k, where its phase advance A·h/(s_k s_{k+1})
+        # (A = mx²/(2ℏ)) equals the switch, and smooth below; x_0 = 0
         s = self.grid.nodes
+        p = self.params
         tables = (
-            s, _field_phase(self.params, s), *_linear_panels(self.grid.n_steps - 1),
-            self.grid.h / (s[1:-1] * s[2:]),
+            s, _field_phase(p, s), *_linear_panels(self.grid.n_steps - 1),
+            np.sqrt(2.0 * p.hbar * _PHASE_SWITCH * s[:-1] * s[1:] / (p.mass * self.grid.h)),
         )
         for a in tables:
             a.flags.writeable = False
@@ -151,7 +154,7 @@ class ComplexSeries:
     def _overlap(self):
         # the overlap's read-only panel tables over the whole grid, which
         # depend on neither t nor the values, built on first use
-        return _overlap_tables(self.grid, self.params)
+        return _overlap_tables(self.grid, self.params, self._kernel[4])
 
 
 @dataclass(frozen=True)
@@ -402,9 +405,9 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
 def _history(series: ComplexSeries, i: int):
     # node i's first entries of the tables: its s-nodes, the x-independent
     # factor of the kernel at each, C_j = g(s_j) ψ(0, t_i − s_j), and the
-    # linear weights and phase rates of its panels
-    s, g, wl, wr, rate = series._kernel
-    return s[: i + 1], g[: i + 1] * series.values[i::-1], wl[:i], wr[:i], rate[: i - 1]
+    # linear weights and switch points of its panels
+    s, g, wl, wr, xk = series._kernel
+    return s[: i + 1], g[: i + 1] * series.values[i::-1], wl[:i], wr[:i], xk[:i]
 
 
 def _psi_off_origin(series: ComplexSeries, x, t: float, i: int):
@@ -414,14 +417,14 @@ def _psi_off_origin(series: ComplexSeries, x, t: float, i: int):
     params = series.params
     h = series.grid.h
     hbar, m, F = params.hbar, params.mass, params.field
-    s, C, wl, wr, rate = _history(series, i)
+    s, C, wl, wr, xk = _history(series, i)
     with np.errstate(over="ignore", invalid="ignore"):
         A = m * x * x / (2.0 * hbar)
         eps = F * x / (2.0 * hbar)
-        # panel 0 (where T₁ = T₂ = 0) is always integrated exactly; panel
-        # k ≥ 1 when its phase advance A·h/(s_k s_{k+1}) exceeds the switch.
-        # That advance falls with k, so the exact panels are 0 … K − 1
-        K = 1 + np.searchsorted(-rate, -_PHASE_SWITCH / A)
+        # panel k is integrated exactly when |x| is above its switch point,
+        # panel 0 (x_0 = 0, where T₁ = T₂ = 0) always.  The switch points
+        # rise with k, so the exact panels are 0 … K − 1
+        K = np.searchsorted(xk, abs(x))
 
         # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
         Q = C[K:] * np.exp(1j * (eps * s[K:] + A / s[K:]))
@@ -509,9 +512,10 @@ def _bound_volkov(params: PhysParams, t: float) -> complex:
     )
 
 
-def _overlap_tables(grid: TimeGrid, params: PhysParams):
+def _overlap_tables(grid: TimeGrid, params: PhysParams, xk: np.ndarray):
     """The x-integrated pieces of the overlap that depend on neither t nor
-    the series values, for panels 0 … N − 1 of one grid and field.
+    the series values, for panels 0 … N − 1 of one grid and field, whose
+    switch points are xk.
 
     Smooth panel k ≥ 1 keeps S(β_j, α_j; x_k) = H(β_j, α_j; 0) − H(β_j, α_j;
     x_k) at its nodes j = k (``left``) and j = k + 1 (``right``).  Exact
@@ -524,9 +528,6 @@ def _overlap_tables(grid: TimeGrid, params: PhysParams):
     h, hbar, m, B = grid.h, params.hbar, params.mass, params.B
     s = grid.nodes
     beta = params.field * s / (2.0 * hbar)
-    # panel k is exact for |x| above x_k, where A·h/(s_k s_{k+1}) equals
-    # the switch (A = mx²/(2ℏ)), and smooth below; x_0 = 0
-    xk = np.sqrt(2.0 * hbar * _PHASE_SWITCH * s[:-1] * s[1:] / (m * h))
 
     # smooth panels k ≥ 1, from H(β_j, α_j; 0) at nodes j = 1 … N
     alpha = m / (2.0 * hbar * s[1:])

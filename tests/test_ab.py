@@ -45,3 +45,18 @@ def test_report_gate_needs_a_median_gain_beyond_the_parent_iqr():
     # every pair in both cases, but only a gain beyond the IQR meets the gate
     assert _verdict(_PARENT, [p + 0.125 for p in _PARENT]) == (10, False)
     assert _verdict(_PARENT, [p + 0.25 for p in _PARENT]) == (10, True)
+
+
+def test_compile_trees_writes_bytecode_despite_the_environment(tmp_path, monkeypatch):
+    # the parent's fresh clone has no __pycache__, and PYTHONDONTWRITEBYTECODE
+    # would keep it so; both trees get the bytecode of src and perfbench
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        for name in ("src/pkg/mod.py", "perfbench/jobs.py"):
+            (tree / name).parent.mkdir(parents=True)
+            (tree / name).write_text("X = 1\n")
+    ab.compile_trees(*trees)
+    for tree in trees:
+        assert len(list(tree.glob("src/pkg/__pycache__/mod.*.pyc"))) == 1
+        assert len(list(tree.glob("perfbench/__pycache__/jobs.*.pyc"))) == 1

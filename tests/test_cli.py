@@ -264,6 +264,18 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
         assert f"cannot read config {path}" in captured.err and not captured.out, path
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--out"],
+    ["solve", "--format", "json", "--out"],
+    ["fit-c", "--method", "first_scheme", "--out"],
+])
+def test_unwritable_out_exits_1(command, tmp_path, capsys):
+    # a missing directory: exit 1 and one message, as for an unreadable config
+    path = tmp_path / "missing" / "x.csv"
+    assert main([*command, str(path), "--f", "0.5", "--t-max", "1", "--steps", "20"]) == 1
+    assert f"error: cannot write {path}" in capsys.readouterr().err
+
+
 def test_identity_check_calls_the_module_binding(monkeypatch, capsys):
     # the check is looked up when the command runs, so a rebinding of
     # cli.check_airy_fourier (as a tracer does) sees the call
@@ -564,8 +576,9 @@ def test_non_finite_closed_form_exits_2(method, stand_in, monkeypatch, capsys):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="at f = 0.05 the true Γ is about 1.6e-6 (WKB), far below what a 1/t fit "
-    "of the switch-on transient on t ≤ 20 resolves: Γ̄ = −7.4e-4, no flag, exit 0.  "
+    reason="at f = 0.05 the true Γ is the Stark pole's 1.4767e-6 (WKB gives 1.6e-6), far "
+    "below what a 1/t fit of the switch-on transient on t ≤ 20 resolves: Γ̄ = −7.4e-4, "
+    "no flag, exit 0.  "
     "The benchmark's scenario_mix fig1a jobs show the same (t_max = 18, N = 1500: "
     "−7.5e-4), so flagging it waits for a change of the benchmark",
 )

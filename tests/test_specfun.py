@@ -334,12 +334,14 @@ def test_hyp_family_rejects_non_integer_count(count):
 
 
 def test_hyp_family_matches_scalar():
-    z = 23.0j - 4.0
-    fam = hyp1f1_one_family(7.0 / 6.0, 25, z)
-    assert hyp1f1_one_family(7.0 / 6.0, 1, z)[0] == hyp1f1_one(7.0 / 6.0, z)
-    for m in (0, 3, 11, 24):
-        ref = complex(mpmath.hyp1f1(1, 7.0 / 6.0 + m, z))
-        assert abs(fam[m] - ref) / abs(ref) < 1e-10
+    # every member is bitwise the scalar call at its b
+    for b0, z in ((7.0 / 6.0, 23.0j - 4.0), (3.0 / 2.0, 5.0), (13.0 / 6.0, -30.0 + 10.0j)):
+        fam = hyp1f1_one_family(b0, 25, z)
+        assert fam.shape == (25,) and fam.dtype == np.complex128
+        assert fam.tolist() == [hyp1f1_one(b0 + m, z) for m in range(25)], (b0, z)
+        for m in (0, 3, 11, 24):
+            ref = complex(mpmath.hyp1f1(1, b0 + m, z))
+            assert abs(fam[m] - ref) / abs(ref) < 1e-10, (b0, z, m)
 
 
 # ---------------------------------------------------------------------------

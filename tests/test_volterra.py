@@ -807,14 +807,15 @@ def test_kernel_tables_are_per_node_tables(i):
     # grid; they are bitwise the tables built for node i alone
     p = default_units(1.0)
     sol = solve_psi0(p, TimeGrid(4.0, 400))
-    s_all, g_all, wl_all, wr_all, rate_all = sol._kernel
+    s_all, g_all, wl_all, wr_all, xk_all = sol._kernel
     s = np.arange(i + 1) * sol.grid.h
     wl, wr = _linear_panels(i - 1)
     assert s_all[: i + 1].tobytes() == s.tobytes()
     assert g_all[: i + 1].tobytes() == _field_phase(p, s).tobytes()
     assert wl_all[:i].tobytes() == wl.tobytes()
     assert wr_all[:i].tobytes() == wr.tobytes()
-    assert rate_all[: i - 1].tobytes() == (sol.grid.h / (s[1:-1] * s[2:])).tobytes()
+    xk = np.sqrt(2.0 * p.hbar * volterra._PHASE_SWITCH * s[:-1] * s[1:] / (p.mass * sol.grid.h))
+    assert xk_all[:i].tobytes() == xk.tobytes()
     assert not any(a.flags.writeable for a in sol._kernel)
 
 

@@ -10,7 +10,11 @@ is removed when the script ends, also when a run fails.
 
 ``--workload`` runs pairs for each workload named (a comma list, or
 ``all`` for every workload of BENCHMARK.json) and each seed of ``--seed``
-(a comma list, default 0), workload by workload.  Each pair runs
+(a comma list, default 0), workload by workload.  Before the first pair
+it writes the bytecode of ``src/`` and ``perfbench/`` in both trees
+(``compileall``, with PYTHONDONTWRITEBYTECODE removed from its
+environment), so that neither side's fresh interpreters compile modules
+that the other side loads from its cache.  Each pair runs
 ``python3 perfbench/run.py --workload W --seed S --seconds 10`` once in
 the parent's tree and once in the working tree, each tree with its own
 ``perfbench/`` and ``src/``; odd pairs run the parent first, even pairs
@@ -92,6 +96,16 @@ def parent_checkout(root: Path, parent: str):
         git("clone", "--quiet", "--shared", "--no-checkout", str(root), str(tree), cwd=root)
         git("checkout", "--quiet", "--detach", sha, cwd=tree)
         yield tree
+
+
+def compile_trees(*trees: Path) -> None:
+    """Write the bytecode of each tree's src and perfbench: under
+    PYTHONDONTWRITEBYTECODE a fresh clone never gets any, while a working
+    tree keeps whatever valid .pyc files it has."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    for tree in trees:
+        subprocess.run(["python3", "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=tree, env=env, check=True, capture_output=True, text=True)
 
 
 def bench_run(tree: Path, workload: str, seed: int) -> dict:
@@ -238,6 +252,7 @@ def main(argv=None) -> int:
         with parent_checkout(root, args.parent) as parent_tree:
             if args.bytes:
                 return 0 if compare_bytes(root, parent_tree) else 1
+            compile_trees(parent_tree, root)
             for workload in workloads:
                 for seed in args.seed:
                     run_pairs(root, parent_tree, workload, args.pairs, seed, spec)
