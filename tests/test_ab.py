@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -60,3 +61,16 @@ def test_compile_trees_writes_bytecode_despite_the_environment(tmp_path, monkeyp
     for tree in trees:
         assert len(list(tree.glob("src/pkg/__pycache__/mod.*.pyc"))) == 1
         assert len(list(tree.glob("perfbench/__pycache__/jobs.*.pyc"))) == 1
+
+
+def test_append_entry_extends_the_list_in_place(tmp_path):
+    # the first entry makes the file; later ones extend it, one entry a line
+    path = tmp_path / "BENCH_w.json"
+    entries = [{"pair": "1 of 2, first"}, {"pair": "1 of 2, second", "x": [1.5, None]}]
+    for entry in entries:
+        ab.append_entry(path, entry)
+    assert json.loads(path.read_text()) == entries
+    assert path.read_text().count("\n") == 4
+    path.write_text("[]\n")
+    with pytest.raises(RuntimeError, match="closing bracket"):
+        ab.append_entry(path, entries[0])

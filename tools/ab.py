@@ -144,9 +144,26 @@ def report(runs: dict, metrics: list) -> list:
     return lines
 
 
+def append_entry(path: Path, entry: dict) -> None:
+    """Append one entry to the file's JSON list, one entry a line, without
+    reading the list: Linux carries a process's maximum RSS across execve,
+    so a run started from here counts this process's memory in its
+    peak_rss_mb, and the records reach tens of MB."""
+    line = json.dumps(entry).encode()
+    if not path.exists():
+        path.write_bytes(b"[\n" + line + b"\n]\n")
+        return
+    with path.open("r+b") as f:
+        end = f.seek(0, os.SEEK_END)
+        f.seek(max(end - 4, 0))
+        if f.read() != b"}\n]\n":
+            raise RuntimeError(f"{path} does not end with an entry and the closing bracket")
+        f.seek(end - 3)
+        f.write(b",\n" + line + b"\n]\n")
+
+
 def run_pairs(root: Path, parent_tree: Path, workload: str, pairs: int, seed: int, spec: dict) -> None:
     bench_file = root / f"BENCH_{workload}.json"
-    entries = json.loads(bench_file.read_text()) if bench_file.exists() else []
     runs = {"parent": [], "change": []}
     trees = {"parent": parent_tree, "change": root}
     commits = {k: commit_of(t) for k, t in trees.items()}
@@ -155,13 +172,12 @@ def run_pairs(root: Path, parent_tree: Path, workload: str, pairs: int, seed: in
         for place, side in zip(("first", "second"), order):
             run = bench_run(trees[side], workload, seed)
             runs[side].append(run)
-            entries.append({
+            # written after every run, so that a failed run keeps the ones before it
+            append_entry(bench_file, {
                 "commit": commits[side], "command": run["command"],
                 "pair": f"{i + 1} of {pairs}, {place}",
                 "context_line": run["context_line"], "result_line": run["result_line"],
             })
-            # written after every run, so that a failed run keeps the ones before it
-            bench_file.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
             metrics = run["result_line"]["metrics"]
             print(f"pair {i + 1} {side}: " + ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items()),
                   flush=True)
