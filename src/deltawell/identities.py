@@ -70,7 +70,7 @@ import numpy as np
 from scipy.special import erf
 
 from .approx import YArgs, y_integral
-from .specfun import _airy_both, _airy_wave, gl_panels, gl_rule, hyp1f1_one
+from .specfun import _airy_both, _airy_wave, _check_numbers, gl_panels, gl_rule, hyp1f1_one
 
 __all__ = [
     "GridPointError",
@@ -112,18 +112,7 @@ def _grid(points, dtype) -> tuple[np.ndarray, bool]:
     boolean or non-numeric point, and a complex one in a real grid, is a
     ValueError: numpy would take True as 1, parse a numeric string and drop
     an imaginary part with only a warning."""
-    kind, number = ("real", numbers.Real) if dtype is np.float64 else ("complex", numbers.Complex)
-
-    def refused(t):
-        return issubclass(t, (bool, np.bool_)) or not issubclass(t, number)
-
-    if isinstance(points, np.ndarray) and points.dtype != object:
-        if refused(points.dtype.type):
-            raise ValueError(f"grid points must be {kind} numbers, got an array of {points.dtype}")
-    else:
-        for p in np.asarray(points, dtype=object).flat:
-            if refused(type(p)):
-                raise ValueError(f"grid points must be {kind} numbers, got {p!r}")
+    _check_numbers(points, "grid points", numbers.Real if dtype is np.float64 else numbers.Complex)
     x = np.asarray(points, dtype=dtype)
     if x.ndim > 1:
         raise ValueError(f"takes a scalar or a 1-D grid, got shape {x.shape}")

@@ -57,6 +57,25 @@ _SQRT_PI = math.sqrt(math.pi)
 _EXP_IPI4 = np.exp(0.25j * math.pi)
 
 
+def _check_numbers(values, what: str, number=numbers.Real) -> None:
+    """ValueError unless values (a scalar, a nested sequence or an array)
+    hold only numbers of the kind ``number``, numbers.Real or
+    numbers.Complex, and no boolean: numpy would take True as 1, parse a
+    numeric string and drop an imaginary part with only a warning."""
+    kind = "real" if number is numbers.Real else "complex"
+
+    def refused(t):
+        return issubclass(t, (bool, np.bool_)) or not issubclass(t, number)
+
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if refused(values.dtype.type):
+            raise ValueError(f"{what} must be {kind} numbers, got an array of {values.dtype}")
+    else:
+        for v in np.asarray(values, dtype=object).flat:
+            if refused(type(v)):
+                raise ValueError(f"{what} must be {kind} numbers, got {v!r}")
+
+
 def _asfarray_complex(z):
     z = np.asarray(z)
     if not np.issubdtype(z.dtype, np.complexfloating):
@@ -304,13 +323,3 @@ def _moshinsky(x: np.ndarray, k, t) -> np.ndarray:
             out[left] = plane - osc[left] * special.erfcx(-zeta[left])
     return out
 
-
-def _moshinsky_one(x, k, t):
-    # _moshinsky's steps for one float64 x, with a complex k and a float64
-    # t, on scalars: the branch is an if, not a mask
-    with np.errstate(all="ignore"):
-        zeta = (x - k * t) / (np.sqrt(2.0 * t) * _EXP_IPI4)
-        osc = 0.5 * np.exp(0.5j * x * x / t)
-        if zeta.real >= 0.0:
-            return osc * special.erfcx(zeta)
-        return np.exp(1j * (k * x - 0.5 * k * k * t)) - osc * special.erfcx(-zeta)

@@ -32,10 +32,14 @@ interpolant) and "oscillatory" (the weight s^{−1/2}e^{iA/s} is integrated
 exactly through Fresnel/erfc closed forms), with the terminal
 panel always treated exactly.  The phase advance falls along s, so the
 exact panels are the first K(x).  The x-independent tables (nodes, g(s),
-panel weights and switch points) are cached on the series.  One x runs on
-numpy scalars and an array of x is evaluated x by x, so an array gives
-bitwise what one call per x gives.  Inner loops call the unchecked cores
-of φ_F and erfcx.
+panel weights and switch points) are cached on the series over the whole
+grid.  What node i adds to them is cached too, for the last node asked
+only (`_Node`): C_j = g(s_j)ψ(0, t_i − s_j), the smooth panels' weights
+times C, λ, √h and the t-only constants of φ_F(·, t).  A profile ψ(·, t)
+and P(t) ask one node many times in a row, and rebuilding these per x was
+about a third of a ψ(x, t) call; so each x pays only for its own phases,
+Fresnel terms and φ_F(x, t), and the sums are dot products.  An array of
+x is evaluated x by x, so it gives bitwise what one call per x gives.
 
 The bound-state overlap ⟨ψ_b|ψ(t)⟩ is the x-integral of that same
 reconstruction, taken without evaluating ψ(x,t).  Each panel's piece is
@@ -54,6 +58,8 @@ one weighted sum per t.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -64,7 +70,8 @@ from scipy import special
 
 from .errors import ConvergenceError, NumericsError
 from .params import PhysParams
-from .propagator import _volkov_phi, bound_state, volkov_phi
+from .propagator import _VolkovAt, bound_state, volkov_phi
+from .specfun import _check_numbers
 
 __all__ = [
     "TimeGrid",
@@ -105,10 +112,13 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.h
 
     def index_of(self, t: float) -> int:
-        """Grid index of a node time; raises if t is not (close to) a node."""
-        q = float(t) / self.h
+        """Grid index of a node time; raises if t is not (close to) a node,
+        or is a boolean or not a real number."""
+        _check_numbers(t, "t")
+        tf = float(t)
+        q = tf / self.h
         i = round(q) if math.isfinite(q) else -1
-        if i < 0 or i > self.n_steps or abs(t - i * self.h) > 1e-9 * max(1.0, abs(t)):
+        if i < 0 or i > self.n_steps or abs(tf - i * self.h) > 1e-9 * max(1.0, abs(tf)):
             raise ValueError(f"t={t} is not a node of {self}")
         return i
 
@@ -149,6 +159,16 @@ class ComplexSeries:
         for a in tables:
             a.flags.writeable = False
         return tables
+
+    def _node(self, t) -> _Node:
+        # the factors of the node at t, kept for the last t asked only: a
+        # P(t) curve or a ψ(·, t) profile asks one t many times in a row.
+        # The t of another type (True is not 1.0) builds, and so checks, anew
+        node = self.__dict__.get("_last_node")
+        if node is None or type(node.t) is not type(t) or node.t != t:
+            node = _Node(self, t)
+            object.__setattr__(self, "_last_node", node)
+        return node
 
     @cached_property
     def _overlap(self):
@@ -357,14 +377,69 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)  # s-rule of the overlap's e
 
 def _fresnel_T(X: np.ndarray):
     """T₁(X) = ∫_X^∞ u^{−3/2}e^{iu}du and T₂(X) = ∫_X^∞ u^{−5/2}e^{iu}du
-    (X > 0), via Φ(w) = ∫_w^∞ e^{iv²}dv = (√π/2)e^{iπ/4}erfc(w e^{−iπ/4})."""
+    (X > 0), via Φ(w) = ∫_w^∞ e^{iv²}dv = (√π/2)e^{iπ/4}erfc(w e^{−iπ/4}).
+
+    T₁ = 2e^{iX}/w + 4iΦ(w) and T₂ = (2/3)(e^{iX}/(wX) + iT₁), w = √X, on
+    three reused buffers.  The differences of T between nodes cancel, so
+    every rounding here is pinned, down to the order of the factors and
+    to products that never write over a complex factor: numpy's complex
+    product is not commutative in the last bit, and on one element it
+    rounds differently in place."""
     w = np.sqrt(X)
     z = w * _EXP_M_IPI4  # Re z > 0: erfc(z) = e^{−z²}erfcx(z)
-    phi = 0.5 * _SQRT_PI_C * (np.exp(-z * z) * special.erfcx(z))
+    e = np.negative(z)
+    T1 = e * z
+    np.exp(T1, out=T1)
+    np.multiply(T1, special.erfcx(z, out=z), out=e)
+    np.multiply(0.5 * _SQRT_PI_C, e, out=T1)  # Φ(w)
+    np.multiply(4j, T1, out=e)
     eiX = np.exp(1j * X)
-    T1 = 2.0 * eiX / w + 4j * phi
-    T2 = (2.0 / 3.0) * (eiX / (w * X) + 1j * T1)
-    return T1, T2
+    np.multiply(2.0, eiX, out=T1)
+    T1 /= w
+    T1 += e
+    w *= X
+    eiX /= w
+    eiX += np.multiply(1j, T1, out=e)
+    np.multiply(2.0 / 3.0, eiX, out=eiX)
+    return T1, eiX
+
+
+class _Node:
+    """The factors of node i ≥ 1 of a series that no x changes, for one t
+    at that node: C_j = g(s_j)ψ(0, t_i − s_j) at its nodes s_j, the linear
+    weights and switch points of its panels, λ, √h and φ_F(·, t) with its
+    t-only constants.  The smooth panels' weights are also kept times √h·C
+    at their left (``cl``) and right (``cr``) nodes, so that a smooth sum is
+    two dot products.  `bound_overlap` reads C and the weights, and every x
+    of `reconstruct_psi_x` reads them all.  The arrays are read-only.  At
+    i = 0 only t, i and the origin radius are set."""
+
+    __slots__ = ("t", "i", "origin", "psi0", "s", "C", "wl", "wr", "cl", "cr", "xk",
+                 "lam", "sqh", "h", "m", "F", "two_hbar", "phi")
+
+    def __init__(self, series: ComplexSeries, t):
+        self.t = t
+        self.i = i = series.grid.index_of(t)
+        p, h = series.params, series.grid.h
+        # ψ(·,t) is continuous at the well: ψ(x,t) − ψ(0,t) is O(|x|/ℓ), where
+        # ℓ = √(2ℏh/m) is the |x| at which the kernel phase mx²/(2ℏs) reaches
+        # 1 on the first panel.  Below _X_ORIGIN·ℓ that is far under
+        # rounding, while A/s would underflow in the Fresnel terms
+        self.origin = _X_ORIGIN * math.sqrt(2.0 * p.hbar * h / p.mass)
+        if i == 0:
+            return
+        s, g, wl, wr, xk = series._kernel
+        self.psi0 = series.values[i]
+        self.s, self.wl, self.wr = s[: i + 1], wl[:i], wr[:i]
+        self.C = g[: i + 1] * series.values[i::-1]
+        self.lam, self.sqh, self.h = _coupling(p), math.sqrt(h), h
+        self.cl = self.sqh * self.C[:-1] * self.wl
+        self.cr = self.sqh * self.C[1:] * self.wr
+        for a in (self.C, self.cl, self.cr):
+            a.flags.writeable = False
+        self.xk = tuple(xk[:i].tolist())
+        self.m, self.F, self.two_hbar = p.mass, p.field, 2.0 * p.hbar
+        self.phi = _VolkovAt(t, p)
 
 
 def reconstruct_psi_x(series: ComplexSeries, x, t: float):
@@ -374,26 +449,38 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     the endpoint oscillation of e^{imx²/(2ℏs)} is handled by exact
     oscillatory moments on every panel whose phase advance exceeds the
     switch threshold.  A scalar x gives a complex, an array a complex array
-    of its shape, evaluated x by x; x must be finite.  An |x| within
-    _X_ORIGIN·√(2ℏh/m) of the well gives ψ(0,t).  A non-finite value raises
-    `ConvergenceError`, naming the first such x."""
+    of its shape, evaluated x by x; x must be finite and real (a boolean or
+    a string is a ValueError).  An |x| within _X_ORIGIN·√(2ℏh/m) of the
+    well gives ψ(0,t).  A non-finite value raises `ConvergenceError`,
+    naming the first such x.
+
+    What no x changes at the node of t is built by the first call at t and
+    kept on the series until another t is asked (`_Node`): C_j =
+    g(s_j)ψ(0, t − s_j), the smooth panels' weights times C, the switch
+    points, λ, √h and the t-only constants of φ_F(·, t).  A profile
+    ψ(·, t) asks one t many times, so each x pays only for its own
+    phases, Fresnel terms and φ_F(x, t): about 0.2 ms at N = 1 200."""
+    if type(x) is float and math.isfinite(x):
+        # the common call, one finite float x off the well, goes straight to
+        # the core; any other x, and a non-finite value, take the checked path
+        node = series._node(t)
+        if node.i and abs(x) > node.origin:
+            out = _psi_off_origin(node, x)
+            if cmath.isfinite(out):
+                return out
+    _check_numbers(x, "x")
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    i = series.grid.index_of(t)
-    params = series.params
-    # ψ(·,t) is continuous at the well: ψ(x,t) − ψ(0,t) is O(|x|/ℓ), where
-    # ℓ = √(2ℏh/m) is the |x| at which the kernel phase mx²/(2ℏs) reaches 1
-    # on the first panel.  Below _X_ORIGIN·ℓ that is far under rounding,
-    # while A/s would underflow in the Fresnel terms
-    origin = np.abs(x) <= _X_ORIGIN * math.sqrt(2.0 * params.hbar * series.grid.h / params.mass)
-    if i == 0:
-        out = np.where(origin, series.values[0], bound_state(x, params))
+    node = series._node(t)
+    origin = np.abs(x) <= node.origin
+    if node.i == 0:
+        out = np.where(origin, series.values[0], bound_state(x, series.params))
     else:
         flat = x.reshape(-1)
-        out = np.full(flat.shape, series.values[i])
+        out = np.full(flat.shape, node.psi0)
         for k in np.flatnonzero(~origin.reshape(-1)):
-            out[k] = _psi_off_origin(series, flat[k], t, i)
+            out[k] = _psi_off_origin(node, float(flat[k]))
         out = out.reshape(x.shape)
     finite = np.isfinite(out)
     if not finite.all():
@@ -402,47 +489,39 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     return complex(out) if x.ndim == 0 else out
 
 
-def _history(series: ComplexSeries, i: int):
-    # node i's first entries of the tables: its s-nodes, the x-independent
-    # factor of the kernel at each, C_j = g(s_j) ψ(0, t_i − s_j), and the
-    # linear weights and switch points of its panels
-    s, g, wl, wr, xk = series._kernel
-    return s[: i + 1], g[: i + 1] * series.values[i::-1], wl[:i], wr[:i], xk[:i]
-
-
-def _psi_off_origin(series: ComplexSeries, x, t: float, i: int):
-    # ψ(x, t) at node i ≥ 1 for one float64 x ≠ 0.  Far from the well
+def _psi_off_origin(node: _Node, x: float) -> complex:
+    # ψ(x, t) at node i ≥ 1 for one float x ≠ 0.  Far from the well
     # A = mx²/(2ℏ) and the Fresnel terms overflow: the caller raises on the
     # non-finite value, which is never warned about
-    params = series.params
-    h = series.grid.h
-    hbar, m, F = params.hbar, params.mass, params.field
-    s, C, wl, wr, xk = _history(series, i)
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = m * x * x / (2.0 * hbar)
-        eps = F * x / (2.0 * hbar)
+    s, C, i = node.s, node.C, node.i
+    with np.errstate(all="ignore"):
+        A = node.m * x * x / node.two_hbar
+        eps = node.F * x / node.two_hbar
         # panel k is integrated exactly when |x| is above its switch point,
         # panel 0 (x_0 = 0, where T₁ = T₂ = 0) always.  The switch points
         # rise with k, so the exact panels are 0 … K − 1
-        K = np.searchsorted(xk, abs(x))
+        K = bisect.bisect_left(node.xk, abs(x))
 
         # smooth panels K … i − 1: e^{iA/s} absorbed into the interpolant
-        Q = C[K:] * np.exp(1j * (eps * s[K:] + A / s[K:]))
-        smooth = Q[:-1] * wl[K:] + Q[1:] * wr[K:]
+        total = 0.0
+        if K < i:
+            E = np.exp(1j * (eps * s[K:] + A / s[K:]))
+            total = np.dot(E[:-1], node.cl[K:]) + np.dot(E[1:], node.cr[K:])
 
         # exact panels 0 … K − 1 from T₁, T₂ at nodes 1 … K (zero at node
-        # 0), differenced in place into T(s_{k+1}) − T(s_k)
+        # 0), differenced in place into T(s_{k+1}) − T(s_k), then J₀ and
+        # D = J₁ − s_k·J₀, h times the first moment
+        J0, D = _fresnel_T(A / s[1 : K + 1])
+        J0[1:] -= J0[:-1]
+        D[1:] -= D[:-1]
+        np.multiply(math.sqrt(A), J0, out=J0)
+        np.multiply(np.float64(A) ** 1.5, D, out=D)  # inf, not OverflowError
+        D -= s[:K] * J0
         P = C[: K + 1] * np.exp(1j * eps * s[: K + 1])
-        dT1, dT2 = _fresnel_T(A / s[1 : K + 1])
-        dT1[1:] -= dT1[:-1]
-        dT2[1:] -= dT2[:-1]
-        J0 = np.sqrt(A) * dT1
-        J1 = A**1.5 * dT2
-        M1 = (J1 - s[:K] * J0) / h
-        exact = P[:K] * (J0 - M1) + P[1 : K + 1] * M1
+        # Σ P_k(J₀ − M₁) + P_{k+1}M₁ over the exact panels, M₁ = D/h
+        exact = np.dot(P[:-1], J0) + np.dot(P[1:] - P[:-1], D) / node.h
 
-        total = math.sqrt(h) * smooth.sum() + exact.sum()
-        return _volkov_phi(x, t, params) + _coupling(params) * total
+        return complex(node.phi(x) + node.lam * (total + exact))
 
 
 def _chirp_tail(p, alpha, a):
@@ -566,12 +645,11 @@ def bound_overlap(series: ComplexSeries, t: float):
     on panel 0).  No x-quadrature is left.  A non-finite overlap raises
     `ConvergenceError`, and P < −1e-9 (a series that does not conserve the
     norm, such as the first scheme's) `NumericsError`."""
-    params = series.params
-    i = series.grid.index_of(t)
+    node = series._node(t)
+    i = node.i
     if i == 0:
         return 1.0 + 0.0j, 0.0
-    h = series.grid.h
-    _, C, wl, wr, _ = _history(series, i)
+    C, wl, wr = node.C, node.wl, node.wr
     tables = series._overlap
     wq, lin, hl, hr = (a[:i] for a in tables[:4])
     left, right = (a[: i - 1] for a in tables[4:])
@@ -582,7 +660,7 @@ def bound_overlap(series: ComplexSeries, t: float):
     # per panel
     exact = np.sum(wq * ((1.0 - lin) * C[:-1, None] * hl + lin * C[1:, None] * hr))
 
-    overlap = _bound_volkov(params, t) + _coupling(params) * (math.sqrt(h) * smooth + exact)
+    overlap = _bound_volkov(series.params, t) + node.lam * (node.sqh * smooth + exact)
     if not np.isfinite(overlap):
         raise ConvergenceError(f"non-finite bound-state overlap at t={t:g}")
     P = 1.0 - abs(overlap) ** 2

@@ -1,7 +1,7 @@
 """Field-free closed forms that the tests check the library against, the
 x-domain of the overlap oracles, the two sides of the erf–Airy identity,
-the paper's ₁F₁ series for Y, an extremum counter for ripple tests and
-the dataset rows by ``repr``.
+the paper's ₁F₁ series for Y, the Stark pole of the well in the field,
+an extremum counter for ripple tests and the dataset rows by ``repr``.
 
 They share no code with ``deltawell``: φ₀ takes erfc from scipy, where
 ``volkov_phi`` builds on the Moshinsky function of ``deltawell.specfun``;
@@ -9,7 +9,9 @@ the erf–Airy left side takes Ai and erf from scipy and integrates with
 ``quad``, where ``identities`` uses its own Airy table and Gauss–Legendre
 grid; its right side sums the moment series in mpmath, where
 ``identities`` takes the library's ₁F₁; the Y series sums mpmath's
-``hyp1f1`` where ``approx`` integrates by Gauss–Legendre panels; the rows
+``hyp1f1`` where ``approx`` integrates by Gauss–Legendre panels; the Stark
+pole takes scipy's complex ``airy``, where the library has no resonance
+function at all; the rows
 take each float's text from ``repr``, where ``scenario`` computes its
 digits and layout in numpy.  None validates its inputs.
 """
@@ -136,6 +138,38 @@ def y_paper_series(xi1, xi2):
                 return complex(mpmath.exp(-x1) * total)
             j += 1
             coef *= -x2 / j
+
+
+def stark_pole(params, f_step=0.05):
+    """(Γ, Δ) of the Stark resonance E = E_b + Δ − iℏΓ/2 of the well in the
+    field F > 0: the zero of
+
+        D(E) = 1 − (2mV₀/ℏ²)(π/α)·Ai(z)[Bi(z) + iAi(z)],
+        α = (2mF/ℏ²)^{1/3},  z = −2mE/(ℏ²α²)
+
+    (Geltman, J. Phys. B 11 (1978) 3323), by Newton's method with scipy's
+    complex ``airy``.  The field is raised from 0 in steps of at most
+    f_step in the relative strength f = mF/(ℏ²B³), each zero seeding the
+    next, from E_b: seeded far from it, Newton can land on another zero."""
+    hbar, m, v0, F = params.hbar, params.mass, params.v0, params.field
+    B = m * v0 / hbar**2
+    E_b = -(hbar**2) * B**2 / (2.0 * m)
+    steps = max(1, math.ceil(m * F / (hbar**2 * B**3) / f_step - 1e-12))
+    E = complex(E_b)
+    for k in range(1, steps + 1):
+        alpha = (2.0 * m * F * k / steps / hbar**2) ** (1.0 / 3.0)
+        c = 2.0 * m * v0 / hbar**2 * math.pi / alpha
+        dz = -2.0 * m / (hbar**2 * alpha**2)  # dz/dE
+        for _ in range(60):
+            ai, aip, bi, bip = airy(dz * E)
+            D = 1.0 - c * ai * (bi + 1j * ai)
+            step = D / (-c * dz * (aip * (bi + 1j * ai) + ai * (bip + 1j * aip)))
+            E -= step
+            if abs(step) <= 1e-14 * abs(E):
+                break
+        else:
+            raise ArithmeticError(f"Newton did not converge at F = {F * k / steps}")
+    return float(-2.0 * E.imag / hbar), float(E.real - E_b)
 
 
 def count_extrema(t: np.ndarray, y: np.ndarray, t_lo: float, t_hi: float) -> tuple:

@@ -24,8 +24,9 @@ from deltawell.identities import (
     check_z6_identity,
 )
 from deltawell.params import default_units
+from deltawell.scenario import _PRESET_ROWS
 from deltawell.volterra import ComplexSeries, TimeGrid, bound_overlap, solve_psi0
-from oracles import count_extrema, y_paper_series
+from oracles import count_extrema, stark_pole, y_paper_series
 
 # reference values: f -> (Gamma_f, Delta_f, grid)
 REFERENCE = {
@@ -34,6 +35,25 @@ REFERENCE = {
     1.0: (0.52916, -0.10722, TimeGrid(22.0, 11000)),
     2.0: (1.2115, -0.11235, TimeGrid(20.0, 20000)),
 }
+
+
+# the digits after the point to which REFERENCE and the presets print
+# (Gamma_f, Delta_f): f -> (digits of Gamma_f, digits of Delta_f)
+_PRINTED_DECIMALS = {0.1: (4, 4), 0.5: (4, 4), 1.0: (5, 5), 2.0: (4, 5)}
+
+
+def test_reference_constants_are_the_stark_pole():
+    # REFERENCE and the presets' (gamma_d2, delta_d2) are the (Γ, Δ) of the
+    # Stark pole, rounded to the digits they print.  At f = 0.05 the pole
+    # gives the Γ that the weak-field plateau's xfail quotes
+    rows = {row["f"]: (row["gamma_d2"], row["delta_d2"]) for row in _PRESET_ROWS.values()}
+    assert rows.keys() == REFERENCE.keys() == _PRINTED_DECIMALS.keys()
+    for f, (dg, dd) in _PRINTED_DECIMALS.items():
+        gamma, delta = stark_pole(default_units(f))
+        want = (round(gamma, dg), round(delta, dd))
+        assert REFERENCE[f][:2] == want, f
+        assert rows[f] == want, f
+    assert round(stark_pole(default_units(0.05))[0], 10) == 1.4767e-6
 
 
 def _report(name: str, ok: bool, detail: str):

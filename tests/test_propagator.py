@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from deltawell.params import default_units, derive_params
-from deltawell.propagator import _volkov_phi, bound_state, volkov_phi
+from deltawell.propagator import _VolkovAt, _volkov_phi, bound_state, volkov_phi
 from deltawell.specfun import moshinsky
 from oracles import free_kernel, phi0_field_free
 
@@ -81,6 +81,16 @@ def test_volkov_rejects_non_finite_x(x):
         volkov_phi(np.array([0.0, x]), 1.0, default_units(0.1))
 
 
+@pytest.mark.parametrize("x, t", [
+    (True, 1.0), (np.True_, 1.0), ("1", 1.0), (np.zeros(3, dtype=bool), 1.0), ([0.5, "1"], 1.0),
+    (1.0, True), (1.0, "1.0"), (np.ones(2), np.ones(2, dtype=bool)), (1.0, 1.0 + 0.0j),
+])
+def test_volkov_refuses_boolean_and_non_real_input(x, t):
+    # numpy would take True as 1, parse "1" and drop an imaginary part
+    with pytest.raises(ValueError, match="must be real numbers"):
+        volkov_phi(x, t, default_units(1.0))
+
+
 def test_volkov_field_free_closed_form():
     # F = 0, x = 0: φ0(0,t) = √B e^{−iE_b t/ℏ} erfc(√(−iE_b t/ℏ)), with erfc from scipy
     for p in (default_units(0.0), derive_params(0.7, 1.9, 1.3, 0.0)):
@@ -149,13 +159,15 @@ def test_volkov_matches_moshinsky_composition():
 
 @pytest.mark.parametrize("f", [0.0, 1.0, 2.0])
 def test_volkov_phi_one_x_matches_array(f):
-    # one float64 x runs the Moshinsky steps on scalars, with an if for the
-    # reflection; both branches of both terms occur on this grid.  Measured
-    # within 3.4e-16 of max|φ_F| (numpy's array and scalar complex
-    # products round differently)
+    # one float x at a time (`_VolkovAt`, the reconstruction's φ_F) runs
+    # the Moshinsky steps on scalars, with an if for the reflection; both
+    # branches of both terms occur on this grid.  Measured within 3.4e-16
+    # of max|φ_F| (numpy's array and scalar complex products round
+    # differently)
     p = default_units(f)
     x = np.linspace(-40.0, 60.0, 401)
     for t in (0.01, 1.0, 4.0):
         want = _volkov_phi(x, t, p)
-        got = np.array([_volkov_phi(v, t, p) for v in x])
+        phi = _VolkovAt(t, p)
+        got = np.array([phi(v) for v in x.tolist()])
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), t

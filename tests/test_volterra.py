@@ -420,6 +420,31 @@ def test_reconstruct_rejects_non_finite_x(bad):
                 reconstruct_psi_x(sol, x, 1.0)
 
 
+@pytest.mark.parametrize("x, t", [
+    (True, 4.0), (np.True_, 4.0), ("1.5", 4.0), (np.array([0.5, 1.0]) > 0.7, 4.0),
+    ([1.0, "2"], 4.0), (1.0, True), (1.0, "4"), (1.0, np.True_),
+])
+def test_reconstruct_refuses_boolean_and_non_numeric_input(x, t):
+    # numpy would take True as 1 and parse "1.5"; a node already cached at
+    # t = 4 (or at t = 1, which True equals) must not let them through
+    sol = _small_solve()
+    for cached in (4.0, 1.0):
+        reconstruct_psi_x(sol, 1.0, cached)
+        with pytest.raises(ValueError, match="must be real numbers"):
+            reconstruct_psi_x(sol, x, t)
+
+
+@pytest.mark.parametrize("t", [True, np.True_, "1", "1.0", None])
+def test_overlap_refuses_boolean_and_non_numeric_t(t):
+    # True is the node t = 1, and is refused also once that node is cached
+    sol = _small_solve()
+    bound_overlap(sol, 1.0)
+    with pytest.raises(ValueError, match="t must be real numbers"):
+        bound_overlap(sol, t)
+    with pytest.raises(ValueError, match="t must be real numbers"):
+        sol.grid.index_of(t)
+
+
 def test_overlap_initial_state():
     p = default_units(1.0)
     sol = solve_psi0(p, TimeGrid(1.0, 100))
@@ -817,6 +842,63 @@ def test_kernel_tables_are_per_node_tables(i):
     xk = np.sqrt(2.0 * p.hbar * volterra._PHASE_SWITCH * s[:-1] * s[1:] / (p.mass * sol.grid.h))
     assert xk_all[:i].tobytes() == xk.tobytes()
     assert not any(a.flags.writeable for a in sol._kernel)
+
+
+def test_node_factors_are_built_once_per_node(monkeypatch):
+    # a profile ψ(·, t) and P(t) at one node build the node's factors once;
+    # another t replaces them, and asking the first t again builds it anew
+    built = []
+    node = volterra._Node
+
+    def counting(series, t):
+        built.append(t)
+        return node(series, t)
+
+    monkeypatch.setattr(volterra, "_Node", counting)
+    sol = _small_solve()
+    sol = ComplexSeries(sol.grid, sol.values, sol.params)
+    for x in np.linspace(-20.0, 40.0, 50).tolist():
+        reconstruct_psi_x(sol, x, 4.0)
+    reconstruct_psi_x(sol, np.linspace(-3.0, 3.0, 7), 4.0)
+    bound_overlap(sol, 4.0)
+    assert built == [4.0]
+    reconstruct_psi_x(sol, 1.0, 2.0)
+    bound_overlap(sol, 2.0)
+    reconstruct_psi_x(sol, 1.0, 4.0)
+    assert built == [4.0, 2.0, 4.0]
+
+
+def test_one_read_only_node_is_held():
+    sol = _small_solve()
+    sol = ComplexSeries(sol.grid, sol.values, sol.params)
+    for t in (1.0, 4.0, 2.0):
+        reconstruct_psi_x(sol, 1.0, t)
+    bound_overlap(sol, 3.0)
+    nodes = [v for v in vars(sol).values() if isinstance(v, volterra._Node)]
+    assert len(nodes) == 1 and nodes[0].t == 3.0 and nodes[0].i == 150
+    node = nodes[0]
+    for a in (node.s, node.C, node.wl, node.wr, node.cl, node.cr):
+        assert a.shape[0] in (150, 151)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_interleaved_nodes_and_series_match_fresh_series():
+    # two series whose calls switch node at almost every step give bitwise
+    # what a fresh series gives for each call alone
+    sources = (_small_solve(), _dyadic_series(2.0))
+
+    def fresh(j):
+        return ComplexSeries(sources[j].grid, sources[j].values, sources[j].params)
+
+    kept = [fresh(0), fresh(1)]
+    x = [-3.0, 0.7, 12.5]
+    for k, t in enumerate((4.0, 2.0, 4.0, 1.0, 1.0, 3.0, 2.0, 4.0)):
+        j = k % 2
+        assert bound_overlap(kept[j], t) == bound_overlap(fresh(j), t), (j, t)
+        got = [reconstruct_psi_x(kept[j], v, t) for v in x]
+        assert got == [reconstruct_psi_x(fresh(j), v, t) for v in x], (j, t)
+        assert np.array_equal(reconstruct_psi_x(kept[j], x, t), got)
 
 
 # reconstruct_psi_x(ψ(0,·) of the march, x, 4) at N = 1200, one scalar
