@@ -36,10 +36,11 @@ panel weights and switch points) are cached on the series over the whole
 grid.  What node i adds to them is cached too, for the last node asked
 only (`_Node`): C_j = g(s_j)ψ(0, t_i − s_j), the smooth panels' weights
 times C, λ, √h and the t-only constants of φ_F(·, t).  A profile ψ(·, t)
-and P(t) ask one node many times in a row, and rebuilding these per x was
-about a third of a ψ(x, t) call; so each x pays only for its own phases,
-Fresnel terms and φ_F(x, t), and the sums are dot products.  An array of
-x is evaluated x by x, so it gives bitwise what one call per x gives.
+and P(t) ask one node many times in a row, and building these per x would
+cost about a third of a ψ(x, t) call; so each x pays only for its own
+phases, Fresnel terms and φ_F(x, t), and the sums are dot products.  An
+array of x is evaluated x by x, so it gives bitwise what one call per x
+gives.
 
 The bound-state overlap ⟨ψ_b|ψ(t)⟩ is the x-integral of that same
 reconstruction, taken without evaluating ψ(x,t).  Each panel's piece is
