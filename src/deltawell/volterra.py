@@ -461,9 +461,10 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
     points, λ, √h and the t-only constants of φ_F(·, t).  A profile
     ψ(·, t) asks one t many times, so each x pays only for its own
     phases, Fresnel terms and φ_F(x, t): about 0.2 ms at N = 1 200."""
-    if type(x) is float and math.isfinite(x):
-        # the common call, one finite float x off the well, goes straight to
-        # the core; any other x, and a non-finite value, take the checked path
+    if isinstance(x, float) and math.isfinite(x):
+        # the common call, one finite float or np.float64 x off the well,
+        # goes straight to the core; any other x, and a non-finite value,
+        # take the checked path
         node = series._node(t)
         if node.i and abs(x) > node.origin:
             out = _psi_off_origin(node, x)

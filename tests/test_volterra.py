@@ -899,6 +899,7 @@ def test_interleaved_nodes_and_series_match_fresh_series():
         got = [reconstruct_psi_x(kept[j], v, t) for v in x]
         assert got == [reconstruct_psi_x(fresh(j), v, t) for v in x], (j, t)
         assert np.array_equal(reconstruct_psi_x(kept[j], x, t), got)
+        assert [reconstruct_psi_x(kept[j], v, t) for v in np.array(x)] == got
 
 
 # reconstruct_psi_x(ψ(0,·) of the march, x, 4) at N = 1200, one scalar
