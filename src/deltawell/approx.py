@@ -32,13 +32,14 @@ summed in mpmath.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from .errors import PrecisionLossError
 from .params import PhysParams
 from .propagator import volkov_phi
-from .specfun import cerfc, gl_rule
+from .specfun import _numbers, cerfc, gl_rule
 
 __all__ = [
     "DecayAnsatz",
@@ -60,7 +61,7 @@ _EXP_IPI4 = np.exp(0.25j * math.pi)
 def first_scheme_psi0(params: PhysParams, t):
     """φ_F(0,t) + √B e^{−iE_b t/ℏ} erf(√(−iE_b t/ℏ)): the integral term of
     the exact equation evaluated with field-free kernel and amplitude."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _numbers(t, "t")
     if np.any(t < 0.0):
         raise ValueError("first_scheme_psi0 requires t >= 0")
     hbar, B, E_b = params.hbar, params.B, params.E_b
@@ -92,9 +93,8 @@ class DecayAnsatz:
     c: float = 1.0
 
     def __post_init__(self):
-        for name in ("E_f", "gamma", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("E_f", "gamma", "delta", "c"):
+            _numbers(getattr(self, name), name)
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 <= self.c <= 1.0:
@@ -154,9 +154,10 @@ def _g_edges(aa: np.ndarray, bb: np.ndarray, n: np.ndarray, step: float) -> np.n
     # u_j solving _g_phase(u) = j·step, j = 0..n, for each row (aa, bb, n) of
     # the columns aa, bb, n: the smallest root of the three single-term
     # equations, a function of j alone, whatever n is.  A row with fewer
-    # panels than the longest repeats its last edge: empty panels at its end
+    # panels than the longest repeats its last edge: empty panels at its end.
+    # A zero or tiny |a|, |b| gives an infinite root, which fmin passes over
     target = step * np.minimum(np.arange(n.max() + 1), n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.fmin(target, np.fmin(np.sqrt(target / bb), (target / aa) ** (1.0 / 6.0)))
 
 
@@ -261,9 +262,9 @@ def y_integral(args: YArgs, method: str = "quadrature"):
     ``method`` accepts ``"quadrature"`` alone."""
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    xi1, xi2 = np.broadcast_arrays(np.asarray(args.xi1, complex), np.asarray(args.xi2, complex))
-    if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
-        raise ValueError("y_integral: non-finite arguments")
+    xi1, xi2 = np.broadcast_arrays(
+        _numbers(args.xi1, "xi1", numbers.Complex), _numbers(args.xi2, "xi2", numbers.Complex)
+    )
     a, b = xi1.ravel(), xi2.ravel()
     Y = np.empty(a.shape, dtype=np.complex128)
     for k in range(0, a.size, _Y_ROWS):
@@ -301,7 +302,7 @@ def _decay_pair(params: PhysParams, t: np.ndarray, ansatz: DecayAnsatz) -> tuple
 
 def decay_closed_pair(params: PhysParams, t: float, ansatz: DecayAnsatz) -> tuple:
     """(additive, multiplicative) closed forms at one time t ≥ 0."""
-    additive, multiplicative = _decay_pair(params, np.array([t], dtype=np.float64), ansatz)
+    additive, multiplicative = _decay_pair(params, _numbers(t, "t").reshape(1), ansatz)
     return complex(additive[0]), complex(multiplicative[0])
 
 
@@ -316,7 +317,7 @@ def decay_closed_psi0(params: PhysParams, t, ansatz: DecayAnsatz, form: str = "c
     """
     if form not in _DECAY_FORMS:
         raise ValueError(f"unknown form {form!r}")
-    t = np.asarray(t, dtype=np.float64)
+    t = _numbers(t, "t")
     tt = np.atleast_1d(t)
     if np.any(tt < 0.0):
         raise ValueError("decay_closed_psi0 requires t >= 0")

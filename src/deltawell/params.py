@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .specfun import _numbers
+
 __all__ = ["PhysParams", "derive_params", "default_units"]
 
 
@@ -35,16 +37,12 @@ class PhysParams:
 def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysParams:
     """Validate inputs and compute B, E_b and f.
 
-    Raises ValueError for a boolean or non-finite input, non-positive
+    Raises ValueError for a boolean, text or non-finite input, non-positive
     ℏ/m/V₀, a negative field (the field direction is fixed by convention),
     or inputs whose B, E_b or f overflow or underflow.
     """
-    vals = dict(hbar=hbar, mass=mass, v0=v0, field=field)
-    for name, v in vals.items():
-        if isinstance(v, bool):
-            raise ValueError(f"{name} must be a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    for name, v in dict(hbar=hbar, mass=mass, v0=v0, field=field).items():
+        _numbers(v, name)
     if hbar <= 0 or mass <= 0 or v0 <= 0:
         raise ValueError(f"hbar, mass, v0 must be positive, got {hbar}, {mass}, {v0}")
     if field < 0:

@@ -25,14 +25,15 @@ import numpy as np
 from scipy import special
 
 from .params import PhysParams
-from .specfun import _EXP_IPI4, _check_numbers, _moshinsky
+from .specfun import _EXP_IPI4, _moshinsky, _numbers
 
 __all__ = ["bound_state", "volkov_phi"]
 
 
 def bound_state(x, params: PhysParams):
-    """Bound state ψ_b(x) = √B e^{−B|x|} of the unperturbed well."""
-    x = np.asarray(x, dtype=np.float64)
+    """Bound state ψ_b(x) = √B e^{−B|x|} of the unperturbed well, for
+    finite real x (a boolean or a string is a ValueError)."""
+    x = _numbers(x, "x")
     return math.sqrt(params.B) * np.exp(-params.B * np.abs(x))
 
 
@@ -40,14 +41,9 @@ def volkov_phi(x, t, params: PhysParams):
     """Homogeneous solution φ_F(x,t): the bound state evolved by the field
     propagator alone.  t = 0 returns ψ_b(x); t < 0, non-finite x or t, and
     a boolean or non-real x or t are errors."""
-    _check_numbers(x, "x")
-    _check_numbers(t, "t")
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+    x, t = _numbers(x, "x"), _numbers(t, "t")
     if np.any(t < 0.0):
         raise ValueError("volkov_phi requires t >= 0")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-        raise ValueError("volkov_phi: non-finite argument")
     scalar = x.ndim == 0 and t.ndim == 0
     x, t = (np.atleast_1d(a) for a in np.broadcast_arrays(x, t))
     out = np.empty(x.shape, dtype=np.complex128)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -34,6 +33,7 @@ from .analysis import density_proxy, extract_rate_shift, fit_c, plateau
 from .approx import DecayAnsatz, decay_closed_psi0, first_scheme_psi0
 from .errors import NumericsError
 from .params import PhysParams, derive_params
+from .specfun import _integer, _numbers
 from .volterra import RULE_ORDER, ComplexSeries, TimeGrid, VolterraSolution, solve_psi0
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario", "PRESETS", "preset_config"]
@@ -80,16 +80,17 @@ class ScenarioConfig:
     def validate(self):
         for name in ("f", "hbar", "mass", "v0", "t_max", "c", "gamma", "delta"):
             v = getattr(self, name)
-            if isinstance(v, bool):  # JSON true would run as the number 1
-                raise ValueError(f"{name} must be a number, got {v!r}")
-        if not (self.f >= 0 and math.isfinite(self.f)):
-            raise ValueError(f"f must be finite and >= 0, got {self.f}")
+            if v is None and name in ("c", "gamma", "delta") or name == "c" and isinstance(v, str):
+                continue  # omitted, or c's "fit" (any other string is refused below)
+            if _numbers(v, name).ndim:
+                raise ValueError(f"{name} must be one number, got {v!r}")
+        if not self.f >= 0:
+            raise ValueError(f"f must be >= 0, got {self.f}")
         for name in ("hbar", "mass", "v0", "t_max"):
             v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
+            if not v > 0:
+                raise ValueError(f"{name} must be positive, got {v}")
+        _integer(self.n_steps, "n_steps")
         if self.n_steps < 10:
             raise ValueError("n_steps must be >= 10")
         if self.rule not in RULE_ORDER:
@@ -106,8 +107,8 @@ class ScenarioConfig:
         if self.ansatz_source == "explicit":
             if self.gamma is None or self.delta is None:
                 raise ValueError("explicit ansatz requires gamma and delta")
-            if not (self.gamma >= 0 and math.isfinite(self.gamma) and math.isfinite(self.delta)):
-                raise ValueError("explicit ansatz requires finite gamma >= 0 and finite delta")
+            if not self.gamma >= 0:
+                raise ValueError(f"explicit ansatz requires gamma >= 0, got {self.gamma}")
         if isinstance(self.c, str):
             if self.c != "fit":
                 raise ValueError(f"c must be a number, 'fit' or omitted, got {self.c!r}")

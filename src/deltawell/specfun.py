@@ -5,14 +5,14 @@ each.  scipy is used where it is both faster and more accurate than an
 own implementation; the rest is written here:
 
 * ``cerfc`` — complementary error function of complex argument,
-  ``scipy.special.erfc`` behind a finiteness check.
+  ``scipy.special.erfc`` behind the input gate.
 * ``airy_ai`` / ``airy_ai_prime`` — Airy Ai and Ai′ on the real line:
-  ``scipy.special.airy`` inside |s| ≤ 10 (0.08–0.6 µs a point, ~6e−16
-  absolute error), beyond it the first 26 terms of the asymptotic
-  expansions (DLMF §9.7) by Horner's rule, 0.2–0.3 µs a point where scipy
-  falls back to AMOS Bessel routines at 3–5 µs.  Below s = −10 that is
-  the oscillatory wave ``_airy_wave`` which the Airy–Fourier tail of the
-  identity checks also sums: Ai and Ai′ are its real and imaginary parts.
+  ``scipy.special.airy`` for s ≥ −10 (about 6e−16 absolute error inside
+  |s| ≤ 10, 1e−14 relative above), and below s = −10 the first 26 terms
+  of the oscillatory expansion (DLMF §9.7) by Horner's rule, 0.2–0.3 µs a
+  point where scipy falls back to AMOS Bessel routines at 3–5 µs.  That
+  is the wave ``_airy_wave`` which the Airy–Fourier tail of the identity
+  checks also sums: Ai and Ai′ are its real and imaginary parts.
 * ``hyp1f1_one`` / ``hyp1f1_one_family`` — confluent hypergeometric
   ₁F₁(1; b; z) for complex z and b − 1 a positive multiple of 1/6, the
   b of the paper's Y series and of the z⁶ closed form (which alone calls
@@ -28,8 +28,10 @@ own implementation; the rest is written here:
   on equal or on given panels, shared by the ₁F₁ integral, the Y(t)
   quadrature and the identity checks.
 
-``moshinsky`` checks its arguments, then calls an unchecked core that
-inner loops call directly.
+Every public numeric function of the package takes its arguments through
+one gate, ``_numbers``: a boolean, text or any other non-number is a
+ValueError, and so is a non-finite value.  ``moshinsky`` checks its
+arguments, then calls an unchecked core that inner loops call directly.
 """
 
 from __future__ import annotations
@@ -76,11 +78,26 @@ def _check_numbers(values, what: str, number=numbers.Real) -> None:
                 raise ValueError(f"{what} must be {kind} numbers, got {v!r}")
 
 
-def _asfarray_complex(z):
-    z = np.asarray(z)
-    if not np.issubdtype(z.dtype, np.complexfloating):
-        z = z.astype(np.complex128)
-    return z
+def _numbers(values, what: str, number=numbers.Real) -> np.ndarray:
+    """values as a float64 array, complex128 for numbers.Complex, after
+    `_check_numbers`; ValueError on a non-finite value.  The input gate of
+    every public numeric function."""
+    _check_numbers(values, what, number)
+    try:
+        a = np.asarray(values, dtype=np.float64 if number is numbers.Real else np.complex128)
+    except OverflowError:  # a Python int beyond the double range
+        a = np.array(np.inf)
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = a.reshape(-1)[np.argmin(finite.reshape(-1))]
+        raise ValueError(f"{what} must be finite, got {bad} (non-finite arguments are refused)")
+    return a
+
+
+def _integer(n, what: str) -> None:
+    """ValueError unless n is an integer: a boolean and a float are not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +112,14 @@ def cerfc(z):
     overflow as complex infinities (never as a silently wrong finite
     number).
     """
-    z = _asfarray_complex(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("cerfc: non-finite argument")
-    return special.erfc(z)
+    return special.erfc(_numbers(z, "z", numbers.Complex))
 
 
 # ---------------------------------------------------------------------------
 # Airy Ai on the real line
 # ---------------------------------------------------------------------------
 
-_AIRY_ASYM_CUT = 10.0  # scipy inside, own asymptotic series outside (module docstring)
+_AIRY_WAVE_CUT = -10.0  # scipy above, own oscillatory series below (module docstring)
 
 
 def _airy_u_coeffs(count: int):
@@ -123,15 +137,6 @@ _AIRY_V = _AIRY_U * (6.0 * np.arange(26) + 1.0) / (1.0 - 6.0 * np.arange(26))
 _AIRY_V[0] = 1.0
 
 
-def _airy_asym_pos(s):
-    # Σ_k (−1)^k u_k ζ^{−k} by Horner's rule: at |s| > 10 (ζ > 21.08) the
-    # terms fall monotonically through k = 39, and the 26th is 2.3e−18
-    zeta = (2.0 / 3.0) * s**1.5
-    x = -1.0 / zeta
-    pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
-    return pre * polyval(x, _AIRY_U) / s**0.25, -pre * polyval(x, _AIRY_V) * s**0.25
-
-
 def _airy_wave(u, sign, coeffs=_AIRY_U):
     # W±(u) = e^{∓iπ/3}·Ai(u·e^{∓iπ/3}) for sign = ±1, the two waves of
     # Ai(−u) = W₊(u) + W₋(u) (DLMF 9.2.11), for u near the positive real
@@ -147,21 +152,15 @@ def _airy_wave(u, sign, coeffs=_AIRY_U):
 
 
 def _airy_both(s):
-    s = np.asarray(s, dtype=np.float64)
+    s = _numbers(s, "s")
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("airy_ai: non-finite argument")
     ai = np.empty_like(s)
     aip = np.empty_like(s)
 
-    inner = np.abs(s) <= _AIRY_ASYM_CUT
-    pos = s > _AIRY_ASYM_CUT
-    neg = s < -_AIRY_ASYM_CUT
-    if inner.any():
-        ai[inner], aip[inner], _, _ = special.airy(s[inner])
-    if pos.any():
-        ai[pos], aip[pos] = _airy_asym_pos(s[pos])
+    neg = s < _AIRY_WAVE_CUT
+    if not neg.all():
+        ai[~neg], aip[~neg], _, _ = special.airy(s[~neg])
     if neg.any():
         u = -s[neg]
         ai[neg] = 2.0 * _airy_wave(u, 1.0).real
@@ -248,10 +247,8 @@ def hyp1f1_one(b: float, z):
     _HYP_BLOCK terms, and each value is the one the z gets alone.
     PrecisionLossError beyond 32 768 panels or for a non-finite result.
     """
-    n = _hyp1f1_order(b)
-    z = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("hyp1f1: non-finite z")
+    n = _hyp1f1_order(float(_numbers(b, "b")))
+    z = _numbers(z, "z", numbers.Complex)
     flat = z.ravel()
     panels = _hyp1f1_panels(b, n, flat)
     out = np.empty(flat.shape, dtype=np.complex128)
@@ -272,7 +269,7 @@ def hyp1f1_one_family(b0: float, count: int, z: complex) -> np.ndarray:
     member is :func:`hyp1f1_one` at b0 + m."""
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"hyp1f1_one_family requires an integer count >= 1, got {count!r}")
-    z = complex(z)
+    b0, z = float(_numbers(b0, "b0")), complex(_numbers(z, "z", numbers.Complex))
     return np.array([hyp1f1_one(b0 + m, z) for m in range(count)])
 
 
@@ -289,13 +286,9 @@ def moshinsky(x, k, t):
     (Re ζ ≥ 0), with the reflection erfc(ζ) = 2 − erfc(−ζ) applied first
     when Re ζ < 0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    k = _asfarray_complex(k)
-    t = np.asarray(t, dtype=np.float64)
+    x, k, t = _numbers(x, "x"), _numbers(k, "k", numbers.Complex), _numbers(t, "t")
     if np.any(t <= 0.0):
         raise ValueError("moshinsky requires t > 0")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(k)) and np.all(np.isfinite(t))):
-        raise ValueError("moshinsky: non-finite argument")
     scalar = x.ndim == 0 and k.ndim == 0 and t.ndim == 0
     x, k, t = (np.atleast_1d(a) for a in np.broadcast_arrays(x, k, t))
     out = _moshinsky(x, k, t)

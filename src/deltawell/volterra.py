@@ -72,7 +72,7 @@ from scipy import special
 from .errors import ConvergenceError, NumericsError
 from .params import PhysParams
 from .propagator import _VolkovAt, bound_state, volkov_phi
-from .specfun import _check_numbers
+from .specfun import _check_numbers, _integer, _numbers
 
 __all__ = [
     "TimeGrid",
@@ -95,12 +95,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if isinstance(self.t_max, bool):
-            raise ValueError(f"t_max must be a number, got {self.t_max!r}")
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
+        if not _numbers(self.t_max, "t_max") > 0.0:
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        _integer(self.n_steps, "n_steps")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -136,11 +133,10 @@ class ComplexSeries:
     params: PhysParams
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.complex128)
+        # a copy: the series makes its array read-only
+        values = np.array(_numbers(self.values, "values", numbers.Complex))
         if values.shape != (self.grid.n_steps + 1,):
             raise ValueError("values must have one sample per grid node")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite sample in ComplexSeries")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -249,8 +245,11 @@ def abel_weights(n: int, h: float, rule: str = "linear") -> np.ndarray:
     linear interpolant of G; ``quadratic`` against overlapping three-point
     parabolas (exact for polynomials of degree ≤ 2).
     """
+    _integer(n, "n")
     if n < 1:
         raise ValueError("need at least one panel")
+    if not _numbers(h, "h") > 0.0:
+        raise ValueError(f"h must be positive, got {h}")
     w, start, end = _rule_weights(n, rule)
     w[:3] += start[: n + 1]
     w[[n, n - 1]] += end[:, n]
@@ -470,10 +469,7 @@ def reconstruct_psi_x(series: ComplexSeries, x, t: float):
             out = _psi_off_origin(node, x)
             if cmath.isfinite(out):
                 return out
-    _check_numbers(x, "x")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
+    x = _numbers(x, "x")
     node = series._node(t)
     origin = np.abs(x) <= node.origin
     if node.i == 0:

@@ -126,6 +126,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err, argv
+    # a number written as text is refused by name, not compared with one
+    for name, doc in (("t_max", {"t_max": "5", "n_steps": 20}), ("f", {"f": "0.1"})):
+        path = tmp_path / f"text-{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 1, doc
+        assert f"error: {name} must be real numbers" in capsys.readouterr().err, doc
 
 
 def test_scenario_config_refuses_a_c_string_and_the_float_range():

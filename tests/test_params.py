@@ -73,10 +73,10 @@ def test_boolean_input_is_refused(k, flag):
     # a bool is an int to Python, but True is not a field strength
     args = [1.0, 1.0, 1.0, 0.5]
     args[k] = flag
-    with pytest.raises(ValueError, match="must be a number"):
+    with pytest.raises(ValueError, match="must be real numbers"):
         derive_params(*args)
 
 
 def test_default_units_refuses_a_boolean():
-    with pytest.raises(ValueError, match="field must be a number"):
+    with pytest.raises(ValueError, match="field must be real numbers"):
         default_units(True)

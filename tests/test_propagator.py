@@ -79,6 +79,8 @@ def test_volkov_rejects_negative_time():
 def test_volkov_rejects_non_finite_x(x):
     with pytest.raises(ValueError, match="non-finite argument"):
         volkov_phi(np.array([0.0, x]), 1.0, default_units(0.1))
+    with pytest.raises(ValueError, match="non-finite argument"):
+        volkov_phi(0.0, np.array([1.0, x]), default_units(0.1))
 
 
 @pytest.mark.parametrize("x, t", [

@@ -35,7 +35,7 @@ from deltawell.volterra import (
     reconstruct_psi_x,
     solve_psi0,
 )
-from oracles import overlap_domain_halfwidth
+from oracles import laplace_psi0, overlap_domain_halfwidth
 
 
 def _decay_combined(f, grid):
@@ -72,7 +72,7 @@ def test_grid_validation():
 @pytest.mark.parametrize("t_max", [True, False])
 def test_grid_refuses_a_boolean_t_max(t_max):
     # True would pass as t_max = 1
-    with pytest.raises(ValueError, match="t_max must be a number"):
+    with pytest.raises(ValueError, match="t_max must be real numbers"):
         TimeGrid(t_max, 10)
 
 
@@ -281,6 +281,30 @@ def test_nan_forcing_identifies_node():
         _march(p, g, "linear", forcing)
 
 
+def _non_unit(f):
+    # the non-unit set ℏ = 0.7, m = 1.9, V₀ = 1.3 at relative field f
+    p = derive_params(0.7, 1.9, 1.3, 0.0)
+    return derive_params(0.7, 1.9, 1.3, f * p.hbar**2 * p.B**3 / p.mass)
+
+
+@pytest.mark.parametrize("params", [default_units(0.5), default_units(1.0), default_units(2.0), _non_unit(1.0)],
+                         ids=["f=0.5", "f=1", "f=2", "non-unit f=1"])
+def test_march_laplace_transform_matches_the_green_function_oracle(params):
+    # ∫₀^T e^{−pt}ψ(0,t)dt by the trapezoid rule on the march's nodes at N
+    # and 2N, T = 40 and p in units ℏB²/m, against ψ̂(0,p) from the Stark
+    # Green's function (oracles.laplace_psi0), which shares no code with
+    # the march.  Both gaps are second order (ratio 3.96–3.99 measured), and
+    # one Richardson step leaves at most 1.33e-7 of |ψ̂| (f = 2,
+    # p = 0.5 + i); the bound is three times that.  e^{−pT} ≤ e^{−20}
+    unit = params.mass / (params.hbar * params.B**2)
+    sols = [solve_psi0(params, TimeGrid(40.0 * unit, n)) for n in (2000, 4000)]
+    for p in (0.5 / unit, (0.5 + 1.0j) / unit, (1.0 - 2.0j) / unit):
+        want = laplace_psi0(params, p)
+        coarse, fine = (np.trapezoid(np.exp(-p * s.grid.nodes) * s.values, s.grid.nodes) for s in sols)
+        assert 3.5 <= abs(coarse - want) / abs(fine - want) <= 4.5, p
+        assert abs((4.0 * fine - coarse) / 3.0 - want) <= 4e-7 * abs(want), p
+
+
 # ---------------------------------------------------------------------------
 # reconstruction and overlap
 # ---------------------------------------------------------------------------
@@ -422,7 +446,7 @@ def test_reconstruct_rejects_non_finite_x(bad):
 
 @pytest.mark.parametrize("x, t", [
     (True, 4.0), (np.True_, 4.0), ("1.5", 4.0), (np.array([0.5, 1.0]) > 0.7, 4.0),
-    ([1.0, "2"], 4.0), (1.0, True), (1.0, "4"), (1.0, np.True_),
+    ([1.0, "2"], 4.0), (1.0, True), (1.0, "4"), (1.0, np.True_), (1.0 + 1.0j, 4.0),
 ])
 def test_reconstruct_refuses_boolean_and_non_numeric_input(x, t):
     # numpy would take True as 1 and parse "1.5"; a node already cached at
