@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import _numbers
-
 __all__ = ["PhysParams", "derive_params", "default_units"]
 
 
@@ -41,6 +39,12 @@ def derive_params(hbar: float, mass: float, v0: float, field: float) -> PhysPara
     ℏ/m/V₀, a negative field (the field direction is fixed by convention),
     or inputs whose B, E_b or f overflow or underflow.
     """
+    # imported here, not at the top: this is the package's first module, and
+    # numpy and scipy imported from it, ahead of the CLI's other imports,
+    # made `import deltawell.cli` about 30 ms slower (measured; no module
+    # more is loaded)
+    from .specfun import _numbers
+
     for name, v in dict(hbar=hbar, mass=mass, v0=v0, field=field).items():
         _numbers(v, name)
     if hbar <= 0 or mass <= 0 or v0 <= 0:
